@@ -115,6 +115,26 @@ void bench_dense_forward(benchmark::State& state) {
       benchjson::gflops(2.0 * 64.0 * static_cast<double>(width) * width);
 }
 
+// {in, out, batch}: a dense forward at the DL-PIC field solve's batch-1
+// shapes (batch < 4 reads the weights in place through the skinny NT GEMM
+// path) against a packed-path batch. GBps is weight bytes streamed per
+// second: at batch 1 the forward is one pass over the weights.
+void bench_dense_forward_skinny(benchmark::State& state) {
+  const size_t in = static_cast<size_t>(state.range(0));
+  const size_t out = static_cast<size_t>(state.range(1));
+  const size_t batch = static_cast<size_t>(state.range(2));
+  math::Rng rng(892);
+  nn::Dense layer(in, out, rng);
+  auto x = random_tensor({batch, in}, 7);
+  for (auto _ : state) {
+    auto y = layer.forward(x, false);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.counters["GBps"] = benchmark::Counter(
+      static_cast<double>(in * out * sizeof(double)) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+
 void bench_dense_backward(benchmark::State& state) {
   const size_t width = static_cast<size_t>(state.range(0));
   math::Rng rng(890);
@@ -312,6 +332,12 @@ BENCHMARK(bench_gemm)  // {size, backend, precision (0=f64, 1=int8, 2=int16)}
     ->Args({512, 1, 2})
     ->Args({512, 2, 1});
 BENCHMARK(bench_dense_forward)->Arg(128)->Arg(1024);
+BENCHMARK(bench_dense_forward_skinny)  // {in, out, batch}
+    ->Args({4096, 1024, 1})
+    ->Args({1024, 1024, 1})
+    ->Args({1024, 1024, 3})
+    ->Args({1024, 1024, 64})
+    ->UseRealTime();
 BENCHMARK(bench_dense_backward)->Arg(128)->Arg(1024);
 BENCHMARK(bench_conv_forward)->Arg(16)->Arg(32);
 BENCHMARK(bench_mlp_inference_ci);

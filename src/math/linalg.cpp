@@ -19,6 +19,9 @@ namespace {
 constexpr size_t kBlockM = 64;
 constexpr size_t kBlockN = 64;
 constexpr size_t kBlockK = 256;
+// Row count of the micro-kernels' register tile. Below it gemm_block runs
+// its single-row path, which the skinny NT kernel reproduces bit for bit.
+constexpr size_t kTileRows = 4;
 
 // Packs a (rows x cols) block of op(A) into contiguous row-major storage so
 // the inner kernel streams unit-stride regardless of transposition.
@@ -58,6 +61,31 @@ void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha
   // Resolve the backend on the calling thread and capture it: chunk bodies
   // run on pool workers, where the thread-local selection is not in scope.
   const nn::KernelBackend* backend = &nn::active_backend();
+
+  if (trans_b && m < kTileRows) {
+    // Skinny NT (a batch-1..3 dense forward): op(B)'s columns are B's rows,
+    // contiguous in k, so read them in place instead of gathering a
+    // transposed panel at stride ldb. Same column tiles, k-blocks and
+    // alpha-scaled A rows as below, so the result is bitwise the packed one.
+    util::parallel_for_chunks(0, n_blocks, [&](size_t tile_lo, size_t tile_hi) {
+      double Arows[kTileRows * kBlockK];
+      for (size_t t = tile_lo; t < tile_hi; ++t) {
+        const size_t j0 = t * kBlockN;
+        const size_t nb = std::min(kBlockN, n - j0);
+        for (size_t p0 = 0; p0 < k; p0 += kBlockK) {
+          const size_t kb = std::min(kBlockK, k - p0);
+          pack_block(trans_a, A, lda, 0, p0, m, kb, Arows);
+          if (alpha != 1.0)
+            for (size_t q = 0; q < m * kb; ++q) Arows[q] *= alpha;
+          for (size_t i = 0; i < m; ++i)
+            backend->gemv_nt_block(nb, kb, Arows + i * kb, B + j0 * ldb + p0, ldb,
+                                   C + i * ldc + j0);
+        }
+      }
+    }, /*grain=*/1);
+    return;
+  }
+
   util::parallel_for_chunks(0, m_blocks * n_blocks, [&](size_t tile_lo, size_t tile_hi) {
     // Per-thread pack buffers, reused across calls: the training hot loop
     // performs zero steady-state heap allocations.
@@ -99,16 +127,6 @@ void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha
     throw std::invalid_argument("gemm: input sizes inconsistent with m/n/k");
   C.resize(m * n);
   gemm(trans_a, trans_b, m, n, k, alpha, A.data(), lda, B.data(), ldb, beta, C.data(), n);
-}
-
-void gemv(size_t m, size_t n, double alpha, const double* A, const double* x,
-          double beta, double* y) {
-  for (size_t i = 0; i < m; ++i) {
-    double acc = 0.0;
-    const double* row = A + i * n;
-    for (size_t j = 0; j < n; ++j) acc += row[j] * x[j];
-    y[i] = alpha * acc + beta * y[i];
-  }
 }
 
 void axpy(size_t n, double alpha, const double* x, double* y) {

@@ -16,6 +16,14 @@ namespace dlpic::math {
 /// C[m x n] = alpha * op(A) * op(B) + beta * C, row-major.
 /// op is identity or transpose per the trans_a / trans_b flags.
 /// A is (m x k) when !trans_a, (k x m) when trans_a (likewise for B).
+///
+/// Two kernel paths, chosen from the shape alone. When trans_b is set and
+/// m < 4 (fewer rows than the micro-kernel's register tile — a batch-1..3
+/// dense forward), B's rows are read in place through
+/// KernelBackend::gemv_nt_block; otherwise B is packed into panels for
+/// gemm_block. Both walk the same column tiles and k-blocks with the same
+/// per-element operation order, so the result is bitwise identical either
+/// way, on every backend, worker count and batch size.
 void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha,
           const double* A, size_t lda, const double* B, size_t ldb, double beta,
           double* C, size_t ldc);
@@ -24,10 +32,6 @@ void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha
 void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha,
           const std::vector<double>& A, const std::vector<double>& B, double beta,
           std::vector<double>& C);
-
-/// y = alpha * A x + beta * y with A row-major (m x n).
-void gemv(size_t m, size_t n, double alpha, const double* A, const double* x,
-          double beta, double* y);
 
 /// y += alpha * x (n elements).
 void axpy(size_t n, double alpha, const double* x, double* y);

@@ -109,7 +109,7 @@ std::vector<double> FrameReader::read_f64_vector() {
   }
   const uint8_t* p = cursor(static_cast<size_t>(n) * 8, "f64 vector bytes");
   std::vector<double> v(static_cast<size_t>(n));
-  std::memcpy(v.data(), p, static_cast<size_t>(n) * 8);
+  if (n > 0) std::memcpy(v.data(), p, static_cast<size_t>(n) * 8);
   return v;
 }
 

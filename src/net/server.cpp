@@ -168,11 +168,16 @@ void NetServer::reader_loop(Connection& connection) {
     }
     requests_decoded_.fetch_add(1, std::memory_order_relaxed);
 
-    const auto deadline =
-        request.deadline_us < 0
-            ? serve::kNoDeadline
-            : std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(request.deadline_us);
+    auto deadline = serve::kNoDeadline;
+    if (request.deadline_us >= 0) {
+      // A relative deadline beyond the clock's range (the wire field is
+      // untrusted) means no deadline, not an overflowed time point.
+      const auto now = std::chrono::steady_clock::now();
+      const auto headroom =
+          std::chrono::duration_cast<std::chrono::microseconds>(serve::kNoDeadline - now);
+      if (request.deadline_us < headroom.count())
+        deadline = now + std::chrono::microseconds(request.deadline_us);
+    }
     try {
       auto future = router_.submit(request.model, std::move(request.payload),
                                    static_cast<serve::Priority>(request.priority),

@@ -19,6 +19,19 @@ void KernelBackend::copy(size_t n, const double* x, double* y) const {
   std::memcpy(y, x, n * sizeof(double));
 }
 
+// Reference skinny NT kernel: the scalar gemm_block's single-row loop with B
+// read in place (this TU is compiled with -ffp-contract=off alongside the
+// SIMD backends, so the mul-then-add never fuses).
+void KernelBackend::gemv_nt_block(size_t nb, size_t kb, const double* a, const double* B,
+                                  size_t ldb, double* C) const {
+  for (size_t j = 0; j < nb; ++j) {
+    const double* b = B + j * ldb;
+    double acc = 0;
+    for (size_t p = 0; p < kb; ++p) acc += a[p] * b[p];
+    C[j] += acc;
+  }
+}
+
 // Reference int16 kernel: a plain widened dot per output element. The
 // accumulation is exact integer arithmetic (and the int64 sum fits a double
 // exactly under the kQuantizedGemmInt16MaxDepth bound), so the compiler is

@@ -69,6 +69,20 @@ class KernelBackend {
   virtual void gemm_block(size_t mb, size_t nb, size_t kb, const double* Apanel,
                           const double* Bpanel, double* C, size_t ldc) const = 0;
 
+  /// Skinny transposed-B panel: C[j] += sum_p a[p] * B[j*ldb + p] for
+  /// j < nb, p < kb. `a` is one packed A row (alpha pre-applied, as for
+  /// gemm_block); B's rows are read in place, contiguous in k, so a batch-1
+  /// dense forward never transposes its weights. Bitwise contract: every
+  /// output is exactly what gemm_block computes for a one-row Apanel over
+  /// the same kb x nb panel of op(B) — a fresh accumulator, ascending p,
+  /// the backend's single-row column grouping (the AVX2 kernel: fmadd over
+  /// groups of 4 columns from j = 0, a plain mul-then-add tail), then
+  /// C += acc. math::gemm may therefore pick either kernel for a row
+  /// without changing a bit. The base implementation is the scalar
+  /// reference (mul-then-add for every column).
+  virtual void gemv_nt_block(size_t nb, size_t kb, const double* a, const double* B,
+                             size_t ldb, double* C) const;
+
   /// Quantized inner-product panel, OVERWRITING C (mb x nb, row stride ldc):
   ///   C[i,j] = (a_scales[i] * b_scales[j]) * sum_p Aq[i*kb+p] * Bq[j*kb+p]
   /// Both operands are row-major with k contiguous (Bq is the transposed

@@ -256,6 +256,55 @@ inline int64_t dot_i16_avx2(const int16_t* a, const int16_t* b, size_t k) {
 }
 
 // ---------------------------------------------------------------------------
+// Skinny NT GEMM: B rows read in place, transposed in registers.
+
+/// In-register 4x4 transpose: r[i] holds row i's four consecutive k values;
+/// afterwards col[q] holds the four rows' values at k offset q.
+inline void transpose4x4(__m256d r0, __m256d r1, __m256d r2, __m256d r3, __m256d col[4]) {
+  const __m256d t0 = _mm256_unpacklo_pd(r0, r1);  // r0[0] r1[0] r0[2] r1[2]
+  const __m256d t1 = _mm256_unpackhi_pd(r0, r1);  // r0[1] r1[1] r0[3] r1[3]
+  const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
+  const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
+  col[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+  col[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+  col[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+  col[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+/// G groups of 4 output columns (4*G row streams of B): per lane the exact
+/// sequence of gemm_block's single-row path, c = fmadd(set1(a[p]), b, c)
+/// over ascending p, then C += c.
+template <int G>
+inline void gemv_nt_groups(size_t kb, const double* a, const double* B, size_t ldb,
+                           double* C) {
+  const double* b[4 * G];
+  for (int r = 0; r < 4 * G; ++r) b[r] = B + static_cast<size_t>(r) * ldb;
+  __m256d c[G];
+  for (int g = 0; g < G; ++g) c[g] = _mm256_setzero_pd();
+  size_t p = 0;
+  for (; p + 4 <= kb; p += 4) {
+    __m256d col[G][4];
+    for (int g = 0; g < G; ++g)
+      transpose4x4(_mm256_loadu_pd(b[4 * g] + p), _mm256_loadu_pd(b[4 * g + 1] + p),
+                   _mm256_loadu_pd(b[4 * g + 2] + p), _mm256_loadu_pd(b[4 * g + 3] + p),
+                   col[g]);
+    for (int q = 0; q < 4; ++q) {
+      const __m256d av = _mm256_set1_pd(a[p + q]);
+      for (int g = 0; g < G; ++g) c[g] = _mm256_fmadd_pd(av, col[g][q], c[g]);
+    }
+  }
+  for (; p < kb; ++p) {
+    const __m256d av = _mm256_set1_pd(a[p]);
+    for (int g = 0; g < G; ++g)
+      c[g] = _mm256_fmadd_pd(
+          av, _mm256_set_pd(b[4 * g + 3][p], b[4 * g + 2][p], b[4 * g + 1][p], b[4 * g][p]),
+          c[g]);
+  }
+  for (int g = 0; g < G; ++g)
+    _mm256_storeu_pd(C + 4 * g, _mm256_add_pd(_mm256_loadu_pd(C + 4 * g), c[g]));
+}
+
+// ---------------------------------------------------------------------------
 // The backend.
 
 class Avx2Backend final : public ScalarBackend {
@@ -353,6 +402,18 @@ class Avx2Backend final : public ScalarBackend {
         C[i * ldc + j] += acc;
       }
     }
+  }
+
+  // Mirrors gemm_block's single-row loop above column for column: the first
+  // nb & ~3 columns take the fmadd lanes (8 row streams at a time, then 4),
+  // the rest the plain mul-then-add tail.
+  void gemv_nt_block(size_t nb, size_t kb, const double* a, const double* B, size_t ldb,
+                     double* C) const override {
+    const size_t nb4 = nb & ~size_t{3};
+    size_t j = 0;
+    for (; j + 8 <= nb4; j += 8) gemv_nt_groups<2>(kb, a, B + j * ldb, ldb, C + j);
+    for (; j < nb4; j += 4) gemv_nt_groups<1>(kb, a, B + j * ldb, ldb, C + j);
+    KernelBackend::gemv_nt_block(nb - j, kb, a, B + j * ldb, ldb, C + j);
   }
 
   // 4-row x 2-column register tile over 32-wide k steps (8 int32

@@ -80,6 +80,11 @@ class Avx512VnniBackend final : public KernelBackend {
     base_.gemm_block(mb, nb, kb, Apanel, Bpanel, C, ldc);
   }
 
+  void gemv_nt_block(size_t nb, size_t kb, const double* a, const double* B, size_t ldb,
+                     double* C) const override {
+    base_.gemv_nt_block(nb, kb, a, B, ldb, C);
+  }
+
   // 4-row x 2-column register tile over 32-wide VNNI k steps (8 int32 ymm
   // accumulators + 2 B vectors + 1 A vector plus the abs/sign temporaries
   // live), mirroring the AVX2 kernel's tile so the only change is the inner

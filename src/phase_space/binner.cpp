@@ -32,10 +32,14 @@ std::vector<double> PhaseSpaceBinner::bin(const std::vector<double>& x,
   const double inv_dv = 1.0 / dv_bin_;
 
   for (size_t p = 0; p < x.size(); ++p) {
-    // Periodic wrap in x.
-    double xp = std::fmod(x[p], config_.length);
-    if (xp < 0.0) xp += config_.length;
-    if (xp >= config_.length) xp -= config_.length;
+    // Periodic wrap in x. The mover already wraps into [0, length), where
+    // fmod would return x unchanged, so only other positions pay for it.
+    double xp = x[p];
+    if (!(xp >= 0.0 && xp < config_.length)) {
+      xp = std::fmod(xp, config_.length);
+      if (xp < 0.0) xp += config_.length;
+      if (xp >= config_.length) xp -= config_.length;
+    }
     // Clamp in v (velocity axis is not periodic).
     double vp = v[p];
     if (vp < config_.vmin || vp > config_.vmax) {

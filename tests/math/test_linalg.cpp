@@ -85,19 +85,6 @@ TEST(Gemm, InconsistentSizesThrow) {
   EXPECT_THROW(gemm(false, false, 4, 4, 4, 1.0, A, B, 0.0, C), std::invalid_argument);
 }
 
-TEST(Gemv, MatchesGemmColumn) {
-  const size_t m = 17, n = 23;
-  auto A = random_vec(m * n, 5);
-  auto x = random_vec(n, 6);
-  std::vector<double> y(m, 1.0);
-  gemv(m, n, 2.0, A.data(), x.data(), 0.5, y.data());
-  for (size_t i = 0; i < m; ++i) {
-    double acc = 0.0;
-    for (size_t j = 0; j < n; ++j) acc += A[i * n + j] * x[j];
-    EXPECT_NEAR(y[i], 2.0 * acc + 0.5, 1e-10);
-  }
-}
-
 TEST(Blas1, AxpyDotNrm2) {
   std::vector<double> x = {1, 2, 3};
   std::vector<double> y = {4, 5, 6};

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <future>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -194,6 +195,12 @@ TEST(NetServing, RelativeWireDeadlineExpiresAsAppError) {
   const NetResponse served =
       client.submit_async("m", sample, 0, /*deadline_us=*/10'000'000).get();
   EXPECT_EQ(served.status, Status::kOk) << served.error;
+
+  // A deadline past the clock's range means no deadline: it must not wrap
+  // into an already-expired time point.
+  const NetResponse unbounded =
+      client.submit_async("m", sample, 0, std::numeric_limits<int64_t>::max()).get();
+  EXPECT_EQ(unbounded.status, Status::kOk) << unbounded.error;
 
   // Unknown model: well-formed request, application-level error.
   const NetResponse unknown = client.submit_async("ghost", sample).get();

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -144,6 +145,90 @@ TEST(BackendParity, GemmAllTransposeCombosWithinUlps) {
         ASSERT_NEAR(Cs[i], Cv[i], tol) << "ta=" << ta << " tb=" << tb << " i=" << i;
       }
     }
+  }
+}
+
+std::vector<const nn::KernelBackend*> available_backends() {
+  std::vector<const nn::KernelBackend*> backends{&nn::scalar_backend()};
+  if (const nn::KernelBackend* be = nn::avx2_backend()) backends.push_back(be);
+  if (const nn::KernelBackend* be = nn::avx512_backend()) backends.push_back(be);
+  return backends;
+}
+
+// The skinny NT path (trans_b, m < 4: B's rows read in place) must be
+// bitwise the packed path. The reference is the same product through the
+// untransposed-B packed path on an explicitly transposed W; m = 4, 5 check
+// that the packed path still serves the wider shapes. The 1024 x 4096
+// weight (the paper MLP's first layer) runs at batch 1 only, which keeps
+// the suite fast under the thread sanitizer.
+TEST(BackendParity, SkinnyNtGemmBitwiseEqualsPackedPath) {
+  util::ThreadPool::global().resize(4);
+  for (const size_t n : {1, 3, 5, 63, 64, 67, 1024}) {
+    for (const size_t k : {1, 7, 255, 256, 257, 513, 4096}) {
+      const auto W = random_vec(n * k, 1000 + n * 7 + k);  // n x k, rows contiguous in k
+      std::vector<double> Wt(k * n);
+      math::transpose(n, k, W.data(), Wt.data());
+      for (const size_t m : {1, 2, 3, 4, 5}) {
+        if (n * k > (size_t{1} << 20) && m > 1) continue;
+        const auto A = random_vec(m * k, 2000 + m);
+        const auto C0 = random_vec(m * n, 3000 + m);
+        for (const nn::KernelBackend* be : available_backends()) {
+          for (const double alpha : {1.0, 0.7}) {
+            for (const double beta : {0.0, 1.0, 0.3}) {
+              auto packed = C0;
+              gemm_with(be, false, false, m, n, k, alpha, A, Wt, beta, packed);
+              for (const size_t cap : {1, 2, 4}) {
+                util::ScopedMaxWorkers workers(cap);
+                auto skinny = C0;
+                gemm_with(be, false, true, m, n, k, alpha, A, W, beta, skinny);
+                ASSERT_EQ(skinny, packed)
+                    << be->name() << " m=" << m << " n=" << n << " k=" << k
+                    << " alpha=" << alpha << " beta=" << beta << " cap=" << cap;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  util::ThreadPool::global().resize(0);
+}
+
+// The skinny path packs a transposed A (k x m) the same way.
+TEST(BackendParity, SkinnyNtGemmTransposedABitwiseEqualsPackedPath) {
+  const size_t n = 67, k = 513;
+  const auto W = random_vec(n * k, 41);
+  std::vector<double> Wt(k * n);
+  math::transpose(n, k, W.data(), Wt.data());
+  for (const size_t m : {1, 2, 3}) {
+    const auto At = random_vec(k * m, 42);  // k x m
+    for (const nn::KernelBackend* be : available_backends()) {
+      for (const double alpha : {1.0, 0.7}) {
+        auto skinny = random_vec(m * n, 43);
+        auto packed = skinny;
+        gemm_with(be, true, true, m, n, k, alpha, At, W, 0.3, skinny);
+        gemm_with(be, true, false, m, n, k, alpha, At, Wt, 0.3, packed);
+        ASSERT_EQ(skinny, packed) << be->name() << " m=" << m << " alpha=" << alpha;
+      }
+    }
+  }
+}
+
+// A batch-1 dense forward (skinny path) is bitwise row 0 of a batch-5
+// forward (packed path) on every backend.
+TEST(BackendParity, DenseBatchOneForwardBitwiseEqualsBatchedRow) {
+  math::Rng rng(17);
+  nn::Dense dense(301, 131, rng);
+  const auto batch = random_tensor({5, 301}, 27);
+  nn::Tensor single({1, 301});
+  std::copy(batch.data(), batch.data() + 301, single.data());
+  for (const nn::KernelBackend* be : available_backends()) {
+    nn::ExecutionContext ctx(0, be);
+    ctx.set_precision(nn::Precision::kF64);
+    const nn::Tensor& y5 = dense.forward(ctx, batch, false);
+    const std::vector<double> row0(y5.data(), y5.data() + 131);
+    const nn::Tensor& y1 = dense.forward(ctx, single, false);
+    ASSERT_EQ(row0, std::vector<double>(y1.data(), y1.data() + y1.size())) << be->name();
   }
 }
 

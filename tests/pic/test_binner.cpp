@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "math/rng.hpp"
 #include "phase_space/binner.hpp"
@@ -75,6 +76,30 @@ TEST_P(BinnerOrders, VelocityClampCounts) {
   auto h = b.bin({0.5, 0.5, 0.5}, {0.0, 3.0, -3.0});
   EXPECT_EQ(b.clamped_particles(), 2u);
   EXPECT_NEAR(PhaseSpaceBinner::total_count(h), 3.0, 1e-12);
+}
+
+// bin() skips fmod for positions already in [0, L); every position must
+// still bin bitwise as if wrapped by the full fmod formula first.
+TEST_P(BinnerOrders, WrapMatchesFmodFormulaBitwise) {
+  const BinnerConfig config = small_config(GetParam());
+  PhaseSpaceBinner b(config);
+  const double L = config.length;
+  auto fmod_wrap = [L](double x) {
+    double y = std::fmod(x, L);
+    if (y < 0.0) y += L;
+    if (y >= L) y -= L;
+    return y;
+  };
+  const std::vector<double> xs{-L / 3.0, -0.0, -1e-18, 0.0, std::nextafter(L, 0.0),
+                               L,        2.5 * L, 1e6 * L};
+  std::vector<double> vs, wrapped;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const double v = -0.4 + 0.1 * static_cast<double>(i);
+    vs.push_back(v);
+    wrapped.push_back(fmod_wrap(xs[i]));
+    EXPECT_EQ(b.bin({xs[i]}, {v}), b.bin({wrapped.back()}, {v})) << "x=" << xs[i];
+  }
+  EXPECT_EQ(b.bin(xs, vs), b.bin(wrapped, vs));
 }
 
 INSTANTIATE_TEST_SUITE_P(Orders, BinnerOrders,
