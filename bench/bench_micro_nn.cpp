@@ -115,17 +115,26 @@ void bench_dense_forward(benchmark::State& state) {
       benchjson::gflops(2.0 * 64.0 * static_cast<double>(width) * width);
 }
 
-// {in, out, batch}: a dense forward at the DL-PIC field solve's batch-1
-// shapes (batch < 4 reads the weights in place through the skinny NT GEMM
-// path) against a packed-path batch. GBps is weight bytes streamed per
-// second: at batch 1 the forward is one pass over the weights.
+// {in, out, batch, occupancy %}: a dense forward at the DL-PIC field
+// solve's batch-1 shapes (batch < 4 reads the weights in place through the
+// skinny NT GEMM path) against a packed-path batch. Occupancy is the share
+// of the input's 4-wide groups that hold a nonzero value, spread evenly;
+// the rest are all zero, as in a sparse phase-space histogram, and the
+// skinny path skips their weights. GBps is the weight bytes of the layer
+// per second, whatever the kernel read: at batch 1 and 100% the forward is
+// one pass over the weights, below 100% it is an effective rate.
 void bench_dense_forward_skinny(benchmark::State& state) {
   const size_t in = static_cast<size_t>(state.range(0));
   const size_t out = static_cast<size_t>(state.range(1));
   const size_t batch = static_cast<size_t>(state.range(2));
+  const size_t percent = static_cast<size_t>(state.range(3));
   math::Rng rng(892);
   nn::Dense layer(in, out, rng);
   auto x = random_tensor({batch, in}, 7);
+  for (size_t i = 0; i < x.size(); ++i) {
+    const size_t group = (i % in) / 4;  // one in 100 / percent groups stays
+    if (group * percent % 100 >= percent) x[i] = 0.0;
+  }
   for (auto _ : state) {
     auto y = layer.forward(x, false);
     benchmark::DoNotOptimize(y.data());
@@ -332,11 +341,14 @@ BENCHMARK(bench_gemm)  // {size, backend, precision (0=f64, 1=int8, 2=int16)}
     ->Args({512, 1, 2})
     ->Args({512, 2, 1});
 BENCHMARK(bench_dense_forward)->Arg(128)->Arg(1024);
-BENCHMARK(bench_dense_forward_skinny)  // {in, out, batch}
-    ->Args({4096, 1024, 1})
-    ->Args({1024, 1024, 1})
-    ->Args({1024, 1024, 3})
-    ->Args({1024, 1024, 64})
+// CI gates the 4096 x 1024 batch-1 rows: 100% over 3% occupancy >= 2x.
+BENCHMARK(bench_dense_forward_skinny)  // {in, out, batch, occupancy %}
+    ->Args({4096, 1024, 1, 100})
+    ->Args({4096, 1024, 1, 20})
+    ->Args({4096, 1024, 1, 3})
+    ->Args({1024, 1024, 1, 100})
+    ->Args({1024, 1024, 3, 100})
+    ->Args({1024, 1024, 64, 100})
     ->UseRealTime();
 BENCHMARK(bench_dense_backward)->Arg(128)->Arg(1024);
 BENCHMARK(bench_conv_forward)->Arg(16)->Arg(32);

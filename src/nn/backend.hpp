@@ -80,6 +80,12 @@ class KernelBackend {
   /// C += acc. math::gemm may therefore pick either kernel for a row
   /// without changing a bit. The base implementation is the scalar
   /// reference (mul-then-add for every column).
+  /// An implementation may skip a group of `a` whose entries are all ±0
+  /// (never one holding a NaN) and leave its B entries unread: for finite
+  /// B, a ±0 term leaves the accumulator equal as a real number, so the
+  /// result is still bitwise the unskipped one, except that a zero output
+  /// may differ in sign when its C entry is −0 on entry (math::gemm with
+  /// beta = 0, hence every dense forward, never passes a −0 C).
   virtual void gemv_nt_block(size_t nb, size_t kb, const double* a, const double* B,
                              size_t ldb, double* C) const;
 

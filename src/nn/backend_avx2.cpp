@@ -273,7 +273,11 @@ inline void transpose4x4(__m256d r0, __m256d r1, __m256d r2, __m256d r3, __m256d
 
 /// G groups of 4 output columns (4*G row streams of B): per lane the exact
 /// sequence of gemm_block's single-row path, c = fmadd(set1(a[p]), b, c)
-/// over ascending p, then C += c.
+/// over ascending p, then C += c. A 4-group of `a` that is all ±0 (NaN
+/// compares unequal, so it is never skipped) is skipped without loading
+/// its B columns: for finite b, fmadd(±0, b, c) equals c as a real number,
+/// so c can differ from the unskipped sequence only in the sign of a zero,
+/// which C += c erases unless C is −0 (see KernelBackend::gemv_nt_block).
 template <int G>
 inline void gemv_nt_groups(size_t kb, const double* a, const double* B, size_t ldb,
                            double* C) {
@@ -281,8 +285,11 @@ inline void gemv_nt_groups(size_t kb, const double* a, const double* B, size_t l
   for (int r = 0; r < 4 * G; ++r) b[r] = B + static_cast<size_t>(r) * ldb;
   __m256d c[G];
   for (int g = 0; g < G; ++g) c[g] = _mm256_setzero_pd();
+  const __m256d zero = _mm256_setzero_pd();
   size_t p = 0;
   for (; p + 4 <= kb; p += 4) {
+    if (_mm256_movemask_pd(_mm256_cmp_pd(_mm256_loadu_pd(a + p), zero, _CMP_NEQ_UQ)) == 0)
+      continue;
     __m256d col[G][4];
     for (int g = 0; g < G; ++g)
       transpose4x4(_mm256_loadu_pd(b[4 * g] + p), _mm256_loadu_pd(b[4 * g + 1] + p),

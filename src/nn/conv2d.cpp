@@ -520,6 +520,8 @@ std::unique_ptr<Conv2D> Conv2D::load(util::BinaryReader& r) {
   auto bv = r.read_f64_vector();
   if (wv.size() != layer->weight_.size() || bv.size() != layer->bias_.size())
     throw std::runtime_error("Conv2D::load: parameter size mismatch");
+  detail::require_finite(wv, "Conv2D::load");
+  detail::require_finite(bv, "Conv2D::load");
   layer->weight_.vec() = std::move(wv);
   layer->bias_.vec() = std::move(bv);
   return layer;

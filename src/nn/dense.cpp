@@ -208,6 +208,8 @@ std::unique_ptr<Dense> Dense::load(util::BinaryReader& r) {
   auto bv = r.read_f64_vector();
   if (wv.size() != in * out || bv.size() != out)
     throw std::runtime_error("Dense::load: parameter size mismatch");
+  detail::require_finite(wv, "Dense::load");
+  detail::require_finite(bv, "Dense::load");
   layer->weight_ = Tensor({out, in}, std::move(wv));
   layer->bias_ = Tensor({out}, std::move(bv));
   return layer;

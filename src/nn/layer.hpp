@@ -88,6 +88,11 @@ void parallel_copy(const double* src, double* dst, size_t n);
 /// Shared grain for elementwise layer loops (elements per task).
 constexpr size_t kElemGrain = 1 << 14;
 
+/// Throws std::runtime_error("<what>: non-finite parameter") unless every
+/// value is finite. Layer loaders run it on parameters read from a file: the
+/// skinny dense kernel's zero-group skip is exact only for finite weights.
+void require_finite(const std::vector<double>& values, const char* what);
+
 }  // namespace detail
 
 }  // namespace dlpic::nn

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "core/dl_field_solver.hpp"
 #include "core/dlpic.hpp"
@@ -12,6 +15,8 @@
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/trainer.hpp"
+#include "util/parallel.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -90,6 +95,57 @@ TEST(DlPic, RejectsBadConstruction) {
   bad_cfg.dt = -0.1;
   EXPECT_THROW(DlPicSimulation(bad_cfg, zero_solver(bc, cfg.ncells)),
                std::invalid_argument);
+}
+
+// The particles, field and history of a DL-PIC run with an untrained,
+// seeded MLP, concatenated. The network gives a nonzero field from a sparse
+// phase-space histogram; its 256-wide hidden layers split into four column
+// tiles, which parallel_for spreads over the workers.
+struct DlPicState {
+  std::vector<double> values;
+  double max_field = 0.0;
+};
+
+DlPicState run_untrained_mlp(size_t workers) {
+  util::ScopedMaxWorkers cap(workers);
+  auto cfg = small_sim();
+  phase_space::BinnerConfig bc;
+  bc.nx = 32;
+  bc.nv = 32;
+  nn::MlpSpec spec;
+  spec.input_dim = bc.nx * bc.nv;
+  spec.output_dim = cfg.ncells;
+  spec.hidden = 256;
+  DlPicSimulation sim(cfg, std::make_shared<DlFieldSolver>(
+                               nn::build_mlp(spec), data::MinMaxNormalizer(0.0, 100.0), bc));
+  sim.run(10);
+  DlPicState state;
+  state.values = sim.electrons().x();
+  state.values.insert(state.values.end(), sim.electrons().v().begin(),
+                      sim.electrons().v().end());
+  state.values.insert(state.values.end(), sim.efield().begin(), sim.efield().end());
+  for (const pic::StepDiagnostics& d : sim.history().entries()) {
+    state.values.insert(state.values.end(), {d.time, d.field_energy, d.kinetic_energy,
+                                             d.total_energy, d.momentum, d.e1_amplitude,
+                                             d.e_max});
+    state.max_field = std::max(state.max_field, d.e_max);
+  }
+  return state;
+}
+
+TEST(DlPic, BitwiseInvariantAcrossWorkerCounts) {
+  util::ThreadPool::global().resize(4);
+  const DlPicState serial = run_untrained_mlp(1);
+  ASSERT_GT(serial.max_field, 0.0);
+  for (const size_t workers : {2, 4}) {
+    const DlPicState parallel = run_untrained_mlp(workers);
+    ASSERT_EQ(parallel.values.size(), serial.values.size());
+    EXPECT_EQ(std::memcmp(parallel.values.data(), serial.values.data(),
+                          serial.values.size() * sizeof(double)),
+              0)
+        << "workers=" << workers;
+  }
+  util::ThreadPool::global().resize(0);
 }
 
 // Shared trained solver for the physics tests below (training is the

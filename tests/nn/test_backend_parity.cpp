@@ -10,6 +10,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "math/fft_plan.hpp"
@@ -194,41 +197,118 @@ TEST(BackendParity, SkinnyNtGemmBitwiseEqualsPackedPath) {
   util::ThreadPool::global().resize(0);
 }
 
-// The skinny path packs a transposed A (k x m) the same way.
+// Bit-for-bit equality that also holds for NaN outputs.
+bool bitwise_equal(const double* x, const double* y, size_t n) {
+  return std::memcmp(x, y, n * sizeof(double)) == 0;
+}
+
+struct RowCase {
+  std::string label;
+  std::vector<double> A;  // m x k, row-major
+};
+
+// Inputs for the skinny kernel's skip of all-zero 4-groups of an A row:
+// each case edits the same dense m x k base. k % 4 != 0 leaves a tail after
+// the last group of the last k-block.
+std::vector<RowCase> sparse_row_cases(size_t m, size_t k, uint64_t seed) {
+  const auto base = random_vec(m * k, seed);
+  std::vector<RowCase> cases;
+  auto add = [&](const char* label, auto&& edit) {
+    auto A = base;
+    for (size_t i = 0; i < m; ++i) edit(i, A.data() + i * k);
+    cases.push_back({label, std::move(A)});
+  };
+  add("dense", [](size_t, double*) {});
+  add("aligned zero groups", [&](size_t, double* r) {
+    for (size_t p = 0; p < k; ++p)
+      if ((p / 4) % 3 != 1) r[p] = 0.0;
+  });
+  // Runs of 7 zeros starting at every offset mod 4: each covers one whole
+  // group plus parts of its neighbours.
+  add("unaligned zero runs", [&](size_t i, double* r) {
+    for (size_t p = 0; p < k; ++p)
+      if ((p + 2 + i) % 11 < 7) r[p] = 0.0;
+  });
+  add("zero k-block", [&](size_t, double* r) {
+    for (size_t p = 256; p < std::min<size_t>(k, 512); ++p) r[p] = 0.0;
+  });
+  add("zero row 0", [&](size_t i, double* r) {
+    if (i == 0) std::fill(r, r + k, 0.0);
+  });
+  add("signed zeros", [&](size_t, double* r) {
+    for (size_t p = 0; p < k; ++p)
+      if ((p / 4) % 2 == 0 || p % 5 == 0) r[p] = p % 3 == 0 ? -0.0 : 0.0;
+  });
+  // A NaN inside an otherwise-zero group must not be skipped: row 0 comes
+  // out all NaN.
+  add("NaN in zero group", [&](size_t i, double* r) {
+    if (i != 0) return;
+    std::fill(r, r + k, 0.0);
+    r[std::min<size_t>(k - 1, 22)] = std::numeric_limits<double>::quiet_NaN();
+  });
+  // Every group is nonzero in exactly one row, so no group is zero in all
+  // rows but each row skips most of its own.
+  add("one row per group", [&](size_t i, double* r) {
+    for (size_t p = 0; p < k; ++p)
+      if ((p / 4) % m != i) r[p] = 0.0;
+  });
+  return cases;
+}
+
+// The skinny path packs a transposed A (k x m) the same way, and skips the
+// same zero groups of the packed rows.
 TEST(BackendParity, SkinnyNtGemmTransposedABitwiseEqualsPackedPath) {
-  const size_t n = 67, k = 513;
-  const auto W = random_vec(n * k, 41);
-  std::vector<double> Wt(k * n);
-  math::transpose(n, k, W.data(), Wt.data());
-  for (const size_t m : {1, 2, 3}) {
-    const auto At = random_vec(k * m, 42);  // k x m
-    for (const nn::KernelBackend* be : available_backends()) {
-      for (const double alpha : {1.0, 0.7}) {
-        auto skinny = random_vec(m * n, 43);
-        auto packed = skinny;
-        gemm_with(be, true, true, m, n, k, alpha, At, W, 0.3, skinny);
-        gemm_with(be, true, false, m, n, k, alpha, At, Wt, 0.3, packed);
-        ASSERT_EQ(skinny, packed) << be->name() << " m=" << m << " alpha=" << alpha;
+  const size_t n = 67;
+  for (const size_t k : {size_t{513}, size_t{262}}) {
+    const auto W = random_vec(n * k, 41);
+    std::vector<double> Wt(k * n);
+    math::transpose(n, k, W.data(), Wt.data());
+    for (const size_t m : {1, 2, 3}) {
+      for (const RowCase& rc : sparse_row_cases(m, k, 42)) {
+        std::vector<double> At(k * m);  // k x m
+        math::transpose(m, k, rc.A.data(), At.data());
+        for (const nn::KernelBackend* be : available_backends()) {
+          for (const double alpha : {1.0, 0.7}) {
+            for (const double beta : {0.0, 0.3}) {
+              auto skinny = random_vec(m * n, 43);
+              auto packed = skinny;
+              gemm_with(be, true, true, m, n, k, alpha, At, W, beta, skinny);
+              gemm_with(be, true, false, m, n, k, alpha, At, Wt, beta, packed);
+              ASSERT_TRUE(bitwise_equal(skinny.data(), packed.data(), m * n))
+                  << be->name() << " " << rc.label << " k=" << k << " m=" << m
+                  << " alpha=" << alpha << " beta=" << beta;
+              if (rc.label == "NaN in zero group") {
+                for (size_t j = 0; j < n; ++j) ASSERT_TRUE(std::isnan(skinny[j])) << j;
+              }
+            }
+          }
+        }
       }
     }
   }
 }
 
-// A batch-1 dense forward (skinny path) is bitwise row 0 of a batch-5
-// forward (packed path) on every backend.
+// A batch-1..3 dense forward (skinny path) is bitwise the leading rows of a
+// batch-5 forward (packed path) on every backend, dense or sparse input.
 TEST(BackendParity, DenseBatchOneForwardBitwiseEqualsBatchedRow) {
   math::Rng rng(17);
   nn::Dense dense(301, 131, rng);
-  const auto batch = random_tensor({5, 301}, 27);
-  nn::Tensor single({1, 301});
-  std::copy(batch.data(), batch.data() + 301, single.data());
-  for (const nn::KernelBackend* be : available_backends()) {
-    nn::ExecutionContext ctx(0, be);
-    ctx.set_precision(nn::Precision::kF64);
-    const nn::Tensor& y5 = dense.forward(ctx, batch, false);
-    const std::vector<double> row0(y5.data(), y5.data() + 131);
-    const nn::Tensor& y1 = dense.forward(ctx, single, false);
-    ASSERT_EQ(row0, std::vector<double>(y1.data(), y1.data() + y1.size())) << be->name();
+  for (const RowCase& rc : sparse_row_cases(5, 301, 27)) {
+    nn::Tensor batch({5, 301});
+    std::copy(rc.A.begin(), rc.A.end(), batch.data());
+    for (const nn::KernelBackend* be : available_backends()) {
+      nn::ExecutionContext ctx(0, be);
+      ctx.set_precision(nn::Precision::kF64);
+      const nn::Tensor& y5 = dense.forward(ctx, batch, false);
+      const std::vector<double> rows(y5.data(), y5.data() + 3 * 131);
+      for (const size_t m : {1, 2, 3}) {
+        nn::Tensor head({m, 301});
+        std::copy(batch.data(), batch.data() + m * 301, head.data());
+        const nn::Tensor& ym = dense.forward(ctx, head, false);
+        ASSERT_TRUE(bitwise_equal(rows.data(), ym.data(), m * 131))
+            << be->name() << " " << rc.label << " m=" << m;
+      }
+    }
   }
 }
 

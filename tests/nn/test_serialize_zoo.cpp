@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "math/rng.hpp"
 #include "nn/activation.hpp"
@@ -71,6 +74,44 @@ TEST(Serialize, BadMagicThrows) {
     w.write_u64(0);
   }
   EXPECT_THROW(Sequential::load_file(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// A bundle holding a NaN or an infinity in any weight or bias is rejected at
+// load, so every loaded model meets the finite-weight precondition of the
+// skinny dense kernel's zero-input skip.
+TEST(Serialize, NonFiniteParameterThrows) {
+  MlpSpec mlp;
+  mlp.input_dim = 16;
+  mlp.output_dim = 4;
+  mlp.hidden = 8;
+  CnnSpec cnn;
+  cnn.input_h = 8;
+  cnn.input_w = 8;
+  cnn.output_dim = 4;
+  cnn.channels1 = 2;
+  cnn.channels2 = 3;
+  cnn.hidden = 8;
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  const std::string path = testing::TempDir() + "/dlpic_nonfinite_model.bin";
+  for (const bool conv : {false, true}) {
+    const size_t n_params = (conv ? build_cnn(cnn) : build_mlp(mlp)).params().size();
+    for (size_t i = 0; i < n_params; ++i) {
+      Sequential model = conv ? build_cnn(cnn) : build_mlp(mlp);
+      Param param = model.params()[i];
+      (*param.value)[param.value->size() - 1] = bad[i % 3];
+      model.save(path);
+      try {
+        (void)Sequential::load_file(path);
+        ADD_FAILURE() << param.name << " = " << bad[i % 3] << " loaded";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("non-finite parameter"), std::string::npos)
+            << param.name << ": " << e.what();
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 
