@@ -116,8 +116,9 @@ void bench_dense_forward(benchmark::State& state) {
 }
 
 // {in, out, batch, occupancy %}: a dense forward at the DL-PIC field
-// solve's batch-1 shapes (batch < 4 reads the weights in place through the
-// skinny NT GEMM path) against a packed-path batch. Occupancy is the share
+// solve's batch-1 shapes and at serving's small batches (batch <= 32 reads
+// the weights in place through the skinny NT GEMM path) against a
+// packed-path batch. Occupancy is the share
 // of the input's 4-wide groups that hold a nonzero value, spread evenly;
 // the rest are all zero, as in a sparse phase-space histogram, and the
 // skinny path skips their weights. GBps is the weight bytes of the layer
@@ -341,14 +342,22 @@ BENCHMARK(bench_gemm)  // {size, backend, precision (0=f64, 1=int8, 2=int16)}
     ->Args({512, 1, 2})
     ->Args({512, 2, 1});
 BENCHMARK(bench_dense_forward)->Arg(128)->Arg(1024);
-// CI gates the 4096 x 1024 batch-1 rows: 100% over 3% occupancy >= 2x.
+// CI gates the 4096 x 1024 batch-1 rows (100% over 3% occupancy >= 2x) and
+// the 1024 x 1024 batch-3 over batch-4 time (no cliff at batch 4). The
+// 1024 x 128 rows are serve_ci's first layer at its 16% input occupancy.
 BENCHMARK(bench_dense_forward_skinny)  // {in, out, batch, occupancy %}
     ->Args({4096, 1024, 1, 100})
     ->Args({4096, 1024, 1, 20})
     ->Args({4096, 1024, 1, 3})
+    ->Args({4096, 1024, 4, 100})
     ->Args({1024, 1024, 1, 100})
     ->Args({1024, 1024, 3, 100})
+    ->Args({1024, 1024, 4, 100})
+    ->Args({1024, 1024, 16, 100})
     ->Args({1024, 1024, 64, 100})
+    ->Args({1024, 128, 1, 16})
+    ->Args({1024, 128, 4, 16})
+    ->Args({1024, 128, 16, 16})
     ->UseRealTime();
 BENCHMARK(bench_dense_backward)->Arg(128)->Arg(1024);
 BENCHMARK(bench_conv_forward)->Arg(16)->Arg(32);

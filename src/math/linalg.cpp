@@ -19,9 +19,17 @@ namespace {
 constexpr size_t kBlockM = 64;
 constexpr size_t kBlockN = 64;
 constexpr size_t kBlockK = 256;
-// Row count of the micro-kernels' register tile. Below it gemm_block runs
-// its single-row path, which the skinny NT kernel reproduces bit for bit.
+// Row count of the micro-kernels' register tile, and of the skinny NT
+// kernel's row groups.
 constexpr size_t kTileRows = 4;
+// Largest m for which a transposed-B product reads B in place. The measured
+// crossover with the packed path, on a dense-input 1024 x 1024 forward: in
+// place wins at 16 and 32 rows, ties at 48 and loses at 64. On the Conv2D
+// weight-gradient shapes (m = out_channels, n = in_channels * 9, k = the
+// image plane) it wins or ties on every backend. Any value up to kBlockM
+// leaves the packed path's one row block, so both paths run the same task
+// grid.
+constexpr size_t kInPlaceMaxRows = 32;
 
 // Packs a (rows x cols) block of op(A) into contiguous row-major storage so
 // the inner kernel streams unit-stride regardless of transposition.
@@ -62,11 +70,13 @@ void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha
   // run on pool workers, where the thread-local selection is not in scope.
   const nn::KernelBackend* backend = &nn::active_backend();
 
-  if (trans_b && m < kTileRows) {
-    // Skinny NT (a batch-1..3 dense forward): op(B)'s columns are B's rows,
+  if (trans_b && m <= kInPlaceMaxRows) {
+    // Skinny NT (a small-batch dense forward): op(B)'s columns are B's rows,
     // contiguous in k, so read them in place instead of gathering a
-    // transposed panel at stride ldb. Same column tiles, k-blocks and
-    // alpha-scaled A rows as below, so the result is bitwise the packed one.
+    // transposed panel at stride ldb. Each (column tile, k-block) of B stays
+    // hot in cache while every 4-row group of A passes over it. Same column
+    // tiles, k-blocks and alpha-scaled A rows as below, so the result is
+    // bitwise the packed one.
     util::parallel_for_chunks(0, n_blocks, [&](size_t tile_lo, size_t tile_hi) {
       double Arows[kTileRows * kBlockK];
       for (size_t t = tile_lo; t < tile_hi; ++t) {
@@ -74,12 +84,14 @@ void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha
         const size_t nb = std::min(kBlockN, n - j0);
         for (size_t p0 = 0; p0 < k; p0 += kBlockK) {
           const size_t kb = std::min(kBlockK, k - p0);
-          pack_block(trans_a, A, lda, 0, p0, m, kb, Arows);
-          if (alpha != 1.0)
-            for (size_t q = 0; q < m * kb; ++q) Arows[q] *= alpha;
-          for (size_t i = 0; i < m; ++i)
-            backend->gemv_nt_block(nb, kb, Arows + i * kb, B + j0 * ldb + p0, ldb,
-                                   C + i * ldc + j0);
+          for (size_t i0 = 0; i0 < m; i0 += kTileRows) {
+            const size_t mr = std::min(kTileRows, m - i0);
+            pack_block(trans_a, A, lda, i0, p0, mr, kb, Arows);
+            if (alpha != 1.0)
+              for (size_t q = 0; q < mr * kb; ++q) Arows[q] *= alpha;
+            backend->gemm_nt_block(mr, nb, kb, Arows, B + j0 * ldb + p0, ldb,
+                                   C + i0 * ldc + j0, ldc);
+          }
         }
       }
     }, /*grain=*/1);

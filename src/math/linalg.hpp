@@ -18,12 +18,13 @@ namespace dlpic::math {
 /// A is (m x k) when !trans_a, (k x m) when trans_a (likewise for B).
 ///
 /// Two kernel paths, chosen from the shape alone. When trans_b is set and
-/// m < 4 (fewer rows than the micro-kernel's register tile — a batch-1..3
-/// dense forward), B's rows are read in place through
-/// KernelBackend::gemv_nt_block; otherwise B is packed into panels for
-/// gemm_block. Both walk the same column tiles and k-blocks with the same
-/// per-element operation order, so the result is bitwise identical either
-/// way, on every backend, worker count and batch size.
+/// m <= 32 (a small-batch dense forward, such as the DL-PIC field solve or
+/// a served batch), B's rows are read in place through
+/// KernelBackend::gemm_nt_block, in groups of up to 4 A rows; otherwise B
+/// is packed into panels for gemm_block. Both walk the same column tiles
+/// and k-blocks with the same per-element operation order, so the result is
+/// bitwise identical either way, on every backend, worker count and batch
+/// size.
 void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha,
           const double* A, size_t lda, const double* B, size_t ldb, double beta,
           double* C, size_t ldc);

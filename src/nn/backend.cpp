@@ -19,16 +19,53 @@ void KernelBackend::copy(size_t n, const double* x, double* y) const {
   std::memcpy(y, x, n * sizeof(double));
 }
 
-// Reference skinny NT kernel: the scalar gemm_block's single-row loop with B
-// read in place (this TU is compiled with -ffp-contract=off alongside the
-// SIMD backends, so the mul-then-add never fuses).
-void KernelBackend::gemv_nt_block(size_t nb, size_t kb, const double* a, const double* B,
-                                  size_t ldb, double* C) const {
-  for (size_t j = 0; j < nb; ++j) {
+namespace {
+
+// MR rows of the reference skinny NT kernel. Like the scalar gemm_block it
+// runs a register tile of independent accumulators (MR rows x 4 columns),
+// so it is not bound by the latency of one add chain; each output still
+// sees a fresh accumulator, ascending p and mul-then-add, then C += acc.
+template <size_t MR>
+void gemm_nt_rows_ref(size_t nb, size_t kb, const double* a, const double* B, size_t ldb,
+                      double* C, size_t ldc) {
+  size_t j = 0;
+  for (; j + 4 <= nb; j += 4) {
+    const double* b0 = B + (j + 0) * ldb;
+    const double* b1 = B + (j + 1) * ldb;
+    const double* b2 = B + (j + 2) * ldb;
+    const double* b3 = B + (j + 3) * ldb;
+    double acc[MR][4] = {};
+    for (size_t p = 0; p < kb; ++p) {
+      const double bv[4] = {b0[p], b1[p], b2[p], b3[p]};
+      for (size_t i = 0; i < MR; ++i)
+        for (size_t c = 0; c < 4; ++c) acc[i][c] += a[i * kb + p] * bv[c];
+    }
+    for (size_t i = 0; i < MR; ++i)
+      for (size_t c = 0; c < 4; ++c) C[i * ldc + j + c] += acc[i][c];
+  }
+  for (; j < nb; ++j) {
     const double* b = B + j * ldb;
-    double acc = 0;
-    for (size_t p = 0; p < kb; ++p) acc += a[p] * b[p];
-    C[j] += acc;
+    for (size_t i = 0; i < MR; ++i) {
+      double acc = 0;
+      for (size_t p = 0; p < kb; ++p) acc += a[i * kb + p] * b[p];
+      C[i * ldc + j] += acc;
+    }
+  }
+}
+
+}  // namespace
+
+// Reference skinny NT kernel: the scalar gemm_block's arithmetic with B read
+// in place (this TU is compiled with -ffp-contract=off alongside the SIMD
+// backends, so the mul-then-add never fuses).
+void KernelBackend::gemm_nt_block(size_t mr, size_t nb, size_t kb, const double* a,
+                                  const double* B, size_t ldb, double* C,
+                                  size_t ldc) const {
+  switch (mr) {
+    case 1: gemm_nt_rows_ref<1>(nb, kb, a, B, ldb, C, ldc); break;
+    case 2: gemm_nt_rows_ref<2>(nb, kb, a, B, ldb, C, ldc); break;
+    case 3: gemm_nt_rows_ref<3>(nb, kb, a, B, ldb, C, ldc); break;
+    default: gemm_nt_rows_ref<4>(nb, kb, a, B, ldb, C, ldc); break;
   }
 }
 

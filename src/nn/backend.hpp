@@ -69,25 +69,34 @@ class KernelBackend {
   virtual void gemm_block(size_t mb, size_t nb, size_t kb, const double* Apanel,
                           const double* Bpanel, double* C, size_t ldc) const = 0;
 
-  /// Skinny transposed-B panel: C[j] += sum_p a[p] * B[j*ldb + p] for
-  /// j < nb, p < kb. `a` is one packed A row (alpha pre-applied, as for
-  /// gemm_block); B's rows are read in place, contiguous in k, so a batch-1
-  /// dense forward never transposes its weights. Bitwise contract: every
-  /// output is exactly what gemm_block computes for a one-row Apanel over
-  /// the same kb x nb panel of op(B) — a fresh accumulator, ascending p,
-  /// the backend's single-row column grouping (the AVX2 kernel: fmadd over
-  /// groups of 4 columns from j = 0, a plain mul-then-add tail), then
-  /// C += acc. math::gemm may therefore pick either kernel for a row
-  /// without changing a bit. The base implementation is the scalar
-  /// reference (mul-then-add for every column).
-  /// An implementation may skip a group of `a` whose entries are all ±0
-  /// (never one holding a NaN) and leave its B entries unread: for finite
-  /// B, a ±0 term leaves the accumulator equal as a real number, so the
-  /// result is still bitwise the unskipped one, except that a zero output
-  /// may differ in sign when its C entry is −0 on entry (math::gemm with
-  /// beta = 0, hence every dense forward, never passes a −0 C).
-  virtual void gemv_nt_block(size_t nb, size_t kb, const double* a, const double* B,
-                             size_t ldb, double* C) const;
+  /// Skinny transposed-B panel over mr <= 4 rows:
+  ///   C[i*ldc + j] += sum_p a[i*kb + p] * B[j*ldb + p]
+  /// for i < mr, j < nb, p < kb. `a` holds mr packed A rows (alpha
+  /// pre-applied, as for gemm_block); B's rows are read in place, contiguous
+  /// in k, so a small-batch dense forward never copies or transposes its
+  /// weights. Bitwise contract: every output is exactly what gemm_block
+  /// computes over the same kb x nb panel of op(B) — a fresh accumulator,
+  /// ascending p, the backend's column grouping (the AVX2 kernel: fmadd
+  /// over groups of 4 columns from j = 0, a plain mul-then-add tail), then
+  /// C += acc. That order depends on neither mr nor the row's place in
+  /// gemm_block's register tile, so math::gemm may pick either kernel for
+  /// any row count without changing a bit. The base implementation is the
+  /// scalar reference (mul-then-add for every column).
+  /// An implementation may skip a 4-wide k group whose entries are ±0 in
+  /// every one of the mr rows (never one holding a NaN) and leave its B
+  /// entries unread; a row that is zero in a group another row needs runs
+  /// its fmadd(±0) terms like the packed path. For finite B, a ±0 term
+  /// leaves the accumulator equal as a real number, so the result is still
+  /// bitwise the unskipped one, except that a zero output may differ in
+  /// sign when its C entry is −0 on entry (math::gemm with beta = 0, hence
+  /// every dense forward, never passes a −0 C). With a NaN or Inf in the
+  /// B entries of a skipped group the packed path gives NaN and this one
+  /// may not, so the bitwise claim covers finite B only. Loaded dense
+  /// weights are checked finite; the B of a Conv2D weight gradient (the
+  /// im2col of the activations) and weights that change in training are
+  /// not.
+  virtual void gemm_nt_block(size_t mr, size_t nb, size_t kb, const double* a,
+                             const double* B, size_t ldb, double* C, size_t ldc) const;
 
   /// Quantized inner-product panel, OVERWRITING C (mb x nb, row stride ldc):
   ///   C[i,j] = (a_scales[i] * b_scales[j]) * sum_p Aq[i*kb+p] * Bq[j*kb+p]

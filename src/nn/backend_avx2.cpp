@@ -271,44 +271,69 @@ inline void transpose4x4(__m256d r0, __m256d r1, __m256d r2, __m256d r3, __m256d
   col[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
 }
 
-/// G groups of 4 output columns (4*G row streams of B): per lane the exact
-/// sequence of gemm_block's single-row path, c = fmadd(set1(a[p]), b, c)
-/// over ascending p, then C += c. A 4-group of `a` that is all ±0 (NaN
-/// compares unequal, so it is never skipped) is skipped without loading
-/// its B columns: for finite b, fmadd(±0, b, c) equals c as a real number,
-/// so c can differ from the unskipped sequence only in the sign of a zero,
-/// which C += c erases unless C is −0 (see KernelBackend::gemv_nt_block).
-template <int G>
-inline void gemv_nt_groups(size_t kb, const double* a, const double* B, size_t ldb,
-                           double* C) {
+/// MR rows of `a` (row stride kb) against G groups of 4 output columns
+/// (4*G row streams of B): per lane the exact sequence of gemm_block,
+/// c = fmadd(set1(a[p]), b, c) over ascending p, then C += c. Each 4x4 tile
+/// of B is loaded and transposed once and feeds all MR rows. A 4-group of
+/// k that is all ±0 in every row (NaN compares unequal, so it is never
+/// skipped) is skipped without loading its B columns: for finite b,
+/// fmadd(±0, b, c) equals c as a real number, so c can differ from the
+/// unskipped sequence only in the sign of a zero, which C += c erases
+/// unless C is −0 (see KernelBackend::gemm_nt_block). At MR = 1 this is
+/// the single-row kernel instruction for instruction.
+template <int MR, int G>
+inline void gemm_nt_groups(size_t kb, const double* a, const double* B, size_t ldb,
+                           double* C, size_t ldc) {
   const double* b[4 * G];
   for (int r = 0; r < 4 * G; ++r) b[r] = B + static_cast<size_t>(r) * ldb;
-  __m256d c[G];
-  for (int g = 0; g < G; ++g) c[g] = _mm256_setzero_pd();
+  __m256d c[MR][G];
+  for (int i = 0; i < MR; ++i)
+    for (int g = 0; g < G; ++g) c[i][g] = _mm256_setzero_pd();
   const __m256d zero = _mm256_setzero_pd();
   size_t p = 0;
   for (; p + 4 <= kb; p += 4) {
-    if (_mm256_movemask_pd(_mm256_cmp_pd(_mm256_loadu_pd(a + p), zero, _CMP_NEQ_UQ)) == 0)
-      continue;
+    int nonzero = 0;
+    for (int i = 0; i < MR; ++i)
+      nonzero |= _mm256_movemask_pd(
+          _mm256_cmp_pd(_mm256_loadu_pd(a + i * kb + p), zero, _CMP_NEQ_UQ));
+    if (nonzero == 0) continue;
     __m256d col[G][4];
     for (int g = 0; g < G; ++g)
       transpose4x4(_mm256_loadu_pd(b[4 * g] + p), _mm256_loadu_pd(b[4 * g + 1] + p),
                    _mm256_loadu_pd(b[4 * g + 2] + p), _mm256_loadu_pd(b[4 * g + 3] + p),
                    col[g]);
     for (int q = 0; q < 4; ++q) {
-      const __m256d av = _mm256_set1_pd(a[p + q]);
-      for (int g = 0; g < G; ++g) c[g] = _mm256_fmadd_pd(av, col[g][q], c[g]);
+      for (int i = 0; i < MR; ++i) {
+        const __m256d av = _mm256_set1_pd(a[i * kb + p + q]);
+        for (int g = 0; g < G; ++g) c[i][g] = _mm256_fmadd_pd(av, col[g][q], c[i][g]);
+      }
     }
   }
   for (; p < kb; ++p) {
-    const __m256d av = _mm256_set1_pd(a[p]);
-    for (int g = 0; g < G; ++g)
-      c[g] = _mm256_fmadd_pd(
-          av, _mm256_set_pd(b[4 * g + 3][p], b[4 * g + 2][p], b[4 * g + 1][p], b[4 * g][p]),
-          c[g]);
+    for (int i = 0; i < MR; ++i) {
+      const __m256d av = _mm256_set1_pd(a[i * kb + p]);
+      for (int g = 0; g < G; ++g)
+        c[i][g] = _mm256_fmadd_pd(
+            av, _mm256_set_pd(b[4 * g + 3][p], b[4 * g + 2][p], b[4 * g + 1][p], b[4 * g][p]),
+            c[i][g]);
+    }
   }
-  for (int g = 0; g < G; ++g)
-    _mm256_storeu_pd(C + 4 * g, _mm256_add_pd(_mm256_loadu_pd(C + 4 * g), c[g]));
+  for (int i = 0; i < MR; ++i) {
+    double* ci = C + i * ldc;
+    for (int g = 0; g < G; ++g)
+      _mm256_storeu_pd(ci + 4 * g, _mm256_add_pd(_mm256_loadu_pd(ci + 4 * g), c[i][g]));
+  }
+}
+
+/// The fmadd lanes of gemm_nt_block for one row count: the first nb & ~3
+/// columns, 8 row streams of B at a time, then 4.
+template <int MR>
+void gemm_nt_rows(size_t nb, size_t kb, const double* a, const double* B, size_t ldb,
+                  double* C, size_t ldc) {
+  const size_t nb4 = nb & ~size_t{3};
+  size_t j = 0;
+  for (; j + 8 <= nb4; j += 8) gemm_nt_groups<MR, 2>(kb, a, B + j * ldb, ldb, C + j, ldc);
+  for (; j < nb4; j += 4) gemm_nt_groups<MR, 1>(kb, a, B + j * ldb, ldb, C + j, ldc);
 }
 
 // ---------------------------------------------------------------------------
@@ -411,16 +436,18 @@ class Avx2Backend final : public ScalarBackend {
     }
   }
 
-  // Mirrors gemm_block's single-row loop above column for column: the first
-  // nb & ~3 columns take the fmadd lanes (8 row streams at a time, then 4),
-  // the rest the plain mul-then-add tail.
-  void gemv_nt_block(size_t nb, size_t kb, const double* a, const double* B, size_t ldb,
-                     double* C) const override {
-    const size_t nb4 = nb & ~size_t{3};
-    size_t j = 0;
-    for (; j + 8 <= nb4; j += 8) gemv_nt_groups<2>(kb, a, B + j * ldb, ldb, C + j);
-    for (; j < nb4; j += 4) gemv_nt_groups<1>(kb, a, B + j * ldb, ldb, C + j);
-    KernelBackend::gemv_nt_block(nb - j, kb, a, B + j * ldb, ldb, C + j);
+  // Mirrors gemm_block above column for column: the first nb & ~3 columns
+  // take the fmadd lanes, the rest the plain mul-then-add tail.
+  void gemm_nt_block(size_t mr, size_t nb, size_t kb, const double* a, const double* B,
+                     size_t ldb, double* C, size_t ldc) const override {
+    switch (mr) {
+      case 1: gemm_nt_rows<1>(nb, kb, a, B, ldb, C, ldc); break;
+      case 2: gemm_nt_rows<2>(nb, kb, a, B, ldb, C, ldc); break;
+      case 3: gemm_nt_rows<3>(nb, kb, a, B, ldb, C, ldc); break;
+      default: gemm_nt_rows<4>(nb, kb, a, B, ldb, C, ldc); break;
+    }
+    const size_t j = nb & ~size_t{3};
+    KernelBackend::gemm_nt_block(mr, nb - j, kb, a, B + j * ldb, ldb, C + j, ldc);
   }
 
   // 4-row x 2-column register tile over 32-wide k steps (8 int32

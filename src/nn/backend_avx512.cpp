@@ -80,9 +80,9 @@ class Avx512VnniBackend final : public KernelBackend {
     base_.gemm_block(mb, nb, kb, Apanel, Bpanel, C, ldc);
   }
 
-  void gemv_nt_block(size_t nb, size_t kb, const double* a, const double* B, size_t ldb,
-                     double* C) const override {
-    base_.gemv_nt_block(nb, kb, a, B, ldb, C);
+  void gemm_nt_block(size_t mr, size_t nb, size_t kb, const double* a, const double* B,
+                     size_t ldb, double* C, size_t ldc) const override {
+    base_.gemm_nt_block(mr, nb, kb, a, B, ldb, C, ldc);
   }
 
   // 4-row x 2-column register tile over 32-wide VNNI k steps (8 int32 ymm

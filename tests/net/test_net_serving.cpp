@@ -169,6 +169,9 @@ TEST(NetServing, WireResultsBitwiseMatchInProcessSubmit) {
   for (auto& t : threads) t.join();
   for (const auto& f : failures) ADD_FAILURE() << f;
 
+  // A writer counts a reply after send_all returns, so a client can hold its
+  // last reply before the count lands; stop() joins every writer first.
+  server.stop();
   const net::NetServerStats stats = server.stats();
   EXPECT_EQ(stats.requests_decoded, kClients * kRounds);
   EXPECT_EQ(stats.responses_sent, kClients * kRounds);

@@ -158,12 +158,16 @@ std::vector<const nn::KernelBackend*> available_backends() {
   return backends;
 }
 
-// The skinny NT path (trans_b, m < 4: B's rows read in place) must be
-// bitwise the packed path. The reference is the same product through the
-// untransposed-B packed path on an explicitly transposed W; m = 4, 5 check
-// that the packed path still serves the wider shapes. The 1024 x 4096
-// weight (the paper MLP's first layer) runs at batch 1 only, which keeps
-// the suite fast under the thread sanitizer.
+// The in-place NT path (trans_b, m <= 32: B's rows read in place, A in
+// groups of up to 4 rows) must be bitwise the packed path. The reference is
+// the same product through the untransposed-B packed path on an explicitly
+// transposed W. Row counts cover every 4-row remainder, several groups, the
+// largest in-place m (32) and the first packed m (33). Batches of up to 5
+// rows run the whole shape grid; the 1024 x 4096 weight (the paper MLP's
+// first layer) runs at batch 1 only, and wider batches run only shapes that
+// reach every column and k remainder (8- and 4-column groups, the column
+// tail, a k tail, partial k-blocks), which keeps the suite fast under the
+// thread sanitizer.
 TEST(BackendParity, SkinnyNtGemmBitwiseEqualsPackedPath) {
   util::ThreadPool::global().resize(4);
   for (const size_t n : {1, 3, 5, 63, 64, 67, 1024}) {
@@ -171,8 +175,11 @@ TEST(BackendParity, SkinnyNtGemmBitwiseEqualsPackedPath) {
       const auto W = random_vec(n * k, 1000 + n * 7 + k);  // n x k, rows contiguous in k
       std::vector<double> Wt(k * n);
       math::transpose(n, k, W.data(), Wt.data());
-      for (const size_t m : {1, 2, 3, 4, 5}) {
+      for (const size_t m : {1, 2, 3, 4, 5, 7, 8, 13, 16, 17, 31, 32, 33}) {
         if (n * k > (size_t{1} << 20) && m > 1) continue;
+        const bool remainder_shape =
+            (n == 3 || n == 5 || n == 67) && (k == 7 || k == 257 || k == 513);
+        if (m > 5 && !remainder_shape) continue;
         const auto A = random_vec(m * k, 2000 + m);
         const auto C0 = random_vec(m * n, 3000 + m);
         for (const nn::KernelBackend* be : available_backends()) {
@@ -184,7 +191,8 @@ TEST(BackendParity, SkinnyNtGemmBitwiseEqualsPackedPath) {
                 util::ScopedMaxWorkers workers(cap);
                 auto skinny = C0;
                 gemm_with(be, false, true, m, n, k, alpha, A, W, beta, skinny);
-                ASSERT_EQ(skinny, packed)
+                ASSERT_EQ(std::memcmp(skinny.data(), packed.data(), m * n * sizeof(double)),
+                          0)
                     << be->name() << " m=" << m << " n=" << n << " k=" << k
                     << " alpha=" << alpha << " beta=" << beta << " cap=" << cap;
               }
@@ -201,6 +209,8 @@ TEST(BackendParity, SkinnyNtGemmBitwiseEqualsPackedPath) {
 bool bitwise_equal(const double* x, const double* y, size_t n) {
   return std::memcmp(x, y, n * sizeof(double)) == 0;
 }
+
+constexpr const char* kNanOneRowCase = "NaN in one row of a zero group";
 
 struct RowCase {
   std::string label;
@@ -246,24 +256,37 @@ std::vector<RowCase> sparse_row_cases(size_t m, size_t k, uint64_t seed) {
     std::fill(r, r + k, 0.0);
     r[std::min<size_t>(k - 1, 22)] = std::numeric_limits<double>::quiet_NaN();
   });
+  // Group 5 is zero in every row but the last, which holds one NaN there:
+  // the group must run, and only the last row's outputs come out NaN.
+  add(kNanOneRowCase, [&](size_t i, double* r) {
+    for (size_t p = 20; p < std::min<size_t>(k, 24); ++p) r[p] = 0.0;
+    if (i == m - 1) r[std::min<size_t>(k - 1, 22)] = std::numeric_limits<double>::quiet_NaN();
+  });
   // Every group is nonzero in exactly one row, so no group is zero in all
   // rows but each row skips most of its own.
   add("one row per group", [&](size_t i, double* r) {
     for (size_t p = 0; p < k; ++p)
       if ((p / 4) % m != i) r[p] = 0.0;
   });
+  // Within each 4-row block every group is nonzero in exactly one row, so
+  // no group of a block is skipped and the other three rows run their ±0
+  // terms through the fmadd lanes.
+  add("one row per 4-row block", [&](size_t i, double* r) {
+    for (size_t p = 0; p < k; ++p)
+      if ((p / 4) % 4 != i % 4) r[p] = p % 2 == 0 ? 0.0 : -0.0;
+  });
   return cases;
 }
 
-// The skinny path packs a transposed A (k x m) the same way, and skips the
-// same zero groups of the packed rows.
+// The in-place path packs a transposed A (k x m) the same way, and skips
+// the same zero groups of the packed rows.
 TEST(BackendParity, SkinnyNtGemmTransposedABitwiseEqualsPackedPath) {
   const size_t n = 67;
   for (const size_t k : {size_t{513}, size_t{262}}) {
     const auto W = random_vec(n * k, 41);
     std::vector<double> Wt(k * n);
     math::transpose(n, k, W.data(), Wt.data());
-    for (const size_t m : {1, 2, 3}) {
+    for (const size_t m : {1, 2, 3, 4, 5, 7, 8, 16}) {
       for (const RowCase& rc : sparse_row_cases(m, k, 42)) {
         std::vector<double> At(k * m);  // k x m
         math::transpose(m, k, rc.A.data(), At.data());
@@ -280,6 +303,12 @@ TEST(BackendParity, SkinnyNtGemmTransposedABitwiseEqualsPackedPath) {
               if (rc.label == "NaN in zero group") {
                 for (size_t j = 0; j < n; ++j) ASSERT_TRUE(std::isnan(skinny[j])) << j;
               }
+              if (rc.label == kNanOneRowCase) {
+                for (size_t i = 0; i < m; ++i)
+                  for (size_t j = 0; j < n; ++j)
+                    ASSERT_EQ(std::isnan(skinny[i * n + j]), i == m - 1)
+                        << be->name() << " m=" << m << " i=" << i << " j=" << j;
+              }
             }
           }
         }
@@ -288,24 +317,29 @@ TEST(BackendParity, SkinnyNtGemmTransposedABitwiseEqualsPackedPath) {
   }
 }
 
-// A batch-1..3 dense forward (skinny path) is bitwise the leading rows of a
-// batch-5 forward (packed path) on every backend, dense or sparse input.
+// A dense forward at batch 1..5 (the in-place path) is bitwise the leading
+// rows of the same product through the packed path — the untransposed-B
+// GEMM on an explicitly transposed W, plus the bias — on every backend,
+// dense or sparse input.
 TEST(BackendParity, DenseBatchOneForwardBitwiseEqualsBatchedRow) {
   math::Rng rng(17);
-  nn::Dense dense(301, 131, rng);
-  for (const RowCase& rc : sparse_row_cases(5, 301, 27)) {
-    nn::Tensor batch({5, 301});
-    std::copy(rc.A.begin(), rc.A.end(), batch.data());
+  const size_t in = 301, out = 131, batch = 5;
+  nn::Dense dense(in, out, rng);
+  const std::vector<double> W(dense.weight().data(), dense.weight().data() + out * in);
+  std::vector<double> Wt(in * out);
+  math::transpose(out, in, W.data(), Wt.data());
+  for (const RowCase& rc : sparse_row_cases(batch, in, 27)) {
     for (const nn::KernelBackend* be : available_backends()) {
+      std::vector<double> packed(batch * out);
+      gemm_with(be, false, false, batch, out, in, 1.0, rc.A, Wt, 0.0, packed);
+      be->add_bias_rows(batch, out, dense.bias().data(), packed.data());
       nn::ExecutionContext ctx(0, be);
       ctx.set_precision(nn::Precision::kF64);
-      const nn::Tensor& y5 = dense.forward(ctx, batch, false);
-      const std::vector<double> rows(y5.data(), y5.data() + 3 * 131);
-      for (const size_t m : {1, 2, 3}) {
-        nn::Tensor head({m, 301});
-        std::copy(batch.data(), batch.data() + m * 301, head.data());
+      for (size_t m = 1; m <= batch; ++m) {
+        nn::Tensor head({m, in});
+        std::copy(rc.A.begin(), rc.A.begin() + m * in, head.data());
         const nn::Tensor& ym = dense.forward(ctx, head, false);
-        ASSERT_TRUE(bitwise_equal(rows.data(), ym.data(), m * 131))
+        ASSERT_TRUE(bitwise_equal(packed.data(), ym.data(), m * out))
             << be->name() << " " << rc.label << " m=" << m;
       }
     }
