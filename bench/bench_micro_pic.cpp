@@ -13,6 +13,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <numbers>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "math/rng.hpp"
@@ -96,11 +98,12 @@ void bench_gather_ngp(benchmark::State& s) { bench_gather(s, pic::Shape::NGP); }
 void bench_gather_cic(benchmark::State& s) { bench_gather(s, pic::Shape::CIC); }
 void bench_gather_tsc(benchmark::State& s) { bench_gather(s, pic::Shape::TSC); }
 
-void bench_leapfrog(benchmark::State& state, pic::Shape shape) {
+/// Leap-frog push in the field E. Particles keep their state across
+/// iterations, so the field decides what a long run times.
+void bench_leapfrog(benchmark::State& state, pic::Shape shape, const std::vector<double>& E) {
   pic::Grid1D grid(64, kBoxLength);
   const size_t nparticles = static_cast<size_t>(state.range(0));
   auto species = make_species(grid, nparticles);
-  std::vector<double> E(64, 0.01);
   WorkerCapGuard cap(state);
   benchjson::BackendGuard backend(state, 2);
   if (!backend.run(state)) return;
@@ -112,8 +115,32 @@ void bench_leapfrog(benchmark::State& state, pic::Shape shape) {
   state.counters["ns_per_particle_step"] = benchjson::ns_per_item(nparticles);
 }
 
-void bench_leapfrog_cic(benchmark::State& s) { bench_leapfrog(s, pic::Shape::CIC); }
-void bench_leapfrog_tsc(benchmark::State& s) { bench_leapfrog(s, pic::Shape::TSC); }
+/// Uniform E = 0.01: every iteration adds qm*dt*E to every velocity, so the
+/// longer a row runs, the more of its pushes leave the box and take the
+/// fmod wrap, a state no simulation reaches. These rows time that growing
+/// out-of-box share; bench_leapfrog_bounded_cic times the in-box push.
+const std::vector<double> kUniformField(64, 0.01);
+
+void bench_leapfrog_cic(benchmark::State& s) {
+  bench_leapfrog(s, pic::Shape::CIC, kUniformField);
+}
+void bench_leapfrog_tsc(benchmark::State& s) {
+  bench_leapfrog(s, pic::Shape::TSC, kUniformField);
+}
+
+/// Zero-mean E = 0.01 sin(2 pi i / 64): a static potential that keeps every
+/// velocity bounded, so each push moves a particle by about v*dt as in a
+/// simulation step, and almost all of them stay in the box.
+const std::vector<double> kZeroMeanField = [] {
+  std::vector<double> E(64);
+  for (size_t i = 0; i < E.size(); ++i)
+    E[i] = 0.01 * std::sin(2.0 * std::numbers::pi * static_cast<double>(i) / 64.0);
+  return E;
+}();
+
+void bench_leapfrog_bounded_cic(benchmark::State& s) {
+  bench_leapfrog(s, pic::Shape::CIC, kZeroMeanField);
+}
 
 /// One full particle phase (leapfrog + deposit) — the quantity the
 /// acceptance criterion tracks — including the periodic cell sort.
@@ -213,6 +240,7 @@ DLPIC_THREAD_SWEEP(bench_gather_cic);
 DLPIC_THREAD_SWEEP(bench_gather_tsc);
 DLPIC_THREAD_SWEEP(bench_leapfrog_cic);
 DLPIC_THREAD_SWEEP(bench_leapfrog_tsc);
+DLPIC_THREAD_SWEEP(bench_leapfrog_bounded_cic);
 DLPIC_THREAD_SWEEP(bench_particle_phase);
 BENCHMARK(bench_sort_by_cell)->Arg(64000);
 BENCHMARK(bench_poisson_spectral)->Arg(64)->Arg(1024);

@@ -23,6 +23,7 @@ DlPicSimulation::DlPicSimulation(const pic::SimulationConfig& config,
 
   math::Rng rng(config_.seed);
   electrons_ = pic::load_two_stream(grid_, config_.total_particles(), config_.beams, rng);
+  history_.reserve(config_.nsteps + 1);
 
   solve_field();
   if (E_.size() != grid_.ncells())

@@ -216,7 +216,8 @@ class KernelBackend {
   using PicStaggerFn = void (*)(const double* E, const double* x, double* v, size_t lo,
                                 size_t hi, double inv_dx, long ncells, double qm_half_dt);
   /// Fused kick+drift: v[p] += qm_dt*gather(x[p]); x[p] = wrap(x[p]+v[p]*dt)
-  /// into [0, length) with the Grid1D::wrap_position fmod formula.
+  /// into [0, length) with pic::wrap_periodic, which leaves in-box positions
+  /// untouched and runs the fmod formula only for the others.
   using PicLeapfrogFn = void (*)(const double* E, double* x, double* v, size_t lo,
                                  size_t hi, double inv_dx, long ncells, double qm_dt,
                                  double dt, double length);

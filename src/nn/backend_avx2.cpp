@@ -122,6 +122,8 @@ void leapfrog_range_avx2(const double* E, double* x, double* v, size_t lo, size_
   const __m256d vinv = _mm256_set1_pd(inv_dx);
   const __m256d vqm = _mm256_set1_pd(qm_dt);
   const __m256d vdt = _mm256_set1_pd(dt);
+  const __m256d vzero = _mm256_setzero_pd();
+  const __m256d vlen = _mm256_set1_pd(length);
   size_t p = lo;
   for (; p + 4 <= hi; p += 4) {
     const __m256d xv = _mm256_loadu_pd(x + p);
@@ -129,14 +131,19 @@ void leapfrog_range_avx2(const double* E, double* x, double* v, size_t lo, size_
     const __m256d Ep = gather_stencil(E, St(xi, n));
     const __m256d vn = _mm256_add_pd(_mm256_loadu_pd(v + p), _mm256_mul_pd(vqm, Ep));
     _mm256_storeu_pd(v + p, vn);
-    // Drift, then the scalar fmod wrap per lane (fmod has no vector form;
-    // keeping it scalar keeps the result bitwise equal to the scalar path).
-    alignas(32) double xn[4];
-    _mm256_store_pd(xn, _mm256_add_pd(xv, _mm256_mul_pd(vn, vdt)));
-    x[p + 0] = backend_detail::wrap_position(xn[0], length);
-    x[p + 1] = backend_detail::wrap_position(xn[1], length);
-    x[p + 2] = backend_detail::wrap_position(xn[2], length);
-    x[p + 3] = backend_detail::wrap_position(xn[3], length);
+    // Drift. When all four lanes land in [0, L) (ordered compares: NaN is
+    // out), pic::wrap_periodic would return them unchanged, so store the
+    // vector; otherwise wrap each lane with that scalar helper.
+    const __m256d xn = _mm256_add_pd(xv, _mm256_mul_pd(vn, vdt));
+    const __m256d in_box = _mm256_and_pd(_mm256_cmp_pd(xn, vzero, _CMP_GE_OQ),
+                                         _mm256_cmp_pd(xn, vlen, _CMP_LT_OQ));
+    if (_mm256_movemask_pd(in_box) == 0xF) {
+      _mm256_storeu_pd(x + p, xn);
+    } else {
+      alignas(32) double xs[4];
+      _mm256_store_pd(xs, xn);
+      for (int lane = 0; lane < 4; ++lane) x[p + lane] = pic::wrap_periodic(xs[lane], length);
+    }
   }
   backend_detail::leapfrog_range<S>(E, x, v, p, hi, inv_dx, ncells, qm_dt, dt, length);
 }

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "pic/grid.hpp"
+
 namespace dlpic::phase_space {
 
 PhaseSpaceBinner::PhaseSpaceBinner(const BinnerConfig& config) : config_(config) {
@@ -32,14 +34,9 @@ std::vector<double> PhaseSpaceBinner::bin(const std::vector<double>& x,
   const double inv_dv = 1.0 / dv_bin_;
 
   for (size_t p = 0; p < x.size(); ++p) {
-    // Periodic wrap in x. The mover already wraps into [0, length), where
-    // fmod would return x unchanged, so only other positions pay for it.
-    double xp = x[p];
-    if (!(xp >= 0.0 && xp < config_.length)) {
-      xp = std::fmod(xp, config_.length);
-      if (xp < 0.0) xp += config_.length;
-      if (xp >= config_.length) xp -= config_.length;
-    }
+    // Periodic wrap in x. The mover already wraps into [0, length), so
+    // wrap_periodic's in-box fast path returns almost every x unchanged.
+    const double xp = pic::wrap_periodic(x[p], config_.length);
     // Clamp in v (velocity axis is not periodic).
     double vp = v[p];
     if (vp < config_.vmin || vp > config_.vmax) {

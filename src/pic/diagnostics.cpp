@@ -14,9 +14,10 @@ StepDiagnostics compute_diagnostics(const Grid1D& grid, const Species& species,
   StepDiagnostics d;
   d.time = time;
   d.field_energy = field_energy(grid, E);
-  d.kinetic_energy = species.kinetic_energy();
+  const auto moments = species.velocity_moments();
+  d.kinetic_energy = moments.kinetic_energy;
   d.total_energy = d.field_energy + d.kinetic_energy;
-  d.momentum = species.momentum();
+  d.momentum = moments.momentum;
   d.e1_amplitude = field_mode_amplitude(E, 1);
   d.e_max = 0.0;
   for (double e : E) d.e_max = std::max(d.e_max, std::abs(e));

@@ -8,10 +8,23 @@
 /// the electron plasma frequency omega_p = 1 and vacuum permittivity
 /// epsilon_0 = 1 (paper §III).
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
 namespace dlpic::pic {
+
+/// Maps a position into the periodic box [0, length). A position already in
+/// the box is returned unchanged (fmod would return it exactly), so only
+/// others pay for fmod; NaN and +-inf take the fmod path and come back NaN.
+inline double wrap_periodic(double x, double length) {
+  if (x >= 0.0 && x < length) return x;
+  double y = std::fmod(x, length);
+  if (y < 0.0) y += length;
+  // fmod can return length for x just below 0 due to rounding.
+  if (y >= length) y -= length;
+  return y;
+}
 
 /// Geometry and indexing of the periodic 1D grid.
 class Grid1D {
@@ -36,7 +49,7 @@ class Grid1D {
   }
 
   /// Maps a particle position into [0, length).
-  [[nodiscard]] double wrap_position(double x) const;
+  [[nodiscard]] double wrap_position(double x) const { return wrap_periodic(x, length_); }
 
   /// Allocates a node field initialized to zero.
   [[nodiscard]] std::vector<double> make_field() const {

@@ -28,16 +28,14 @@ void Species::add(double x, double v) {
   v_.push_back(v);
 }
 
-double Species::kinetic_energy() const {
-  double acc = 0.0;
-  for (double vi : v_) acc += vi * vi;
-  return 0.5 * mass_ * acc;
-}
-
-double Species::momentum() const {
-  double acc = 0.0;
-  for (double vi : v_) acc += vi;
-  return mass_ * acc;
+Species::VelocityMoments Species::velocity_moments() const {
+  double sum_v2 = 0.0;
+  double sum_v = 0.0;
+  for (double vi : v_) {
+    sum_v2 += vi * vi;
+    sum_v += vi;
+  }
+  return {0.5 * mass_ * sum_v2, mass_ * sum_v};
 }
 
 }  // namespace dlpic::pic

@@ -40,11 +40,14 @@ class Species {
   [[nodiscard]] const std::vector<double>& x() const { return x_; }
   [[nodiscard]] const std::vector<double>& v() const { return v_; }
 
-  /// Total kinetic energy: 0.5 * m * sum(v^2).
-  [[nodiscard]] double kinetic_energy() const;
+  /// Total kinetic energy and momentum of the species.
+  struct VelocityMoments {
+    double kinetic_energy;  ///< 0.5 * m * sum(v^2)
+    double momentum;        ///< m * sum(v)
+  };
 
-  /// Total momentum: m * sum(v).
-  [[nodiscard]] double momentum() const;
+  /// Both moments from one pass over v, each summed in particle order.
+  [[nodiscard]] VelocityMoments velocity_moments() const;
 
  private:
   std::string name_;

@@ -50,14 +50,14 @@ TEST(DlPic, ZeroFieldMeansFreeStreaming) {
   bc.nx = 16;
   bc.nv = 16;
   DlPicSimulation sim(cfg, zero_solver(bc, cfg.ncells));
-  const double p0 = sim.electrons().momentum();
-  const double ke0 = sim.electrons().kinetic_energy();
+  const double p0 = sim.electrons().velocity_moments().momentum;
+  const double ke0 = sim.electrons().velocity_moments().kinetic_energy;
   sim.run(20);
   EXPECT_EQ(sim.steps_taken(), 20u);
   EXPECT_NEAR(sim.time(), 4.0, 1e-12);
   // No field -> no kick: momentum and kinetic energy exactly conserved.
-  EXPECT_DOUBLE_EQ(sim.electrons().momentum(), p0);
-  EXPECT_DOUBLE_EQ(sim.electrons().kinetic_energy(), ke0);
+  EXPECT_DOUBLE_EQ(sim.electrons().velocity_moments().momentum, p0);
+  EXPECT_DOUBLE_EQ(sim.electrons().velocity_moments().kinetic_energy, ke0);
   for (double e : sim.efield()) EXPECT_DOUBLE_EQ(e, 0.0);
 }
 

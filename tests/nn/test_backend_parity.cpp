@@ -637,6 +637,38 @@ pic::Species parity_species(const pic::Grid1D& grid, size_t count) {
   return pic::load_two_stream(grid, count, p, rng);
 }
 
+// Particles whose 4-wide groups mix lanes that stay in [0, L) with lanes the
+// drift carries out of it: within v*dt of 0 and of L moving either way, a
+// jump of more than a box, a drift to exactly L, and one to just below 0
+// (the case where fmod + L rounds to L). The field must be zero on nodes
+// 61..63, 0 and 1, so that these two lanes keep their velocities.
+pic::Species box_edge_species(double L, double dt) {
+  const double vdt = 0.25 * dt;  // power-of-two scaling: exact
+  double x_to_L = L - vdt;       // nudge until x + v*dt rounds to exactly L
+  while (x_to_L + vdt < L) x_to_L = std::nextafter(x_to_L, L);
+  while (x_to_L + vdt > L) x_to_L = std::nextafter(x_to_L, 0.0);
+  EXPECT_EQ(x_to_L + vdt, L);
+  const double edge = 0.2 * vdt;
+  // {x, v} in groups of 4; the last two particles form the scalar tail.
+  // Groups 3 and 4 hold the exactly-L and below-0 lanes beside three lanes
+  // that stay in the box, so only the vector in-box test can reject them.
+  const double xv[][2] = {
+      {1.0, 0.1},   {edge, -0.25},  {L - edge, 0.25},  {0.5, -0.1},
+      {edge, 0.25}, {L - edge, -0.25}, {0.3, 0.05},    {1.7, -0.05},
+      {1.0, 15.0},  {edge, -0.25},  {L - edge, 0.25},  {0.6, 0.1},
+      {0.3, 0.1},   {x_to_L, 0.25}, {1.5, -0.1},       {0.7, 0.2},
+      {0.0, -1e-17}, {0.8, 0.1},    {1.3, -0.2},       {1.9, 0.1},
+      {0.8, -15.0}, {L - edge, -0.25}, {edge, 0.25},   {1.2, 2.0 * L / dt},
+      {edge, -0.25}, {1.1, 0.0}};
+  pic::Species s = pic::Species::electrons(std::size(xv), L);
+  for (const auto& p : xv) s.add(p[0], p[1]);
+  return s;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 TEST(BackendParity, PicGatherLeapfrogDepositBitwisePerShape) {
   SKIP_WITHOUT_AVX2();
   const pic::Grid1D grid(64, 2.0534);
@@ -667,6 +699,41 @@ TEST(BackendParity, PicGatherLeapfrogDepositBitwisePerShape) {
     EXPECT_EQ(std::get<1>(scalar), std::get<1>(vec)) << pic::shape_name(shape);
     EXPECT_EQ(std::get<2>(scalar), std::get<2>(vec)) << pic::shape_name(shape);
     EXPECT_EQ(std::get<3>(scalar), std::get<3>(vec)) << pic::shape_name(shape);
+  }
+
+  // Mixed in-box / out-of-box groups: x, v and rho bitwise on every backend.
+  std::vector<double> E_edge = E;
+  for (const size_t node : {61, 62, 63, 0, 1}) E_edge[node] = 0.0;
+  const double dt = 0.2;
+  std::vector<const nn::KernelBackend*> vector_backends{avx2};
+  if (const nn::KernelBackend* avx512 = nn::avx512_backend()) vector_backends.push_back(avx512);
+  for (const auto shape : {pic::Shape::NGP, pic::Shape::CIC, pic::Shape::TSC}) {
+    auto run = [&](const nn::KernelBackend* be) {
+      nn::ScopedBackend scope(be);
+      auto species = box_edge_species(grid.length(), dt);
+      pic::leapfrog_step(grid, shape, E_edge, species, dt);
+      const auto x1 = species.x();
+      for (int step = 0; step < 2; ++step)
+        pic::leapfrog_step(grid, shape, E_edge, species, dt);
+      auto rho = grid.make_field();
+      pic::deposit_charge(grid, shape, species, rho);
+      return std::make_tuple(x1, species.x(), species.v(), rho);
+    };
+    const auto scalar = run(&nn::scalar_backend());
+    EXPECT_EQ(std::get<0>(scalar)[13], 0.0) << "drift to exactly L must wrap to 0";
+    EXPECT_EQ(std::get<0>(scalar)[16], 0.0) << "drift to just below 0 must wrap to 0";
+    for (const double xp : std::get<1>(scalar)) {
+      EXPECT_GE(xp, 0.0);
+      EXPECT_LT(xp, grid.length());
+    }
+    for (const nn::KernelBackend* be : vector_backends) {
+      const auto vec = run(be);
+      const std::string what = std::string(be->name()) + " " + pic::shape_name(shape);
+      EXPECT_TRUE(same_bits(std::get<0>(scalar), std::get<0>(vec))) << "x after 1 step, " << what;
+      EXPECT_TRUE(same_bits(std::get<1>(scalar), std::get<1>(vec))) << "x, " << what;
+      EXPECT_TRUE(same_bits(std::get<2>(scalar), std::get<2>(vec))) << "v, " << what;
+      EXPECT_TRUE(same_bits(std::get<3>(scalar), std::get<3>(vec))) << "rho, " << what;
+    }
   }
 }
 

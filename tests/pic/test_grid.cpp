@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <numbers>
+#include <vector>
 
 #include "pic/grid.hpp"
 
@@ -48,6 +52,39 @@ TEST(Grid, WrapPositionNeverReturnsLength) {
   const double w = g.wrap_position(-1e-18);
   EXPECT_GE(w, 0.0);
   EXPECT_LT(w, 1.0);
+}
+
+// wrap_periodic skips fmod for positions already in [0, L); on every edge
+// case it must still return the same bits as the plain fmod formula.
+TEST(Grid, WrapPeriodicBitwiseEqualsFmodFormula) {
+  auto fmod_wrap = [](double x, double length) {
+    double y = std::fmod(x, length);
+    if (y < 0.0) y += length;
+    if (y >= length) y -= length;
+    return y;
+  };
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  for (const double L : {1.0, 2.0534}) {
+    const std::vector<double> inputs = {0.0,
+                                        -0.0,
+                                        std::nextafter(L, 0.0),
+                                        L,
+                                        -1e-18,  // fmod + L rounds to L
+                                        -L,
+                                        2.0 * L + 0.25,
+                                        1e300,
+                                        inf,
+                                        -inf,
+                                        std::numeric_limits<double>::quiet_NaN()};
+    for (const double x : inputs) {
+      const double want = fmod_wrap(x, L);
+      const double got = dlpic::pic::wrap_periodic(x, L);
+      EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+          << "L=" << L << " x=" << x << ": " << got << " vs " << want;
+    }
+    EXPECT_EQ(dlpic::pic::wrap_periodic(-1e-18, L), 0.0);
+    EXPECT_EQ(dlpic::pic::wrap_periodic(L, L), 0.0);
+  }
 }
 
 TEST(Grid, ModeWavenumber) {

@@ -148,7 +148,7 @@ TEST(SortByCell, PreservesParticlesAndPhysics) {
 
   auto rho_before = grid.make_field();
   deposit_charge(grid, Shape::CIC, species, rho_before);
-  const double ke_before = species.kinetic_energy();
+  const double ke_before = species.velocity_moments().kinetic_energy;
 
   sort_by_cell(grid, species);
 
@@ -157,7 +157,7 @@ TEST(SortByCell, PreservesParticlesAndPhysics) {
   for (size_t p = 1; p < species.size(); ++p)
     EXPECT_LE(static_cast<size_t>(species.x()[p - 1] * inv_dx),
               static_cast<size_t>(species.x()[p] * inv_dx));
-  EXPECT_NEAR(species.kinetic_energy(), ke_before, 1e-9);
+  EXPECT_NEAR(species.velocity_moments().kinetic_energy, ke_before, 1e-9);
 
   auto rho_after = grid.make_field();
   deposit_charge(grid, Shape::CIC, species, rho_after);

@@ -31,8 +31,9 @@ TEST(Species, KineticEnergyAndMomentum) {
   s.add(0.0, 3.0);
   s.add(0.0, -1.0);
   // KE = 0.5*2*(9+1) = 10; P = 2*(3-1) = 4.
-  EXPECT_DOUBLE_EQ(s.kinetic_energy(), 10.0);
-  EXPECT_DOUBLE_EQ(s.momentum(), 4.0);
+  const auto m = s.velocity_moments();
+  EXPECT_DOUBLE_EQ(m.kinetic_energy, 10.0);
+  EXPECT_DOUBLE_EQ(m.momentum, 4.0);
 }
 
 TEST(Species, InvalidConstructionThrows) {
@@ -43,8 +44,9 @@ TEST(Species, InvalidConstructionThrows) {
 
 TEST(Species, EmptySpeciesHasZeroEnergyMomentum) {
   Species s("empty", -1.0, 1.0);
-  EXPECT_DOUBLE_EQ(s.kinetic_energy(), 0.0);
-  EXPECT_DOUBLE_EQ(s.momentum(), 0.0);
+  const auto m = s.velocity_moments();
+  EXPECT_DOUBLE_EQ(m.kinetic_energy, 0.0);
+  EXPECT_DOUBLE_EQ(m.momentum, 0.0);
 }
 
 }  // namespace
