@@ -66,10 +66,11 @@ int main(int argc, char** argv) {
     // Single-sample inference latency (the per-PIC-step cost).
     nn::Tensor x({1, spec.input_dim});
     x.fill(0.5);
+    nn::ExecutionContext ctx;
     util::Timer ti;
     const int reps = 200;
     for (int r = 0; r < reps; ++r) {
-      auto y = model.predict(x);
+      auto y = model.predict(ctx, x);
       (void)y;
     }
     const double infer_us = ti.seconds() / reps * 1e6;

@@ -102,12 +102,13 @@ void bench_gemm(benchmark::State& state) {
 }
 
 void bench_dense_forward(benchmark::State& state) {
+  nn::ExecutionContext ctx;
   const size_t width = static_cast<size_t>(state.range(0));
   math::Rng rng(889);
   nn::Dense layer(width, width, rng);
   auto x = random_tensor({64, width}, 1);
   for (auto _ : state) {
-    auto y = layer.forward(x, false);
+    auto y = layer.forward(ctx, x, false);
     benchmark::DoNotOptimize(y.data());
   }
   // One forward GEMM: 2 * batch * in * out FLOPs.
@@ -125,6 +126,7 @@ void bench_dense_forward(benchmark::State& state) {
 // per second, whatever the kernel read: at batch 1 and 100% the forward is
 // one pass over the weights, below 100% it is an effective rate.
 void bench_dense_forward_skinny(benchmark::State& state) {
+  nn::ExecutionContext ctx;
   const size_t in = static_cast<size_t>(state.range(0));
   const size_t out = static_cast<size_t>(state.range(1));
   const size_t batch = static_cast<size_t>(state.range(2));
@@ -137,7 +139,7 @@ void bench_dense_forward_skinny(benchmark::State& state) {
     if (group * percent % 100 >= percent) x[i] = 0.0;
   }
   for (auto _ : state) {
-    auto y = layer.forward(x, false);
+    auto y = layer.forward(ctx, x, false);
     benchmark::DoNotOptimize(y.data());
   }
   state.counters["GBps"] = benchmark::Counter(
@@ -146,15 +148,16 @@ void bench_dense_forward_skinny(benchmark::State& state) {
 }
 
 void bench_dense_backward(benchmark::State& state) {
+  nn::ExecutionContext ctx;
   const size_t width = static_cast<size_t>(state.range(0));
   math::Rng rng(890);
   nn::Dense layer(width, width, rng);
   auto x = random_tensor({64, width}, 2);
-  auto y = layer.forward(x, true);
+  auto y = layer.forward(ctx, x, true);
   auto g = random_tensor(y.shape(), 3);
   for (auto _ : state) {
     layer.zero_grad();
-    auto gin = layer.backward(g);
+    auto gin = layer.backward(ctx, g);
     benchmark::DoNotOptimize(gin.data());
   }
   // Two backward GEMMs (dX and dW): 4 * batch * in * out FLOPs.
@@ -163,6 +166,7 @@ void bench_dense_backward(benchmark::State& state) {
 }
 
 void bench_conv_forward(benchmark::State& state) {
+  nn::ExecutionContext ctx;
   const size_t hw = static_cast<size_t>(state.range(0));
   math::Rng rng(891);
   nn::Conv2DConfig cfg;
@@ -171,12 +175,13 @@ void bench_conv_forward(benchmark::State& state) {
   nn::Conv2D layer(cfg, rng);
   auto x = random_tensor({8, 8, hw, hw}, 4);
   for (auto _ : state) {
-    auto y = layer.forward(x, false);
+    auto y = layer.forward(ctx, x, false);
     benchmark::DoNotOptimize(y.data());
   }
 }
 
 void bench_mlp_inference_ci(benchmark::State& state) {
+  nn::ExecutionContext ctx;
   nn::MlpSpec spec;
   spec.input_dim = 32 * 32;
   spec.output_dim = 64;
@@ -184,22 +189,24 @@ void bench_mlp_inference_ci(benchmark::State& state) {
   auto model = nn::build_mlp(spec);
   auto x = random_tensor({1, spec.input_dim}, 5);
   for (auto _ : state) {
-    auto y = model.predict(x);
+    auto y = model.predict(ctx, x);
     benchmark::DoNotOptimize(y.data());
   }
 }
 
 void bench_mlp_inference_paper(benchmark::State& state) {
+  nn::ExecutionContext ctx;
   nn::MlpSpec spec;  // paper scale: 4096 -> 3x1024 -> 64
   auto model = nn::build_mlp(spec);
   auto x = random_tensor({1, spec.input_dim}, 6);
   for (auto _ : state) {
-    auto y = model.predict(x);
+    auto y = model.predict(ctx, x);
     benchmark::DoNotOptimize(y.data());
   }
 }
 
 void bench_cnn_inference_ci(benchmark::State& state) {
+  nn::ExecutionContext ctx;
   nn::CnnSpec spec;
   spec.input_h = 32;
   spec.input_w = 32;
@@ -210,7 +217,7 @@ void bench_cnn_inference_ci(benchmark::State& state) {
   auto model = nn::build_cnn(spec);
   auto x = random_tensor({1, spec.input_h * spec.input_w}, 7);
   for (auto _ : state) {
-    auto y = model.predict(x);
+    auto y = model.predict(ctx, x);
     benchmark::DoNotOptimize(y.data());
   }
 }

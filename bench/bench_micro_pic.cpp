@@ -194,7 +194,6 @@ void bench_poisson(benchmark::State& state, const std::string& name) {
 
 void bench_poisson_spectral(benchmark::State& s) { bench_poisson(s, "spectral"); }
 void bench_poisson_tridiag(benchmark::State& s) { bench_poisson(s, "tridiag"); }
-void bench_poisson_cg(benchmark::State& s) { bench_poisson(s, "cg"); }
 
 void bench_binner(benchmark::State& state, phase_space::BinningOrder order) {
   pic::Grid1D grid(64, kBoxLength);
@@ -245,7 +244,6 @@ DLPIC_THREAD_SWEEP(bench_particle_phase);
 BENCHMARK(bench_sort_by_cell)->Arg(64000);
 BENCHMARK(bench_poisson_spectral)->Arg(64)->Arg(1024);
 BENCHMARK(bench_poisson_tridiag)->Arg(64)->Arg(1024);
-BENCHMARK(bench_poisson_cg)->Arg(64)->Arg(1024);
 BENCHMARK(bench_binner_ngp)->Arg(64000);
 BENCHMARK(bench_binner_cic)->Arg(64000);
 

@@ -98,7 +98,6 @@ void bench_dl_stage_paper_scale(benchmark::State& state) {
 
 void bench_spectral(benchmark::State& s) { bench_traditional_stage(s, "spectral"); }
 void bench_tridiag(benchmark::State& s) { bench_traditional_stage(s, "tridiag"); }
-void bench_cg(benchmark::State& s) { bench_traditional_stage(s, "cg"); }
 
 // ---------------------------------------------------------------------------
 // FFT-size x backend axis. Arg(0) = transform size, Arg(1) = backend id
@@ -193,7 +192,6 @@ void bench_fft_forward_planned(benchmark::State& state) {
 
 BENCHMARK(bench_spectral)->Arg(64)->Arg(256)->Arg(1000)->Arg(1024);
 BENCHMARK(bench_tridiag)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(bench_cg)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(bench_dl_stage)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(bench_dl_stage_paper_scale);
 BENCHMARK(bench_fft_legacy_radix2)

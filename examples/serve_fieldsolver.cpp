@@ -1,14 +1,14 @@
 /// \file serve_fieldsolver.cpp
-/// Batched inference serving demo: a DlFieldSolver switched into its
-/// serving-backed mode, driven end to end by concurrent clients submitting
-/// phase-space field-solve requests.
+/// Batched inference serving demo: a DlFieldSolver's model and normalizer
+/// registered on an InferenceServer, driven end to end by concurrent clients
+/// submitting phase-space field-solve requests.
 ///
 ///   ./serve_fieldsolver [--clients=4] [--requests=64] [--max_batch=8]
 ///                       [--max_wait_us=500] [--workers=1]
 ///
 /// Each client bins its own two-stream phase space (a distinct random seed
-/// per client) and submits the histogram through solve_async(); the server
-/// coalesces the concurrent requests into batched forward passes. The demo
+/// per client) and submits the histogram to the server, which coalesces the
+/// concurrent requests into batched forward passes. The demo
 /// prints throughput, client-observed latency percentiles, and the batching
 /// amortization the server achieved, then verifies one sample against the
 /// synchronous solve_histogram() path (bitwise).
@@ -26,6 +26,7 @@
 #include "nn/model_zoo.hpp"
 #include "phase_space/binner.hpp"
 #include "pic/loader.hpp"
+#include "serve/inference_server.hpp"
 #include "util/config.hpp"
 
 int main(int argc, char** argv) {
@@ -53,7 +54,9 @@ int main(int argc, char** argv) {
   cfg.max_wait_us = static_cast<uint32_t>(args.get_int_or("max_wait_us", 500));
   cfg.worker_threads = static_cast<size_t>(args.get_int_or("workers", 1));
   cfg.context_worker_cap = cfg.worker_threads > 1 ? 1 : 0;
-  auto& server = solver.start_serving(cfg);
+  serve::InferenceServer server(cfg);
+  const size_t model_id = server.add_model("field-solver", solver.model(), bc.nx * bc.nv,
+                                           &solver.normalizer());
 
   std::printf("serving: max_batch=%zu max_wait=%uus workers=%zu | %zu clients x %zu requests\n",
               cfg.max_batch, cfg.max_wait_us, cfg.worker_threads, clients, requests);
@@ -79,10 +82,11 @@ int main(int argc, char** argv) {
       for (size_t i = 0; i < requests; ++i) {
         // Client 0 runs on the interactive lane: under load its requests
         // cut ahead of the bulk traffic from the other clients.
-        const auto lane =
-            c == 0 ? serve::Priority::kInteractive : serve::Priority::kBulk;
+        serve::SubmitOptions options;
+        options.model_id = model_id;
+        options.priority = c == 0 ? serve::Priority::kInteractive : serve::Priority::kBulk;
         const auto t0 = std::chrono::steady_clock::now();
-        auto field = solver.solve_async(histogram, lane).get();
+        auto field = server.submit(histogram, options).get();
         const auto dt = std::chrono::steady_clock::now() - t0;
         local_us.push_back(std::chrono::duration<double, std::micro>(dt).count());
         if (field.size() != spec.output_dim) std::abort();  // demo invariant
@@ -111,10 +115,12 @@ int main(int argc, char** argv) {
 
   // The batcher's determinism contract: the served result is bitwise equal
   // to the synchronous single-sample path.
-  const auto async_field = solver.solve_async(sample_histogram).get();
-  solver.stop_serving();
+  serve::SubmitOptions options;
+  options.model_id = model_id;
+  const auto served_field = server.submit(sample_histogram, options).get();
+  server.shutdown();
   const auto sync_field = solver.solve_histogram(sample_histogram);
-  if (async_field != sync_field) {
+  if (served_field != sync_field) {
     std::printf("FAIL: batched result differs from synchronous inference\n");
     return 1;
   }

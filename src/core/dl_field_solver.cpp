@@ -1,8 +1,6 @@
 #include "core/dl_field_solver.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <exception>
 #include <stdexcept>
 
 #include "util/binary_io.hpp"
@@ -30,94 +28,8 @@ DlFieldSolver::DlFieldSolver(nn::Sequential model, data::MinMaxNormalizer normal
   (void)model_.output_shape({1, input_dim});  // throws when incompatible
 }
 
-void DlFieldSolver::ensure_unregistered(const char* what) const noexcept {
-  if (shared_server_ == nullptr) return;
-  // A shared-server registration cannot be withdrawn: the server holds raw
-  // pointers into this solver's model and normalizer, so completing the
-  // move would leave it serving a moved-from (gutted) model. Corrupting a
-  // live serving bundle is unrecoverable — fail loudly instead.
-  std::fprintf(stderr,
-               "DlFieldSolver: %s while registered on a shared server (bundle id %zu) "
-               "would leave the server serving a moved-from model; shut the shared "
-               "server down first\n",
-               what, model_id_);
-  std::terminate();
-}
-
-DlFieldSolver::DlFieldSolver(DlFieldSolver&& other) noexcept
-    // A running private server references other's members, so it must be
-    // drained and destroyed before any member is moved from (hence the
-    // comma expression in the first initializer); it cannot be transferred.
-    // A shared registration cannot even be withdrawn — moving a registered
-    // solver terminates (see ensure_unregistered).
-    : model_((other.ensure_unregistered("moving a solver"), other.stop_serving(),
-              std::move(other.model_))),
-      normalizer_(other.normalizer_),
-      binner_(std::move(other.binner_)),
-      ctx_(std::move(other.ctx_)) {}
-
-DlFieldSolver& DlFieldSolver::operator=(DlFieldSolver&& other) noexcept {
-  if (this == &other) return *this;
-  // Both ends are hazards: moving *from* a registered solver guts the model
-  // the shared server serves; assigning *over* one replaces it just the same.
-  other.ensure_unregistered("moving a solver");
-  ensure_unregistered("assigning over a solver");
-  stop_serving();
-  other.stop_serving();
-  model_ = std::move(other.model_);
-  normalizer_ = other.normalizer_;
-  binner_ = std::move(other.binner_);
-  ctx_ = std::move(other.ctx_);
-  return *this;
-}
-
 std::vector<double> DlFieldSolver::solve(const pic::Species& electrons) {
   return solve_histogram(binner_.bin(electrons));
-}
-
-serve::InferenceServer& DlFieldSolver::start_serving(const serve::ServerConfig& config) {
-  stop_serving();
-  server_ = std::make_unique<serve::InferenceServer>(model_, binner_.size(), config,
-                                                     &normalizer_);
-  model_id_ = 0;
-  return *server_;
-}
-
-size_t DlFieldSolver::start_serving(serve::InferenceServer& shared, std::string name,
-                                    const serve::ModelConfig& config) {
-  stop_serving();
-  model_id_ = shared.add_model(std::move(name), model_, binner_.size(), config,
-                               &normalizer_);
-  shared_server_ = &shared;
-  return model_id_;
-}
-
-void DlFieldSolver::stop_serving() {
-  server_.reset();
-  // Shared mode is a registration, not a session: the bundle stays
-  // registered (and servable) on the shared server — only this solver's
-  // routing is dropped. The solver must still outlive the shared server.
-  shared_server_ = nullptr;
-  model_id_ = 0;
-}
-
-std::future<std::vector<double>> DlFieldSolver::solve_async(
-    std::vector<double> histogram, serve::Priority priority,
-    std::chrono::steady_clock::time_point deadline) {
-  serve::InferenceServer* backend = server();
-  if (backend == nullptr)
-    throw std::runtime_error("DlFieldSolver::solve_async: call start_serving() first");
-  serve::SubmitOptions options;
-  options.model_id = model_id_;
-  options.priority = priority;
-  options.deadline = deadline;
-  return backend->submit(std::move(histogram), options);
-}
-
-std::future<std::vector<double>> DlFieldSolver::solve_async(
-    const pic::Species& electrons, serve::Priority priority,
-    std::chrono::steady_clock::time_point deadline) {
-  return solve_async(binner_.bin(electrons), priority, deadline);
 }
 
 std::vector<double> DlFieldSolver::solve_histogram(const std::vector<double>& histogram) {

@@ -5,20 +5,21 @@
 /// network inference to produce the electric field on the grid — replacing
 /// charge deposition + Poisson solve + gradient of the traditional method.
 
-#include <future>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "data/normalizer.hpp"
 #include "nn/sequential.hpp"
 #include "phase_space/binner.hpp"
 #include "pic/species.hpp"
-#include "serve/inference_server.hpp"
 
 namespace dlpic::core {
 
 /// Bundles the trained network, the input normalizer and the phase-space
-/// binner geometry into a deployable field solver.
+/// binner geometry into a deployable field solver. To batch concurrent
+/// solves, register model() and &normalizer() on a serve::InferenceServer
+/// like any other bundle; the solver must then outlive the server and stay
+/// put, since the server holds references to both.
 class DlFieldSolver {
  public:
   /// Takes ownership of the trained model. The normalizer must be fitted on
@@ -26,16 +27,8 @@ class DlFieldSolver {
   DlFieldSolver(nn::Sequential model, data::MinMaxNormalizer normalizer,
                 phase_space::BinnerConfig binner_config);
 
-  /// Moving a solver stops any serving session first (a private server
-  /// holds references into the moved-from object); restart serving on the
-  /// destination if needed. Moving a solver while it is registered on a
-  /// SHARED server — or move-assigning over one — is a hard error: the
-  /// registration cannot be withdrawn, so the shared server would keep
-  /// serving from the moved-from model. Both operations detect an active
-  /// shared registration and std::terminate with a diagnostic instead of
-  /// corrupting the live bundle. Shut the shared server down first.
-  DlFieldSolver(DlFieldSolver&& other) noexcept;
-  DlFieldSolver& operator=(DlFieldSolver&& other) noexcept;
+  DlFieldSolver(DlFieldSolver&&) = default;
+  DlFieldSolver& operator=(DlFieldSolver&&) = default;
   DlFieldSolver(const DlFieldSolver&) = delete;
   DlFieldSolver& operator=(const DlFieldSolver&) = delete;
   ~DlFieldSolver() = default;
@@ -53,61 +46,6 @@ class DlFieldSolver {
   /// The solver's reusable inference context.
   [[nodiscard]] nn::ExecutionContext& context() { return ctx_; }
 
-  /// Starts (or restarts with a new config) the serving-backed mode: a
-  /// private serve::InferenceServer over this solver's model and normalizer
-  /// that coalesces concurrent solve_async() calls into batched forward
-  /// passes. Returns the running server (also reachable via server()). The
-  /// solver must outlive the serving session and must not be moved while
-  /// serving.
-  serve::InferenceServer& start_serving(const serve::ServerConfig& config = {});
-
-  /// Multi-model mode: registers this solver's model + normalizer as a
-  /// named bundle on a caller-owned shared server (one server, several
-  /// field-solver bundles behind one worker pool) and routes solve_async()
-  /// through it. A thin registration: the shared server keeps its own
-  /// workers, queue and per-model stats; this solver only remembers its
-  /// model id. Returns that id. The solver must outlive `shared` (the
-  /// registration cannot be withdrawn) and must not be moved while
-  /// registered. Stops any previous serving mode first.
-  size_t start_serving(serve::InferenceServer& shared, std::string name,
-                       const serve::ModelConfig& config = {});
-
-  /// Drains in-flight requests and stops a private serving backend, or
-  /// detaches from a shared one (whose bundle stays registered and
-  /// servable — only this solver's routing is dropped). No-op when not
-  /// serving.
-  void stop_serving();
-
-  /// True while the serving backend is up (private or shared).
-  [[nodiscard]] bool serving() const {
-    return server_ != nullptr || shared_server_ != nullptr;
-  }
-
-  /// The serving backend solve_async() routes through (private or shared),
-  /// or nullptr when not serving.
-  [[nodiscard]] serve::InferenceServer* server() {
-    return server_ != nullptr ? server_.get() : shared_server_;
-  }
-
-  /// The bundle id this solver serves under (meaningful while serving).
-  [[nodiscard]] size_t serving_model_id() const { return model_id_; }
-
-  /// Asynchronous solve_histogram() through the serving backend: submits
-  /// the raw (unnormalized) histogram on `priority`'s lane, optionally with
-  /// an absolute expiry `deadline` (the future fails with
-  /// serve::DeadlineExpired when inference has not started by then), and
-  /// resolves to the predicted E. Served results are bitwise identical to
-  /// the synchronous path. Throws std::runtime_error when serving has not
-  /// been started.
-  std::future<std::vector<double>> solve_async(
-      std::vector<double> histogram, serve::Priority priority = serve::Priority::kBulk,
-      std::chrono::steady_clock::time_point deadline = serve::kNoDeadline);
-
-  /// Asynchronous solve(): bins the phase space, then submits it.
-  std::future<std::vector<double>> solve_async(
-      const pic::Species& electrons, serve::Priority priority = serve::Priority::kBulk,
-      std::chrono::steady_clock::time_point deadline = serve::kNoDeadline);
-
   [[nodiscard]] const phase_space::BinnerConfig& binner_config() const {
     return binner_.config();
   }
@@ -121,17 +59,10 @@ class DlFieldSolver {
   static DlFieldSolver load(const std::string& path);
 
  private:
-  /// Terminates with a diagnostic when this solver is registered on a
-  /// shared server (the move guard; see the move ctor docs).
-  void ensure_unregistered(const char* what) const noexcept;
-
   nn::Sequential model_;
   data::MinMaxNormalizer normalizer_;
   phase_space::PhaseSpaceBinner binner_;
   nn::ExecutionContext ctx_;
-  std::unique_ptr<serve::InferenceServer> server_;     // non-null in private mode
-  serve::InferenceServer* shared_server_ = nullptr;    // non-null in shared mode
-  size_t model_id_ = 0;                                // bundle id while serving
 };
 
 }  // namespace dlpic::core

@@ -4,28 +4,10 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "math/fft_plan.hpp"
 
 namespace dlpic::math {
 
 bool is_pow2(size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
-
-void fft(std::vector<cplx>& data) {
-  if (data.empty()) throw std::invalid_argument("fft: empty input");
-  get_fft_plan(data.size()).forward(data.data());
-}
-
-void ifft(std::vector<cplx>& data) {
-  if (data.empty()) throw std::invalid_argument("ifft: empty input");
-  get_fft_plan(data.size()).inverse(data.data());
-}
-
-std::vector<cplx> fft_real(const std::vector<double>& signal) {
-  std::vector<cplx> data(signal.size());
-  for (size_t i = 0; i < signal.size(); ++i) data[i] = cplx(signal[i], 0.0);
-  fft(data);
-  return data;
-}
 
 double mode_amplitude(const std::vector<double>& signal, size_t mode) {
   const size_t n = signal.size();

@@ -1,14 +1,12 @@
 #pragma once
 /// \file fft.hpp
-/// Complex FFT and real-signal helpers.
+/// FFT helpers around the plan engine.
 ///
-/// Used by (a) the spectral Poisson solver on the periodic PIC grid and
-/// (b) the per-mode electric-field amplitude diagnostic (|E_k|, the paper's
-/// Fig. 4 E1 series). Every size runs in O(n log n) through the plan-based
-/// engine in fft_plan.hpp (radix-4/radix-2 Cooley–Tukey for powers of two,
-/// Bluestein otherwise), with the vector-in/vector-out entry points below
-/// kept for convenience. Hot paths that transform the same size every step
-/// should hold a plan (math::get_fft_plan) and use its rfft/irfft directly.
+/// Transforms run through the interned plans of fft_plan.hpp
+/// (math::get_fft_plan: radix-4/radix-2 Cooley–Tukey for powers of two,
+/// Bluestein otherwise). This header keeps the per-mode electric-field
+/// amplitude diagnostic (|E_k|, the paper's Fig. 4 E1 series), the direct
+/// DFT the plan engine is tested against, and the power-of-two check.
 
 #include <complex>
 #include <vector>
@@ -16,16 +14,6 @@
 namespace dlpic::math {
 
 using cplx = std::complex<double>;
-
-/// In-place forward FFT (engineering sign convention, e^{-i 2π kn/N}) of
-/// any size, via the interned plan for data.size().
-void fft(std::vector<cplx>& data);
-
-/// In-place inverse FFT including the 1/N normalization.
-void ifft(std::vector<cplx>& data);
-
-/// Forward transform of a real signal; returns the full complex spectrum.
-std::vector<cplx> fft_real(const std::vector<double>& signal);
 
 /// Amplitude of harmonic `mode` of a real signal, normalized so that
 /// x[n] = A cos(2π·mode·n/N + φ) gives amplitude(mode) == A. Single-bin

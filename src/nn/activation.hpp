@@ -10,8 +10,6 @@ namespace dlpic::nn {
 /// max(0, x).
 class ReLU final : public Layer {
  public:
-  using Layer::backward;
-  using Layer::forward;
   Tensor& forward(ExecutionContext& ctx, const Tensor& input, bool training) override;
   Tensor& backward(ExecutionContext& ctx, const Tensor& grad_output) override;
   [[nodiscard]] std::string type() const override { return "relu"; }
@@ -27,8 +25,6 @@ class ReLU final : public Layer {
 class LeakyReLU final : public Layer {
  public:
   explicit LeakyReLU(double alpha = 0.01) : alpha_(alpha) {}
-  using Layer::backward;
-  using Layer::forward;
   Tensor& forward(ExecutionContext& ctx, const Tensor& input, bool training) override;
   Tensor& backward(ExecutionContext& ctx, const Tensor& grad_output) override;
   [[nodiscard]] std::string type() const override { return "leaky_relu"; }
@@ -47,8 +43,6 @@ class LeakyReLU final : public Layer {
 /// tanh(x).
 class Tanh final : public Layer {
  public:
-  using Layer::backward;
-  using Layer::forward;
   Tensor& forward(ExecutionContext& ctx, const Tensor& input, bool training) override;
   Tensor& backward(ExecutionContext& ctx, const Tensor& grad_output) override;
   [[nodiscard]] std::string type() const override { return "tanh"; }

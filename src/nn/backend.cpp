@@ -152,6 +152,14 @@ void KernelBackend::tanh_backward(size_t n, const double* y, const double* gout,
 // addition permits bitwise), and this TU is compiled with -ffp-contract=off
 // when any SIMD backend is, so the reference itself never fuses into FMA.
 
+// GCC's vectorizer fuses complex mul+addsub into vfmaddsub even under -ffp-contract=off.
+#if defined(__GNUC__) && !defined(__clang__)
+#define DLPIC_NO_VECTORIZE __attribute__((optimize("no-tree-vectorize")))
+#else
+#define DLPIC_NO_VECTORIZE
+#endif
+
+DLPIC_NO_VECTORIZE
 void KernelBackend::fft_radix2_pass(size_t n, size_t len, const double* tw,
                                     double* data) const {
   const size_t half = len / 2;
@@ -186,6 +194,7 @@ void KernelBackend::fft_radix2_pass(size_t n, size_t len, const double* tw,
   }
 }
 
+DLPIC_NO_VECTORIZE
 void KernelBackend::fft_radix4_pass(size_t n, size_t len, const double* twA,
                                     const double* twB, const double* twC,
                                     double* data) const {
@@ -233,6 +242,7 @@ void KernelBackend::fft_radix4_pass(size_t n, size_t len, const double* twA,
   }
 }
 
+DLPIC_NO_VECTORIZE
 void KernelBackend::cplx_mul(size_t n, const double* a, const double* b,
                              double* out) const {
   for (size_t i = 0; i < n; ++i) {

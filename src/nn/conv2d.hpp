@@ -26,8 +26,6 @@ class Conv2D final : public Layer {
   Conv2D(const Conv2DConfig& config, math::Rng& rng);
   explicit Conv2D(const Conv2DConfig& config);  // deserialization path
 
-  using Layer::backward;
-  using Layer::forward;
   Tensor& forward(ExecutionContext& ctx, const Tensor& input, bool training) override;
   Tensor& backward(ExecutionContext& ctx, const Tensor& grad_output) override;
   std::vector<Param> params() override;

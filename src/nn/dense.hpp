@@ -19,8 +19,6 @@ class Dense final : public Layer {
   /// Uninitialized-weight constructor used by deserialization.
   Dense(size_t in_features, size_t out_features);
 
-  using Layer::backward;
-  using Layer::forward;
   Tensor& forward(ExecutionContext& ctx, const Tensor& input, bool training) override;
   Tensor& backward(ExecutionContext& ctx, const Tensor& grad_output) override;
   std::vector<Param> params() override;

@@ -56,9 +56,4 @@ size_t Workspace::bytes() const {
   return total;
 }
 
-ExecutionContext& ExecutionContext::thread_default() {
-  thread_local ExecutionContext ctx;
-  return ctx;
-}
-
 }  // namespace dlpic::nn

@@ -153,11 +153,6 @@ class ExecutionContext {
 
   [[nodiscard]] bool serial() const { return workers() <= 1; }
 
-  /// Thread-local context backing the legacy context-free Layer/Sequential
-  /// entry points, so existing call sites transparently gain workspace
-  /// reuse. Lives until thread exit; clear via thread_default().workspace().
-  static ExecutionContext& thread_default();
-
  private:
   size_t worker_cap_;
   const KernelBackend* backend_;

@@ -10,8 +10,6 @@ namespace dlpic::nn {
 /// Shape adapter with no parameters.
 class Flatten final : public Layer {
  public:
-  using Layer::backward;
-  using Layer::forward;
   Tensor& forward(ExecutionContext& ctx, const Tensor& input, bool training) override;
   Tensor& backward(ExecutionContext& ctx, const Tensor& grad_output) override;
   [[nodiscard]] std::string type() const override { return "flatten"; }
@@ -28,8 +26,6 @@ class Reshape4 final : public Layer {
  public:
   Reshape4(size_t channels, size_t height, size_t width);
 
-  using Layer::backward;
-  using Layer::forward;
   Tensor& forward(ExecutionContext& ctx, const Tensor& input, bool training) override;
   Tensor& backward(ExecutionContext& ctx, const Tensor& grad_output) override;
   [[nodiscard]] std::string type() const override { return "reshape4"; }

@@ -47,17 +47,6 @@ class Layer {
   /// the worker count, so results are bitwise reproducible across widths.
   virtual Tensor& backward(ExecutionContext& ctx, const Tensor& grad_output) = 0;
 
-  /// Context-free convenience entry points (tests, exploratory code): run
-  /// on the thread-local default context and copy the result out. Derived
-  /// classes re-expose them with `using Layer::forward; using
-  /// Layer::backward;`.
-  Tensor forward(const Tensor& input, bool training) {
-    return forward(ExecutionContext::thread_default(), input, training);
-  }
-  Tensor backward(const Tensor& grad_output) {
-    return backward(ExecutionContext::thread_default(), grad_output);
-  }
-
   /// Learnable parameters (empty for activations/pooling).
   virtual std::vector<Param> params() { return {}; }
 

@@ -13,8 +13,6 @@ class MaxPool2D final : public Layer {
  public:
   explicit MaxPool2D(size_t pool = 2);
 
-  using Layer::backward;
-  using Layer::forward;
   Tensor& forward(ExecutionContext& ctx, const Tensor& input, bool training) override;
   Tensor& backward(ExecutionContext& ctx, const Tensor& grad_output) override;
   [[nodiscard]] std::string type() const override { return "maxpool2d"; }

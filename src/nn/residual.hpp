@@ -23,8 +23,6 @@ class ResidualDense final : public Layer {
   ResidualDense(size_t width, size_t hidden, math::Rng& rng);
   ResidualDense(size_t width, size_t hidden);  // deserialization path
 
-  using Layer::backward;
-  using Layer::forward;
   Tensor& forward(ExecutionContext& ctx, const Tensor& input, bool training) override;
   Tensor& backward(ExecutionContext& ctx, const Tensor& grad_output) override;
   std::vector<Param> params() override;

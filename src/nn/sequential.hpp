@@ -36,20 +36,10 @@ class Sequential {
   /// Backward pass (call after forward with training = true, same context).
   Tensor& backward(ExecutionContext& ctx, const Tensor& grad_output);
 
-  /// Context-free conveniences: run on the thread-local default context and
-  /// copy the result out.
-  Tensor forward(const Tensor& input, bool training = false) {
-    return forward(ExecutionContext::thread_default(), input, training);
-  }
-  Tensor backward(const Tensor& grad_output) {
-    return backward(ExecutionContext::thread_default(), grad_output);
-  }
-
-  /// Convenience inference calls.
+  /// Inference: forward with training = false.
   Tensor& predict(ExecutionContext& ctx, const Tensor& input) {
     return forward(ctx, input, /*training=*/false);
   }
-  Tensor predict(const Tensor& input) { return forward(input, /*training=*/false); }
 
   /// All learnable parameters, with names "layer<i>.<param>".
   std::vector<Param> params();

@@ -83,63 +83,10 @@ void TridiagPoisson::solve(const Grid1D& grid, const std::vector<double>& rho,
   shift_to_zero_mean(phi);
 }
 
-void ConjugateGradientPoisson::solve(const Grid1D& grid, const std::vector<double>& rho,
-                                     std::vector<double>& phi) {
-  const size_t n = grid.ncells();
-  if (rho.size() != n) throw std::invalid_argument("CGPoisson: rho size mismatch");
-
-  // Solve A phi = b with A = -Laplacian (SPD on the mean-free subspace),
-  // b = rho - mean(rho). Project iterates onto the mean-free subspace to
-  // keep the Krylov space orthogonal to the null vector.
-  const double inv_dx2 = 1.0 / (grid.dx() * grid.dx());
-  b_.resize(n);
-  const double mean = mean_of(rho);
-  for (size_t i = 0; i < n; ++i) b_[i] = rho[i] - mean;
-
-  auto apply_A = [&](const std::vector<double>& x, std::vector<double>& y) {
-    for (size_t i = 0; i < n; ++i) {
-      const size_t im = (i == 0) ? n - 1 : i - 1;
-      const size_t ip = (i + 1 == n) ? 0 : i + 1;
-      y[i] = -(x[im] - 2.0 * x[i] + x[ip]) * inv_dx2;
-    }
-  };
-
-  phi.assign(n, 0.0);
-  r_ = b_;
-  p_ = b_;
-  Ap_.resize(n);
-  std::vector<double>&r = r_, &p = p_, &Ap = Ap_;
-  double rr = 0.0;
-  for (size_t i = 0; i < n; ++i) rr += r[i] * r[i];
-  const double b_norm2 = rr;
-  const double tol2 = tol_ * tol_ * (b_norm2 > 0 ? b_norm2 : 1.0);
-
-  size_t it = 0;
-  for (; it < max_iter_ && rr > tol2; ++it) {
-    apply_A(p, Ap);
-    double pAp = 0.0;
-    for (size_t i = 0; i < n; ++i) pAp += p[i] * Ap[i];
-    if (std::abs(pAp) < 1e-300) break;
-    const double alpha = rr / pAp;
-    for (size_t i = 0; i < n; ++i) {
-      phi[i] += alpha * p[i];
-      r[i] -= alpha * Ap[i];
-    }
-    double rr_new = 0.0;
-    for (size_t i = 0; i < n; ++i) rr_new += r[i] * r[i];
-    const double beta = rr_new / rr;
-    rr = rr_new;
-    for (size_t i = 0; i < n; ++i) p[i] = r[i] + beta * p[i];
-  }
-  last_iterations_ = it;
-  shift_to_zero_mean(phi);
-}
-
 std::unique_ptr<PoissonSolver> make_poisson_solver(const std::string& name) {
   if (name == "spectral") return std::make_unique<SpectralPoisson>(false);
   if (name == "spectral-discrete") return std::make_unique<SpectralPoisson>(true);
   if (name == "tridiag") return std::make_unique<TridiagPoisson>();
-  if (name == "cg") return std::make_unique<ConjugateGradientPoisson>();
   throw std::invalid_argument("make_poisson_solver: unknown solver '" + name + "'");
 }
 

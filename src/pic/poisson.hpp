@@ -5,18 +5,15 @@
 ///
 /// The periodic Laplacian is singular (constant null space); all solvers
 /// therefore work with the mean-free part of rho and pin the gauge
-/// mean(phi) = 0. Three interchangeable implementations are provided:
+/// mean(phi) = 0. Two interchangeable implementations are provided:
 ///
 ///  * SpectralPoisson  — FFT diagonalization, phi_k = rho_k / k². Uses the
 ///    exact continuum k² by default or the discrete-Laplacian eigenvalue
 ///    (2-2cos(k dx))/dx² when `discrete_k2` is set (the latter matches the
-///    finite-difference solvers to round-off).
+///    finite-difference solver to round-off).
 ///  * TridiagPoisson   — second-order central differences; gauge fixed by
 ///    pinning phi[0] = 0 and solving the reduced (n-1) Thomas system, then
 ///    shifting to mean zero.
-///  * ConjugateGradientPoisson — matrix-free CG on the periodic FD Laplacian
-///    with mean-projection; reference/teaching implementation and the
-///    baseline for the §VII "linear solve vs inference" performance claim.
 
 #include <memory>
 #include <string>
@@ -83,26 +80,7 @@ class TridiagPoisson final : public PoissonSolver {
   std::vector<double> a_, b_, c_, d_, x_, cp_, dp_;
 };
 
-/// Matrix-free conjugate-gradient solver on the periodic FD Laplacian.
-class ConjugateGradientPoisson final : public PoissonSolver {
- public:
-  explicit ConjugateGradientPoisson(double tol = 1e-12, size_t max_iter = 10000)
-      : tol_(tol), max_iter_(max_iter) {}
-  void solve(const Grid1D& grid, const std::vector<double>& rho,
-             std::vector<double>& phi) override;
-  [[nodiscard]] std::string name() const override { return "cg"; }
-
-  /// Iterations used by the most recent solve (diagnostic).
-  [[nodiscard]] size_t last_iterations() const { return last_iterations_; }
-
- private:
-  double tol_;
-  size_t max_iter_;
-  size_t last_iterations_ = 0;
-  std::vector<double> b_, r_, p_, Ap_;  // reused Krylov vectors
-};
-
-/// Factory: "spectral" | "spectral-discrete" | "tridiag" | "cg".
+/// Factory: "spectral" | "spectral-discrete" | "tridiag".
 std::unique_ptr<PoissonSolver> make_poisson_solver(const std::string& name);
 
 }  // namespace dlpic::pic

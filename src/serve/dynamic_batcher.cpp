@@ -27,7 +27,7 @@ DynamicBatcher::DynamicBatcher(nn::Sequential& model, nn::ExecutionContext& cont
     : owned_registry_(std::make_unique<ModelRegistry>()),
       registry_(*owned_registry_),
       ctx_(context) {
-  owned_registry_->add("default", &model, nullptr, input_dim, config, normalizer);
+  owned_registry_->add("default", &model, input_dim, config, normalizer);
 }
 
 size_t DynamicBatcher::serve_once(RequestQueue& queue) {

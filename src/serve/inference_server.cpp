@@ -37,16 +37,6 @@ InferenceServer::InferenceServer(nn::Sequential& model, size_t input_dim,
   add_model("default", model, input_dim, config_.model_defaults(), normalizer);
 }
 
-InferenceServer::InferenceServer(nn::Sequential&& model, size_t input_dim,
-                                 const ServerConfig& config,
-                                 const data::MinMaxNormalizer* normalizer)
-    : InferenceServer(config) {
-  auto owned = std::make_unique<nn::Sequential>(std::move(model));
-  nn::Sequential* raw = owned.get();
-  registry_.add("default", raw, std::move(owned), input_dim, config_.model_defaults(),
-                normalizer);
-}
-
 void InferenceServer::register_gauges() {
   // Callback gauges: evaluated at scrape time, so exposition always shows
   // live queue depths / worker liveness without any hot-path bookkeeping.
@@ -129,23 +119,13 @@ size_t InferenceServer::add_model(std::string name, nn::Sequential& model,
                                   size_t input_dim, const ModelConfig& config,
                                   const data::MinMaxNormalizer* normalizer) {
   if (!running()) throw std::runtime_error("InferenceServer::add_model: server is shut down");
-  return registry_.add(std::move(name), &model, nullptr, input_dim, config, normalizer);
+  return registry_.add(std::move(name), &model, input_dim, config, normalizer);
 }
 
 size_t InferenceServer::add_model(std::string name, nn::Sequential& model,
                                   size_t input_dim,
                                   const data::MinMaxNormalizer* normalizer) {
   return add_model(std::move(name), model, input_dim, config_.model_defaults(), normalizer);
-}
-
-size_t InferenceServer::add_model(std::string name, nn::Sequential&& model,
-                                  size_t input_dim, const ModelConfig& config,
-                                  const data::MinMaxNormalizer* normalizer) {
-  if (!running()) throw std::runtime_error("InferenceServer::add_model: server is shut down");
-  auto owned = std::make_unique<nn::Sequential>(std::move(model));
-  nn::Sequential* raw = owned.get();
-  return registry_.add(std::move(name), raw, std::move(owned), input_dim, config,
-                       normalizer);
 }
 
 std::future<std::vector<double>> InferenceServer::submit(std::vector<double> input,

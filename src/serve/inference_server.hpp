@@ -132,11 +132,6 @@ class InferenceServer {
                   const ServerConfig& config = {},
                   const data::MinMaxNormalizer* normalizer = nullptr);
 
-  /// Takes ownership of `model` and serves it as model id 0 ("default").
-  InferenceServer(nn::Sequential&& model, size_t input_dim,
-                  const ServerConfig& config = {},
-                  const data::MinMaxNormalizer* normalizer = nullptr);
-
   /// Graceful shutdown (see shutdown()).
   ~InferenceServer();
 
@@ -155,11 +150,6 @@ class InferenceServer {
 
   /// add_model with the server config's default batching policy.
   size_t add_model(std::string name, nn::Sequential& model, size_t input_dim,
-                   const data::MinMaxNormalizer* normalizer = nullptr);
-
-  /// Owning add_model: the server keeps the model alive.
-  size_t add_model(std::string name, nn::Sequential&& model, size_t input_dim,
-                   const ModelConfig& config,
                    const data::MinMaxNormalizer* normalizer = nullptr);
 
   /// Enqueues one flattened sample for `options.model_id` on

@@ -21,8 +21,7 @@ void ModelBundle::requantize_weights() {
   quantized_weights = std::move(fresh);
 }
 
-size_t ModelRegistry::add(std::string name, nn::Sequential* model,
-                          std::unique_ptr<nn::Sequential> owned, size_t input_dim,
+size_t ModelRegistry::add(std::string name, nn::Sequential* model, size_t input_dim,
                           const ModelConfig& config,
                           const data::MinMaxNormalizer* normalizer) {
   if (model == nullptr) throw std::invalid_argument("ModelRegistry: model must be non-null");
@@ -50,7 +49,6 @@ size_t ModelRegistry::add(std::string name, nn::Sequential* model,
   auto bundle = std::make_unique<ModelBundle>();
   bundle->name = std::move(name);
   bundle->model = model;
-  bundle->owned = std::move(owned);
   bundle->normalizer = normalizer;
   bundle->input_dim = input_dim;
   bundle->config = config;

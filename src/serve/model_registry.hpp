@@ -64,8 +64,7 @@ struct ModelConfig {
 /// (LaneStats / ModelStats snapshot shapes live in serve/metrics.hpp.)
 struct ModelBundle {
   std::string name;
-  nn::Sequential* model = nullptr;           ///< the network serving this bundle
-  std::unique_ptr<nn::Sequential> owned;     ///< set when the bundle owns it
+  nn::Sequential* model = nullptr;           ///< the network, caller-owned
   const data::MinMaxNormalizer* normalizer = nullptr;  ///< optional, caller-owned
   size_t input_dim = 0;                      ///< flattened sample width
   ModelConfig config;
@@ -103,9 +102,8 @@ class ModelRegistry {
  public:
   /// Registers a bundle and returns its model id (dense, starting at 0).
   /// Validates the config and rejects duplicate names. `model` must outlive
-  /// the registry unless ownership is transferred via `owned`.
-  size_t add(std::string name, nn::Sequential* model,
-             std::unique_ptr<nn::Sequential> owned, size_t input_dim,
+  /// the registry.
+  size_t add(std::string name, nn::Sequential* model, size_t input_dim,
              const ModelConfig& config, const data::MinMaxNormalizer* normalizer);
 
   /// The bundle for `id`, or nullptr when out of range. The pointer is

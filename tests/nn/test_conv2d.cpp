@@ -80,6 +80,7 @@ struct ConvCase {
 class ConvSweep : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvSweep, MatchesDirectReference) {
+  ExecutionContext ctx;
   const auto& cc = GetParam();
   Conv2DConfig cfg;
   cfg.in_channels = cc.in_ch;
@@ -93,7 +94,7 @@ TEST_P(ConvSweep, MatchesDirectReference) {
   Tensor x({2, cc.in_ch, cc.h, cc.w});
   for (size_t i = 0; i < x.size(); ++i) x[i] = rng.uniform(-1, 1);
 
-  Tensor y = conv.forward(x, false);
+  Tensor y = conv.forward(ctx, x, false);
   auto ref = conv_reference(x, conv.weight(), conv.bias(), cfg);
   ASSERT_EQ(y.size(), ref.size());
   for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(y[i], ref[i], 1e-10) << i;
@@ -115,16 +116,18 @@ TEST(Conv2D, SamePaddingPreservesSpatialDims) {
 }
 
 TEST(Conv2D, RejectsWrongChannelCount) {
+  ExecutionContext ctx;
   Conv2DConfig cfg;
   cfg.in_channels = 3;
   Rng rng(84);
   Conv2D conv(cfg, rng);
   Tensor x({1, 2, 8, 8});
-  EXPECT_THROW(conv.forward(x, false), std::invalid_argument);
+  EXPECT_THROW(conv.forward(ctx, x, false), std::invalid_argument);
   EXPECT_THROW(conv.output_shape({1, 2, 8, 8}), std::invalid_argument);
 }
 
 TEST(Conv2D, BiasAddsPerChannel) {
+  ExecutionContext ctx;
   Conv2DConfig cfg;
   cfg.in_channels = 1;
   cfg.out_channels = 2;
@@ -134,12 +137,13 @@ TEST(Conv2D, BiasAddsPerChannel) {
   conv.weight().fill(0.0);
   conv.bias().vec() = {1.5, -2.5};
   Tensor x({1, 1, 2, 2});
-  Tensor y = conv.forward(x, false);
+  Tensor y = conv.forward(ctx, x, false);
   EXPECT_DOUBLE_EQ(y.at4(0, 0, 0, 0), 1.5);
   EXPECT_DOUBLE_EQ(y.at4(0, 1, 1, 1), -2.5);
 }
 
 TEST(Conv2D, BackwardGradientShapes) {
+  ExecutionContext ctx;
   Conv2DConfig cfg;
   cfg.in_channels = 2;
   cfg.out_channels = 3;
@@ -147,10 +151,10 @@ TEST(Conv2D, BackwardGradientShapes) {
   Conv2D conv(cfg, rng);
   Tensor x({2, 2, 8, 8});
   for (size_t i = 0; i < x.size(); ++i) x[i] = rng.uniform(-1, 1);
-  Tensor y = conv.forward(x, true);
+  Tensor y = conv.forward(ctx, x, true);
   Tensor g(y.shape());
   g.fill(1.0);
-  Tensor gin = conv.backward(g);
+  Tensor gin = conv.backward(ctx, g);
   EXPECT_EQ(gin.shape(), x.shape());
   // Bias grad = sum over batch and spatial = 2*8*8 = 128 per channel.
   auto params = conv.params();

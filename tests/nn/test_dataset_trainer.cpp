@@ -149,6 +149,7 @@ TEST(Trainer, EarlyStoppingHaltsOnPlateau) {
 }
 
 TEST(Trainer, EvaluateMatchesManualMetrics) {
+  ExecutionContext ctx;
   Rng rng(122);
   Sequential model;
   model.add(std::make_unique<Dense>(2, 2, rng, true));
@@ -157,7 +158,7 @@ TEST(Trainer, EvaluateMatchesManualMetrics) {
   EXPECT_EQ(m.samples, 40u);
   // Cross-check against a full-batch manual computation.
   auto [x, y] = data.all();
-  Tensor pred = model.predict(x);
+  Tensor pred = model.predict(ctx, x);
   EXPECT_NEAR(m.mae, mae_metric(pred, y), 1e-12);
   EXPECT_NEAR(m.max_error, max_error_metric(pred, y), 1e-12);
   EXPECT_NEAR(m.mse, mse_metric(pred, y), 1e-12);

@@ -106,6 +106,7 @@ TEST(Adam, ConvergesOnQuadratic) {
 
 TEST(Training, SmallMlpLearnsLinearMap) {
   // End-to-end sanity: a 1-hidden-layer MLP fits y = A x with Adam.
+  ExecutionContext ctx;
   Rng rng(101);
   Sequential model;
   model.add(std::make_unique<Dense>(2, 16, rng));
@@ -123,10 +124,10 @@ TEST(Training, SmallMlpLearnsLinearMap) {
       x.at2(b, 1) = rng.uniform(-1, 1);
       y.at2(b, 0) = 0.7 * x.at2(b, 0) - 0.3 * x.at2(b, 1);
     }
-    Tensor pred = model.forward(x, true);
+    Tensor pred = model.forward(ctx, x, true);
     final_loss = loss.forward(pred, y);
     model.zero_grad();
-    model.backward(loss.backward());
+    model.backward(ctx, loss.backward());
     adam.step(model.params());
   }
   EXPECT_LT(final_loss, 1e-3);

@@ -24,28 +24,30 @@ Tensor random_tensor(std::vector<size_t> shape, uint64_t seed) {
 
 TEST(ResidualDense, ZeroWeightsActAsIdentity) {
   // With both sub-layers zeroed, the block is exactly the skip connection.
+  ExecutionContext ctx;
   ResidualDense block(4, 8);
   block.inner().weight().fill(0.0);
   block.inner().bias().fill(0.0);
   block.outer().weight().fill(0.0);
   block.outer().bias().fill(0.0);
   Tensor x = random_tensor({3, 4}, 141);
-  Tensor y = block.forward(x, false);
+  Tensor y = block.forward(ctx, x, false);
   ASSERT_TRUE(y.same_shape(x));
   for (size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(y[i], x[i]);
 }
 
 TEST(ResidualDense, SkipPassesGradientThrough) {
   // With zero weights the backward pass is also the identity.
+  ExecutionContext ctx;
   ResidualDense block(4, 8);
   block.inner().weight().fill(0.0);
   block.inner().bias().fill(0.0);
   block.outer().weight().fill(0.0);
   block.outer().bias().fill(0.0);
   Tensor x = random_tensor({2, 4}, 142);
-  block.forward(x, true);
+  block.forward(ctx, x, true);
   Tensor g = random_tensor({2, 4}, 143);
-  Tensor gin = block.backward(g);
+  Tensor gin = block.backward(ctx, g);
   for (size_t i = 0; i < g.size(); ++i) EXPECT_DOUBLE_EQ(gin[i], g[i]);
 }
 
@@ -71,10 +73,11 @@ TEST(ResidualDense, ParamNamesAndShapes) {
 }
 
 TEST(ResidualDense, RejectsBadShapes) {
+  ExecutionContext ctx;
   Rng rng(148);
   ResidualDense block(4, 4, rng);
   Tensor bad({2, 5});
-  EXPECT_THROW(block.forward(bad, false), std::invalid_argument);
+  EXPECT_THROW(block.forward(ctx, bad, false), std::invalid_argument);
   EXPECT_THROW(block.output_shape({2, 5}), std::invalid_argument);
   EXPECT_THROW(ResidualDense(0, 4), std::invalid_argument);
 }
@@ -92,6 +95,7 @@ TEST(ResMlp, BuildsAndPreservesShapes) {
 }
 
 TEST(ResMlp, SerializeRoundTrip) {
+  ExecutionContext ctx;
   ResMlpSpec spec;
   spec.input_dim = 16;
   spec.output_dim = 4;
@@ -99,18 +103,19 @@ TEST(ResMlp, SerializeRoundTrip) {
   spec.blocks = 2;
   Sequential model = build_resmlp(spec);
   Tensor x = random_tensor({2, 16}, 149);
-  Tensor before = model.predict(x);
+  Tensor before = model.predict(ctx, x);
 
   const std::string path = testing::TempDir() + "/dlpic_resmlp.bin";
   model.save(path);
   Sequential loaded = Sequential::load_file(path);
-  Tensor after = loaded.predict(x);
+  Tensor after = loaded.predict(ctx, x);
   for (size_t i = 0; i < before.size(); ++i) EXPECT_DOUBLE_EQ(before[i], after[i]);
   std::remove(path.c_str());
 }
 
 TEST(ResMlp, TrainsOnLinearTarget) {
   // The residual trunk must be able to fit a simple linear map.
+  ExecutionContext ctx;
   ResMlpSpec spec;
   spec.input_dim = 2;
   spec.output_dim = 1;
@@ -129,10 +134,10 @@ TEST(ResMlp, TrainsOnLinearTarget) {
       x.at2(b, 1) = rng.uniform(-1, 1);
       y.at2(b, 0) = 0.4 * x.at2(b, 0) - 0.9 * x.at2(b, 1);
     }
-    Tensor pred = model.forward(x, true);
+    Tensor pred = model.forward(ctx, x, true);
     final_loss = loss.forward(pred, y);
     model.zero_grad();
-    model.backward(loss.backward());
+    model.backward(ctx, loss.backward());
     adam.step(model.params());
   }
   EXPECT_LT(final_loss, 1e-3);

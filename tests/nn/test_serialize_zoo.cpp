@@ -25,18 +25,19 @@ Tensor random_tensor(std::vector<size_t> shape, uint64_t seed) {
 }
 
 TEST(Serialize, MlpRoundTripPredictsIdentically) {
+  ExecutionContext ctx;
   MlpSpec spec;
   spec.input_dim = 16;
   spec.output_dim = 4;
   spec.hidden = 8;
   Sequential model = build_mlp(spec);
   Tensor x = random_tensor({3, 16}, 131);
-  Tensor before = model.predict(x);
+  Tensor before = model.predict(ctx, x);
 
   const std::string path = testing::TempDir() + "/dlpic_mlp.bin";
   model.save(path);
   Sequential loaded = Sequential::load_file(path);
-  Tensor after = loaded.predict(x);
+  Tensor after = loaded.predict(ctx, x);
 
   ASSERT_TRUE(before.same_shape(after));
   for (size_t i = 0; i < before.size(); ++i) EXPECT_DOUBLE_EQ(before[i], after[i]);
@@ -44,6 +45,7 @@ TEST(Serialize, MlpRoundTripPredictsIdentically) {
 }
 
 TEST(Serialize, CnnRoundTripPredictsIdentically) {
+  ExecutionContext ctx;
   CnnSpec spec;
   spec.input_h = 8;
   spec.input_w = 8;
@@ -53,12 +55,12 @@ TEST(Serialize, CnnRoundTripPredictsIdentically) {
   spec.hidden = 8;
   Sequential model = build_cnn(spec);
   Tensor x = random_tensor({2, 64}, 132);
-  Tensor before = model.predict(x);
+  Tensor before = model.predict(ctx, x);
 
   const std::string path = testing::TempDir() + "/dlpic_cnn.bin";
   model.save(path);
   Sequential loaded = Sequential::load_file(path);
-  Tensor after = loaded.predict(x);
+  Tensor after = loaded.predict(ctx, x);
 
   ASSERT_TRUE(before.same_shape(after));
   for (size_t i = 0; i < before.size(); ++i) EXPECT_DOUBLE_EQ(before[i], after[i]);
@@ -152,21 +154,23 @@ TEST(ModelZoo, CnnRejectsIndivisibleInput) {
 }
 
 TEST(ModelZoo, MlpForwardBackwardRunsAtReducedScale) {
+  ExecutionContext ctx;
   MlpSpec spec;
   spec.input_dim = 32;
   spec.output_dim = 8;
   spec.hidden = 16;
   Sequential model = build_mlp(spec);
   Tensor x = random_tensor({4, 32}, 133);
-  Tensor y = model.forward(x, true);
+  Tensor y = model.forward(ctx, x, true);
   EXPECT_EQ(y.shape(), (std::vector<size_t>{4, 8}));
   Tensor g(y.shape());
   g.fill(0.1);
-  Tensor gin = model.backward(g);
+  Tensor gin = model.backward(ctx, g);
   EXPECT_EQ(gin.shape(), x.shape());
 }
 
 TEST(ModelZoo, DeterministicGivenSeed) {
+  ExecutionContext ctx;
   MlpSpec spec;
   spec.input_dim = 8;
   spec.output_dim = 2;
@@ -174,16 +178,17 @@ TEST(ModelZoo, DeterministicGivenSeed) {
   Sequential a = build_mlp(spec);
   Sequential b = build_mlp(spec);
   Tensor x = random_tensor({2, 8}, 134);
-  Tensor ya = a.predict(x);
-  Tensor yb = b.predict(x);
+  Tensor ya = a.predict(ctx, x);
+  Tensor yb = b.predict(ctx, x);
   for (size_t i = 0; i < ya.size(); ++i) EXPECT_DOUBLE_EQ(ya[i], yb[i]);
 }
 
 TEST(Sequential, EmptyModelThrows) {
+  ExecutionContext ctx;
   Sequential model;
   Tensor x({1, 1});
-  EXPECT_THROW(model.forward(x, false), std::runtime_error);
-  EXPECT_THROW(model.backward(x), std::runtime_error);
+  EXPECT_THROW(model.forward(ctx, x, false), std::runtime_error);
+  EXPECT_THROW(model.backward(ctx, x), std::runtime_error);
   EXPECT_THROW(model.add(nullptr), std::invalid_argument);
 }
 

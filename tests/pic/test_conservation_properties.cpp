@@ -45,7 +45,6 @@ INSTANTIATE_TEST_SUITE_P(
                       ConservationCase{Shape::CIC, "spectral"},
                       ConservationCase{Shape::TSC, "spectral"},
                       ConservationCase{Shape::CIC, "tridiag"},
-                      ConservationCase{Shape::CIC, "cg"},
                       ConservationCase{Shape::TSC, "tridiag"}));
 
 // The discrete self-force identity behind momentum conservation: with E

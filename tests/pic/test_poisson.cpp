@@ -47,7 +47,7 @@ INSTANTIATE_TEST_SUITE_P(
     SolversAndModes, PoissonSolvers,
     ::testing::Values(PoissonCase{"spectral", 1}, PoissonCase{"spectral", 5},
                       PoissonCase{"spectral-discrete", 1}, PoissonCase{"tridiag", 1},
-                      PoissonCase{"tridiag", 3}, PoissonCase{"cg", 1}, PoissonCase{"cg", 4}));
+                      PoissonCase{"tridiag", 3}));
 
 TEST(Poisson, AllSolversAgreeOnRandomDensity) {
   const size_t n = 64;
@@ -56,16 +56,12 @@ TEST(Poisson, AllSolversAgreeOnRandomDensity) {
   for (size_t i = 0; i < n; ++i)
     rho[i] = std::sin(3.0 * g.node_position(i)) + 0.3 * std::cos(9.0 * g.node_position(i));
 
-  // The FD-based solvers (tridiag, cg, spectral-discrete) solve the same
+  // The FD-based solvers (tridiag, spectral-discrete) solve the same
   // discrete operator and must agree to solver tolerance.
-  std::vector<double> phi_td, phi_cg, phi_sd;
+  std::vector<double> phi_td, phi_sd;
   TridiagPoisson().solve(g, rho, phi_td);
-  ConjugateGradientPoisson(1e-14).solve(g, rho, phi_cg);
   SpectralPoisson(/*discrete_k2=*/true).solve(g, rho, phi_sd);
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(phi_td[i], phi_cg[i], 1e-9);
-    EXPECT_NEAR(phi_td[i], phi_sd[i], 1e-9);
-  }
+  for (size_t i = 0; i < n; ++i) EXPECT_NEAR(phi_td[i], phi_sd[i], 1e-9);
 }
 
 TEST(Poisson, GaugeIsZeroMean) {
@@ -73,7 +69,7 @@ TEST(Poisson, GaugeIsZeroMean) {
   Grid1D g(n, 1.7);
   std::vector<double> rho(n);
   for (size_t i = 0; i < n; ++i) rho[i] = std::sin(g.mode_wavenumber(2) * g.node_position(i));
-  for (const char* name : {"spectral", "spectral-discrete", "tridiag", "cg"}) {
+  for (const char* name : {"spectral", "spectral-discrete", "tridiag"}) {
     std::vector<double> phi;
     make_poisson_solver(name)->solve(g, rho, phi);
     double mean = 0.0;
@@ -87,7 +83,7 @@ TEST(Poisson, ConstantDensityGivesZeroField) {
   const size_t n = 32;
   Grid1D g(n, 1.0);
   std::vector<double> rho(n, 4.2), phi;
-  for (const char* name : {"spectral", "tridiag", "cg"}) {
+  for (const char* name : {"spectral", "tridiag"}) {
     make_poisson_solver(name)->solve(g, rho, phi);
     for (double p : phi) EXPECT_NEAR(p, 0.0, 1e-10) << name;
   }
@@ -102,18 +98,6 @@ TEST(Poisson, SizeMismatchThrows) {
   std::vector<double> rho(8, 0.0), phi;
   EXPECT_THROW(SpectralPoisson().solve(g, rho, phi), std::invalid_argument);
   EXPECT_THROW(TridiagPoisson().solve(g, rho, phi), std::invalid_argument);
-  EXPECT_THROW(ConjugateGradientPoisson().solve(g, rho, phi), std::invalid_argument);
-}
-
-TEST(Poisson, CgReportsIterations) {
-  const size_t n = 64;
-  Grid1D g(n, 1.0);
-  std::vector<double> rho(n), phi;
-  for (size_t i = 0; i < n; ++i) rho[i] = std::cos(g.mode_wavenumber(1) * g.node_position(i));
-  ConjugateGradientPoisson cg;
-  cg.solve(g, rho, phi);
-  EXPECT_GT(cg.last_iterations(), 0u);
-  EXPECT_LE(cg.last_iterations(), n + 2);  // CG converges in <= n iterations
 }
 
 TEST(Poisson, ResidualOfFdSolversIsSmall) {
@@ -128,7 +112,7 @@ TEST(Poisson, ResidualOfFdSolversIsSmall) {
   for (double r : rho) mean += r;
   mean /= n;
 
-  for (const char* name : {"tridiag", "cg", "spectral-discrete"}) {
+  for (const char* name : {"tridiag", "spectral-discrete"}) {
     std::vector<double> phi;
     make_poisson_solver(name)->solve(g, rho, phi);
     const double inv_dx2 = 1.0 / (g.dx() * g.dx());

@@ -5,9 +5,10 @@
 /// models), priority lanes and per-request deadlines (expired requests fail
 /// with DeadlineExpired and never buy a forward pass) — graceful shutdown
 /// serves every in-flight request, and the max_wait window flushes partial
-/// batches. Also covers the DlFieldSolver serving-backed modes (private
-/// server and shared multi-solver registration) against the synchronous
-/// path. The adversarial saturation soak lives in test_serving_stress.cpp.
+/// batches. Also covers DlFieldSolver bundles registered on a server (one
+/// solver, and several on one shared server) against the solver's
+/// synchronous path. The adversarial saturation soak lives in
+/// test_serving_stress.cpp.
 
 #include <gtest/gtest.h>
 
@@ -172,14 +173,15 @@ TEST(InferenceServer, RejectsIncompatibleModelUpFront) {
   EXPECT_THROW(InferenceServer(model, kInputDim + 1), std::invalid_argument);
 }
 
-TEST(InferenceServer, OwningConstructorServes) {
+TEST(InferenceServer, ZeroWaitServesImmediately) {
   auto samples = make_samples(2, 777);
   auto reference_model = make_model(42);
   const auto expected = serial_reference(reference_model, samples);
 
   ServerConfig cfg;
   cfg.max_wait_us = 0;  // serve immediately
-  InferenceServer server(make_model(42), kInputDim, cfg);
+  auto model = make_model(42);
+  InferenceServer server(model, kInputDim, cfg);
   for (size_t i = 0; i < samples.size(); ++i)
     EXPECT_EQ(server.submit(samples[i]).get(), expected[i]);
 }
@@ -203,37 +205,26 @@ TEST(InferenceServer, ManySerialWorkersStayBitwiseExact) {
   for (size_t i = 0; i < futures.size(); ++i) EXPECT_EQ(futures[i].get(), expected[i]);
 }
 
-TEST(DlFieldSolverServing, AsyncMatchesSyncBitwise) {
+TEST(DlFieldSolverServing, ServedMatchesSolveHistogramBitwise) {
+  // A solver's model + normalizer registered on a server like any other
+  // bundle: served results must match the solver's own synchronous path.
   phase_space::BinnerConfig bc;
   bc.nx = 8;
   bc.nv = 8;
   core::DlFieldSolver solver(make_model(11), data::MinMaxNormalizer(0.0, 100.0), bc);
-
-  math::Rng rng(5);
-  std::vector<std::vector<double>> histograms(12);
-  for (auto& h : histograms) {
-    h.resize(bc.nx * bc.nv);
-    for (auto& v : h) v = rng.uniform(0.0, 100.0);
-  }
+  const auto histograms = make_samples(12, 5);
   std::vector<std::vector<double>> expected;
   for (const auto& h : histograms) expected.push_back(solver.solve_histogram(h));
-
-  EXPECT_THROW((void)solver.solve_async(histograms[0]), std::runtime_error);
 
   serve::ServerConfig cfg;
   cfg.max_batch = 4;
   cfg.max_wait_us = 10'000;
-  auto& server = solver.start_serving(cfg);
-  EXPECT_TRUE(solver.serving());
+  serve::InferenceServer server(solver.model(), bc.nx * bc.nv, cfg, &solver.normalizer());
 
   std::vector<std::future<std::vector<double>>> futures;
-  for (const auto& h : histograms) futures.push_back(solver.solve_async(h));
+  for (const auto& h : histograms) futures.push_back(server.submit(h));
   for (size_t i = 0; i < futures.size(); ++i) EXPECT_EQ(futures[i].get(), expected[i]);
   EXPECT_GE(server.stats().requests, histograms.size());
-
-  solver.stop_serving();
-  EXPECT_FALSE(solver.serving());
-  EXPECT_THROW((void)solver.solve_async(histograms[0]), std::runtime_error);
 }
 
 TEST(DynamicBatcher, PaddingIsBitwiseNeutral) {
@@ -433,20 +424,14 @@ TEST(InferenceServer, AddModelWhileServingBecomesServable) {
 }
 
 TEST(DlFieldSolverServing, SharedServerHostsSeveralSolvers) {
-  // Two field-solver bundles behind ONE server/worker pool: each solver's
-  // async path must match its own synchronous path bitwise.
+  // Two field-solver bundles behind ONE server/worker pool: each bundle's
+  // served results must match its own solver's synchronous path bitwise.
   phase_space::BinnerConfig bc;
   bc.nx = 8;
   bc.nv = 8;
   core::DlFieldSolver solver_a(make_model(51, 16), data::MinMaxNormalizer(0.0, 100.0), bc);
   core::DlFieldSolver solver_b(make_model(52, 24), data::MinMaxNormalizer(0.0, 50.0), bc);
-
-  math::Rng rng(9);
-  std::vector<std::vector<double>> histograms(10);
-  for (auto& h : histograms) {
-    h.resize(bc.nx * bc.nv);
-    for (auto& v : h) v = rng.uniform(0.0, 100.0);
-  }
+  const auto histograms = make_samples(10, 9);
   std::vector<std::vector<double>> expected_a, expected_b;
   for (const auto& h : histograms) {
     expected_a.push_back(solver_a.solve_histogram(h));
@@ -459,17 +444,21 @@ TEST(DlFieldSolverServing, SharedServerHostsSeveralSolvers) {
   serve::ModelConfig mc;
   mc.max_batch = 4;
   mc.max_wait_us = 2'000;
-  const size_t id_a = solver_a.start_serving(server, "solver-a", mc);
-  const size_t id_b = solver_b.start_serving(server, "solver-b", mc);
+  const size_t dim = bc.nx * bc.nv;
+  const size_t id_a =
+      server.add_model("solver-a", solver_a.model(), dim, mc, &solver_a.normalizer());
+  const size_t id_b =
+      server.add_model("solver-b", solver_b.model(), dim, mc, &solver_b.normalizer());
   ASSERT_NE(id_a, id_b);
-  EXPECT_TRUE(solver_a.serving());
-  EXPECT_EQ(solver_a.server(), &server);
-  EXPECT_EQ(solver_a.serving_model_id(), id_a);
 
+  serve::SubmitOptions to_a, to_b;
+  to_a.model_id = id_a;
+  to_a.priority = serve::Priority::kInteractive;
+  to_b.model_id = id_b;
   std::vector<std::future<std::vector<double>>> futures_a, futures_b;
   for (const auto& h : histograms) {
-    futures_a.push_back(solver_a.solve_async(h, serve::Priority::kInteractive));
-    futures_b.push_back(solver_b.solve_async(h));
+    futures_a.push_back(server.submit(h, to_a));
+    futures_b.push_back(server.submit(h, to_b));
   }
   for (size_t i = 0; i < histograms.size(); ++i) {
     EXPECT_EQ(futures_a[i].get(), expected_a[i]) << "solver a, histogram " << i;
@@ -477,28 +466,6 @@ TEST(DlFieldSolverServing, SharedServerHostsSeveralSolvers) {
   }
   EXPECT_EQ(server.model_stats(id_a).served, histograms.size());
   EXPECT_EQ(server.model_stats(id_b).served, histograms.size());
-
-  // Detaching drops the routing but leaves the bundle servable.
-  solver_a.stop_serving();
-  EXPECT_FALSE(solver_a.serving());
-  EXPECT_THROW((void)solver_a.solve_async(histograms[0]), std::runtime_error);
-  serve::SubmitOptions direct;
-  direct.model_id = id_a;
-  EXPECT_EQ(server.submit(histograms[0], direct).get(), expected_a[0]);
-}
-
-TEST(DlFieldSolverServing, SpeciesOverloadMatchesSolve) {
-  phase_space::BinnerConfig bc;
-  bc.nx = 8;
-  bc.nv = 8;
-  core::DlFieldSolver solver(make_model(13), data::MinMaxNormalizer(0.0, 10.0), bc);
-  pic::Species s("e", -1.0, 1.0);
-  math::Rng rng(17);
-  for (int i = 0; i < 500; ++i) s.add(rng.uniform(0.0, bc.length), rng.uniform(-0.5, 0.5));
-  const auto expected = solver.solve(s);
-
-  solver.start_serving();
-  EXPECT_EQ(solver.solve_async(s).get(), expected);
 }
 
 // ---------------------------------------------------------------------------
