@@ -119,13 +119,15 @@ void bench_dense_forward(benchmark::State& state) {
 // {in, out, batch, occupancy %}: a dense forward at the DL-PIC field
 // solve's batch-1 shapes and at serving's small batches (batch <= 32 reads
 // the weights in place through the skinny NT GEMM path) against a
-// packed-path batch. Occupancy is the share
-// of the input's 4-wide groups that hold a nonzero value, spread evenly;
-// the rest are all zero, as in a sparse phase-space histogram, and the
-// skinny path skips their weights. GBps is the weight bytes of the layer
-// per second, whatever the kernel read: at batch 1 and 100% the forward is
-// one pass over the weights, below 100% it is an effective rate.
-void bench_dense_forward_skinny(benchmark::State& state) {
+// packed-path batch. Occupancy is the share of the input's 4-wide groups
+// that hold a nonzero value; the rest are all zero, as in a sparse
+// phase-space histogram, and the skinny path skips their weights. The plain
+// rows spread single groups evenly; the `runs` rows keep whole 64-value
+// runs (16 groups), the way a histogram's occupied velocity rows sit in the
+// input. GBps is the weight bytes of the layer per second, whatever the
+// kernel read: at batch 1 and 100% the forward is one pass over the
+// weights, below 100% it is an effective rate.
+void dense_forward_skinny(benchmark::State& state, size_t run_groups) {
   nn::ExecutionContext ctx;
   const size_t in = static_cast<size_t>(state.range(0));
   const size_t out = static_cast<size_t>(state.range(1));
@@ -135,8 +137,8 @@ void bench_dense_forward_skinny(benchmark::State& state) {
   nn::Dense layer(in, out, rng);
   auto x = random_tensor({batch, in}, 7);
   for (size_t i = 0; i < x.size(); ++i) {
-    const size_t group = (i % in) / 4;  // one in 100 / percent groups stays
-    if (group * percent % 100 >= percent) x[i] = 0.0;
+    const size_t run = (i % in) / (4 * run_groups);  // one in 100 / percent stays
+    if (run * percent % 100 >= percent) x[i] = 0.0;
   }
   for (auto _ : state) {
     auto y = layer.forward(ctx, x, false);
@@ -146,6 +148,8 @@ void bench_dense_forward_skinny(benchmark::State& state) {
       static_cast<double>(in * out * sizeof(double)) * 1e-9,
       benchmark::Counter::kIsIterationInvariantRate);
 }
+
+void bench_dense_forward_skinny(benchmark::State& state) { dense_forward_skinny(state, 1); }
 
 void bench_dense_backward(benchmark::State& state) {
   nn::ExecutionContext ctx;
@@ -366,6 +370,12 @@ BENCHMARK(bench_dense_forward_skinny)  // {in, out, batch, occupancy %}
     ->Args({1024, 128, 4, 16})
     ->Args({1024, 128, 16, 16})
     ->UseRealTime();
+[[maybe_unused]] benchmark::internal::Benchmark* const kDenseForwardSkinnyRuns =
+    benchmark::RegisterBenchmark("bench_dense_forward_skinny/runs",
+                                 [](benchmark::State& s) { dense_forward_skinny(s, 16); })
+        ->Args({4096, 1024, 1, 3})
+        ->Args({4096, 1024, 1, 16})
+        ->UseRealTime();
 BENCHMARK(bench_dense_backward)->Arg(128)->Arg(1024);
 BENCHMARK(bench_conv_forward)->Arg(16)->Arg(32);
 BENCHMARK(bench_mlp_inference_ci);

@@ -1,7 +1,8 @@
 /// \file bench_micro_pic.cpp
 /// Micro-benchmarks of the PIC substrate kernels (ablation A3): charge
 /// deposition and field gather per shape order, leap-frog push, Poisson
-/// solvers across grid sizes, and phase-space binning per order.
+/// solvers across grid sizes, and phase-space binning per order (NGP also
+/// per backend).
 ///
 /// The particle kernels take a second argument — the worker cap for
 /// dlpic::util parallel loops (1 = the serial reference path, 0 = all
@@ -208,9 +209,13 @@ void bench_binner(benchmark::State& state, phase_space::BinningOrder order) {
     benchmark::DoNotOptimize(hist.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+  state.counters["ns_per_particle_step"] = benchjson::ns_per_item(species.size());
 }
 
+/// {particles, backend}: NGP binning is a backend kernel.
 void bench_binner_ngp(benchmark::State& s) {
+  benchjson::BackendGuard backend(s, 1);
+  if (!backend.run(s)) return;
   bench_binner(s, phase_space::BinningOrder::NGP);
 }
 void bench_binner_cic(benchmark::State& s) {
@@ -244,7 +249,7 @@ DLPIC_THREAD_SWEEP(bench_particle_phase);
 BENCHMARK(bench_sort_by_cell)->Arg(64000);
 BENCHMARK(bench_poisson_spectral)->Arg(64)->Arg(1024);
 BENCHMARK(bench_poisson_tridiag)->Arg(64)->Arg(1024);
-BENCHMARK(bench_binner_ngp)->Arg(64000);
+BENCHMARK(bench_binner_ngp)->Args({64000, 0})->Args({64000, 1});
 BENCHMARK(bench_binner_cic)->Arg(64000);
 
 DLPIC_BENCHMARK_MAIN("micro_pic");

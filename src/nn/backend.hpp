@@ -2,8 +2,8 @@
 /// \file backend.hpp
 /// Pluggable compute-kernel backend: one vtable of hot inner loops shared by
 /// the whole execution stack (math/linalg GEMM micro-kernel, the elementwise
-/// nn layer/optimizer/loss kernels, and the PIC gather/deposit/leapfrog
-/// ranges). Three implementations ship: a portable scalar backend
+/// nn layer/optimizer/loss kernels, the PIC gather/deposit/leapfrog ranges
+/// and NGP phase-space binning). Three implementations ship: a portable scalar backend
 /// (backend_scalar.*), an AVX2+FMA backend (backend_avx2.*) and an AVX-512
 /// VNNI backend (backend_avx512.*) — the SIMD files are compiled with
 /// per-file target flags on x86-64 and selected at runtime via cpuid.
@@ -95,6 +95,12 @@ class KernelBackend {
   /// weights are checked finite; the B of a Conv2D weight gradient (the
   /// im2col of the activations) and weights that change in training are
   /// not.
+  /// The AVX2 kernel tests each group once per call: when fewer than half
+  /// of the kb / 4 groups are nonzero in some row (a sparse histogram
+  /// input), every stream of B rows walks that list of groups and
+  /// prefetches the next stream's lines at the listed offsets; denser
+  /// blocks re-test each group per stream. Both skip the same groups, so
+  /// the choice changes no bit.
   virtual void gemm_nt_block(size_t mr, size_t nb, size_t kb, const double* a,
                              const double* B, size_t ldb, double* C, size_t ldc) const;
 
@@ -231,6 +237,36 @@ class KernelBackend {
   [[nodiscard]] virtual PicStaggerFn pic_stagger(int shape) const = 0;
   [[nodiscard]] virtual PicLeapfrogFn pic_leapfrog(int shape) const = 0;
   [[nodiscard]] virtual PicDepositFn pic_deposit(int shape) const = 0;
+
+  // ----------------------------------------------- phase-space binning ----
+  /// Geometry of a row-major [nv x nx] phase-space histogram over x in
+  /// [0, length) and v in [vmin, vmax]. inv_dx and inv_dv are the caller's
+  /// 1 / (length / nx) and 1 / ((vmax - vmin) / nv), so every backend bins
+  /// with the same rounded bin widths.
+  struct PhaseSpaceGrid {
+    size_t nx;
+    size_t nv;
+    double length;
+    double vmin;
+    double vmax;
+    double inv_dx;
+    double inv_dv;
+  };
+
+  /// NGP phase-space binning of particles [0, n) into `hist` (nv * nx
+  /// entries, not cleared): per particle, x wraps with pic::wrap_periodic,
+  /// v outside [vmin, vmax] (±inf included) is clamped to the edge and
+  /// counted, and hist[iv * nx + ix] += 1.0 in ascending particle order,
+  /// with ix = trunc(x * inv_dx) and iv = trunc((v - vmin) * inv_dv), each
+  /// capped at its last bin. Returns the count of clamped particles. A
+  /// particle whose v is NaN, or whose wrapped x is not finite, throws
+  /// std::invalid_argument naming its index; the particles before it are
+  /// already binned. Counts are small integers, so every backend produces
+  /// the same histogram and count bit for bit.
+  using BinNgpFn = size_t (*)(const PhaseSpaceGrid& grid, const double* x, const double* v,
+                              size_t n, double* hist);
+
+  [[nodiscard]] virtual BinNgpFn bin_ngp() const = 0;
 };
 
 /// The portable scalar backend (always available).

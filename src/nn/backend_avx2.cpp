@@ -4,7 +4,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
 #include "nn/backend_scalar.hpp"
 
@@ -172,6 +174,56 @@ void deposit_range_avx2(double* buf, const double* x, size_t lo, size_t hi,
   backend_detail::deposit_range<S>(buf, x, p, hi, inv_dx, ncells, value);
 }
 
+/// NGP phase-space binning, four particles per step. A group whose x are
+/// all in [0, length) (ordered compares: NaN is out) and whose v are not
+/// NaN computes its bins with the scalar formulas: the v clamp is min/max
+/// plus a count of the out-of-range lanes (±inf clamps like any other
+/// out-of-range v), the bin indices truncate and cap at the last bin, and
+/// the lanes add 1.0 in ascending order. Any other group, and the tail, run
+/// the scalar reference, which wraps x and applies the non-finite rule, so
+/// the histogram, the clamp count and any exception match the scalar
+/// backend exactly.
+size_t bin_ngp_avx2(const KernelBackend::PhaseSpaceGrid& g, const double* x,
+                    const double* v, size_t n, double* hist) {
+  // Bin indices are int32 lanes.
+  if (g.nx * g.nv > static_cast<size_t>(INT32_MAX))
+    return backend_detail::bin_ngp_range(g, x, v, 0, n, hist);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d len = _mm256_set1_pd(g.length);
+  const __m256d vmin = _mm256_set1_pd(g.vmin);
+  const __m256d vmax = _mm256_set1_pd(g.vmax);
+  const __m256d inv_dx = _mm256_set1_pd(g.inv_dx);
+  const __m256d inv_dv = _mm256_set1_pd(g.inv_dv);
+  const __m128i last_ix = _mm_set1_epi32(static_cast<int>(g.nx - 1));
+  const __m128i last_iv = _mm_set1_epi32(static_cast<int>(g.nv - 1));
+  const __m128i nx = _mm_set1_epi32(static_cast<int>(g.nx));
+  size_t clamped = 0;
+  size_t p = 0;
+  for (; p + 4 <= n; p += 4) {
+    const __m256d xv = _mm256_loadu_pd(x + p);
+    const __m256d vv = _mm256_loadu_pd(v + p);
+    const __m256d in_box = _mm256_and_pd(_mm256_cmp_pd(xv, zero, _CMP_GE_OQ),
+                                         _mm256_cmp_pd(xv, len, _CMP_LT_OQ));
+    const __m256d nan_v = _mm256_cmp_pd(vv, vv, _CMP_UNORD_Q);
+    if (_mm256_movemask_pd(in_box) != 0xF || _mm256_movemask_pd(nan_v) != 0) {
+      clamped += backend_detail::bin_ngp_range(g, x, v, p, p + 4, hist);
+      continue;
+    }
+    const __m256d out = _mm256_or_pd(_mm256_cmp_pd(vv, vmin, _CMP_LT_OQ),
+                                     _mm256_cmp_pd(vv, vmax, _CMP_GT_OQ));
+    clamped += static_cast<size_t>(__builtin_popcount(_mm256_movemask_pd(out)));
+    const __m256d vp = _mm256_min_pd(_mm256_max_pd(vv, vmin), vmax);
+    const __m128i ix = _mm_min_epi32(_mm256_cvttpd_epi32(_mm256_mul_pd(xv, inv_dx)), last_ix);
+    const __m128i iv = _mm_min_epi32(
+        _mm256_cvttpd_epi32(_mm256_mul_pd(_mm256_sub_pd(vp, vmin), inv_dv)), last_iv);
+    alignas(16) int32_t idx[4];
+    _mm_store_si128(reinterpret_cast<__m128i*>(idx),
+                    _mm_add_epi32(_mm_mullo_epi32(iv, nx), ix));
+    for (int lane = 0; lane < 4; ++lane) hist[idx[lane]] += 1.0;
+  }
+  return clamped + backend_detail::bin_ngp_range(g, x, v, p, n, hist);
+}
+
 // ---------------------------------------------------------------------------
 // Interleaved-complex FFT building blocks. One __m256d holds two complexes
 // [r0 i0 r1 i1]. Stage strides (half = len/2, q = len/4) are powers of two,
@@ -286,24 +338,20 @@ inline void transpose4x4(__m256d r0, __m256d r1, __m256d r2, __m256d r3, __m256d
 /// skipped) is skipped without loading its B columns: for finite b,
 /// fmadd(±0, b, c) equals c as a real number, so c can differ from the
 /// unskipped sequence only in the sign of a zero, which C += c erases
-/// unless C is −0 (see KernelBackend::gemm_nt_block). At MR = 1 this is
-/// the single-row kernel instruction for instruction.
+/// unless C is −0 (see KernelBackend::gemm_nt_block).
 template <int MR, int G>
-inline void gemm_nt_groups(size_t kb, const double* a, const double* B, size_t ldb,
-                           double* C, size_t ldc) {
+struct NtStreams {
   const double* b[4 * G];
-  for (int r = 0; r < 4 * G; ++r) b[r] = B + static_cast<size_t>(r) * ldb;
   __m256d c[MR][G];
-  for (int i = 0; i < MR; ++i)
-    for (int g = 0; g < G; ++g) c[i][g] = _mm256_setzero_pd();
-  const __m256d zero = _mm256_setzero_pd();
-  size_t p = 0;
-  for (; p + 4 <= kb; p += 4) {
-    int nonzero = 0;
+
+  NtStreams(const double* B, size_t ldb) {
+    for (int r = 0; r < 4 * G; ++r) b[r] = B + static_cast<size_t>(r) * ldb;
     for (int i = 0; i < MR; ++i)
-      nonzero |= _mm256_movemask_pd(
-          _mm256_cmp_pd(_mm256_loadu_pd(a + i * kb + p), zero, _CMP_NEQ_UQ));
-    if (nonzero == 0) continue;
+      for (int g = 0; g < G; ++g) c[i][g] = _mm256_setzero_pd();
+  }
+
+  /// The fmadd terms of the 4-group at k offset p.
+  inline void group(size_t kb, const double* a, size_t p) {
     __m256d col[G][4];
     for (int g = 0; g < G; ++g)
       transpose4x4(_mm256_loadu_pd(b[4 * g] + p), _mm256_loadu_pd(b[4 * g + 1] + p),
@@ -316,29 +364,99 @@ inline void gemm_nt_groups(size_t kb, const double* a, const double* B, size_t l
       }
     }
   }
-  for (; p < kb; ++p) {
+
+  /// The k tail after the last whole group (never skipped), then C += c.
+  inline void finish(size_t kb, const double* a, double* C, size_t ldc) {
+    for (size_t p = kb & ~size_t{3}; p < kb; ++p) {
+      for (int i = 0; i < MR; ++i) {
+        const __m256d av = _mm256_set1_pd(a[i * kb + p]);
+        for (int g = 0; g < G; ++g)
+          c[i][g] = _mm256_fmadd_pd(
+              av, _mm256_set_pd(b[4 * g + 3][p], b[4 * g + 2][p], b[4 * g + 1][p], b[4 * g][p]),
+              c[i][g]);
+      }
+    }
     for (int i = 0; i < MR; ++i) {
-      const __m256d av = _mm256_set1_pd(a[i * kb + p]);
+      double* ci = C + i * ldc;
       for (int g = 0; g < G; ++g)
-        c[i][g] = _mm256_fmadd_pd(
-            av, _mm256_set_pd(b[4 * g + 3][p], b[4 * g + 2][p], b[4 * g + 1][p], b[4 * g][p]),
-            c[i][g]);
+        _mm256_storeu_pd(ci + 4 * g, _mm256_add_pd(_mm256_loadu_pd(ci + 4 * g), c[i][g]));
     }
   }
-  for (int i = 0; i < MR; ++i) {
-    double* ci = C + i * ldc;
-    for (int g = 0; g < G; ++g)
-      _mm256_storeu_pd(ci + 4 * g, _mm256_add_pd(_mm256_loadu_pd(ci + 4 * g), c[i][g]));
-  }
+};
+
+/// Mask of the lanes of the 4-group at k offset p that are nonzero (or
+/// NaN) in any of the MR rows.
+template <int MR>
+inline int nonzero_lanes(size_t kb, const double* a, size_t p) {
+  const __m256d zero = _mm256_setzero_pd();
+  int nonzero = 0;
+  for (int i = 0; i < MR; ++i)
+    nonzero |= _mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(a + i * kb + p), zero, _CMP_NEQ_UQ));
+  return nonzero;
 }
 
+/// Dense k-blocks: every stream re-tests each group.
+template <int MR, int G>
+inline void gemm_nt_groups(size_t kb, const double* a, const double* B, size_t ldb,
+                           double* C, size_t ldc) {
+  NtStreams<MR, G> s(B, ldb);
+  for (size_t p = 0; p + 4 <= kb; p += 4)
+    if (nonzero_lanes<MR>(kb, a, p) != 0) s.group(kb, a, p);
+  s.finish(kb, a, C, ldc);
+}
+
+/// Sparse k-blocks: the stream walks the listed groups only, and prefetches
+/// the listed offsets of the first `next_rows` B rows after its own, which
+/// the next stream reads.
+template <int MR, int G>
+inline void gemm_nt_listed(size_t kb, const double* a, const uint16_t* list, size_t count,
+                           const double* B, size_t ldb, size_t next_rows, double* C,
+                           size_t ldc) {
+  NtStreams<MR, G> s(B, ldb);
+  const double* next = next_rows > 0 ? B + 4 * G * ldb : nullptr;
+  for (size_t t = 0; t < count; ++t) {
+    const size_t p = list[t];
+    for (size_t r = 0; r < next_rows; ++r)
+      _mm_prefetch(reinterpret_cast<const char*>(next + r * ldb + p), _MM_HINT_T0);
+    s.group(kb, a, p);
+  }
+  s.finish(kb, a, C, ldc);
+}
+
+/// Most 4-groups a k-block lists (math::gemm's k-blocks are 256 deep).
+constexpr size_t kMaxListedGroups = 64;
+
 /// The fmadd lanes of gemm_nt_block for one row count: the first nb & ~3
-/// columns, 8 row streams of B at a time, then 4.
+/// columns, 8 row streams of B at a time, then 4. The k-block's nonzero
+/// groups are listed once; when fewer than half are nonzero every stream
+/// walks that list, else each stream re-tests every group (walking a list
+/// over dense input measured slower). Both run the same groups in the same
+/// order.
 template <int MR>
 void gemm_nt_rows(size_t nb, size_t kb, const double* a, const double* B, size_t ldb,
                   double* C, size_t ldc) {
   const size_t nb4 = nb & ~size_t{3};
+  const size_t groups = kb / 4;
+  uint16_t list[kMaxListedGroups] = {};
+  size_t count = 0;
+  // Listing stops as soon as half of the groups are nonzero.
+  bool sparse = groups > 0 && groups <= kMaxListedGroups;
+  for (size_t p = 0; sparse && p + 4 <= kb; p += 4) {
+    list[count] = static_cast<uint16_t>(p);
+    count += nonzero_lanes<MR>(kb, a, p) != 0;
+    sparse = 2 * count < groups;
+  }
   size_t j = 0;
+  if (sparse) {
+    for (; j + 8 <= nb4; j += 8)
+      gemm_nt_listed<MR, 2>(kb, a, list, count, B + j * ldb, ldb,
+                            std::min<size_t>(8, nb4 - j - 8), C + j, ldc);
+    for (; j < nb4; j += 4)
+      gemm_nt_listed<MR, 1>(kb, a, list, count, B + j * ldb, ldb,
+                            std::min<size_t>(4, nb4 - j - 4), C + j, ldc);
+    return;
+  }
   for (; j + 8 <= nb4; j += 8) gemm_nt_groups<MR, 2>(kb, a, B + j * ldb, ldb, C + j, ldc);
   for (; j < nb4; j += 4) gemm_nt_groups<MR, 1>(kb, a, B + j * ldb, ldb, C + j, ldc);
 }
@@ -855,6 +973,8 @@ class Avx2Backend final : public ScalarBackend {
       default: return &deposit_range_avx2<TscStencil, pic::Shape::TSC>;
     }
   }
+
+  [[nodiscard]] BinNgpFn bin_ngp() const override { return &bin_ngp_avx2; }
 };
 
 }  // namespace

@@ -244,6 +244,7 @@ class Avx512VnniBackend final : public KernelBackend {
   [[nodiscard]] PicDepositFn pic_deposit(int shape) const override {
     return base_.pic_deposit(shape);
   }
+  [[nodiscard]] BinNgpFn bin_ngp() const override { return base_.bin_ngp(); }
 
  private:
   const KernelBackend& base_;

@@ -1,6 +1,51 @@
 #include "nn/backend_scalar.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 namespace dlpic::nn {
+
+namespace backend_detail {
+
+size_t bin_ngp_range(const KernelBackend::PhaseSpaceGrid& g, const double* x,
+                     const double* v, size_t lo, size_t hi, double* hist) {
+  size_t clamped = 0;
+  for (size_t p = lo; p < hi; ++p) {
+    // Periodic wrap in x. The mover already wraps into [0, length), so
+    // wrap_periodic's in-box fast path returns almost every x unchanged.
+    const double xp = pic::wrap_periodic(x[p], g.length);
+    double vp = v[p];
+    if (!std::isfinite(xp) || std::isnan(vp))
+      throw std::invalid_argument("phase-space binning: particle " + std::to_string(p) +
+                                  " has a non-finite position or a NaN velocity");
+    // Clamp in v (velocity axis is not periodic).
+    if (vp < g.vmin || vp > g.vmax) {
+      ++clamped;
+      vp = std::min(std::max(vp, g.vmin), g.vmax);
+    }
+    const double xi = xp * g.inv_dx;             // in [0, nx)
+    const double vi = (vp - g.vmin) * g.inv_dv;  // in [0, nv]
+    size_t ix = static_cast<size_t>(xi);
+    if (ix >= g.nx) ix = g.nx - 1;
+    size_t iv = static_cast<size_t>(vi);
+    if (iv >= g.nv) iv = g.nv - 1;  // v == vmax lands in the top bin
+    hist[iv * g.nx + ix] += 1.0;
+  }
+  return clamped;
+}
+
+namespace {
+
+size_t bin_ngp(const KernelBackend::PhaseSpaceGrid& g, const double* x, const double* v,
+               size_t n, double* hist) {
+  return bin_ngp_range(g, x, v, 0, n, hist);
+}
+
+}  // namespace
+
+}  // namespace backend_detail
 
 // The 4x4 register-tile micro-kernel previously private to math::gemm. The
 // k-order per output element is ascending p, matching every other backend.
@@ -106,6 +151,8 @@ KernelBackend::PicDepositFn ScalarBackend::pic_deposit(int shape) const {
     default: return &backend_detail::deposit_range<pic::Shape::TSC>;
   }
 }
+
+KernelBackend::BinNgpFn ScalarBackend::bin_ngp() const { return &backend_detail::bin_ngp; }
 
 const KernelBackend& scalar_backend() {
   static const ScalarBackend backend;

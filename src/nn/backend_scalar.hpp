@@ -50,6 +50,13 @@ void deposit_range(double* buf, const double* x, size_t lo, size_t hi, double in
     pic::scatter_at<S>(buf, x[p] * inv_dx, ncells, value);
 }
 
+/// NGP phase-space binning of particles [lo, hi) (KernelBackend::bin_ngp's
+/// contract); returns the clamp count. The vector backends run their
+/// out-of-box and non-finite lanes through it. Defined out of line in
+/// backend_scalar.cpp, which is compiled without SIMD target flags.
+size_t bin_ngp_range(const KernelBackend::PhaseSpaceGrid& g, const double* x,
+                     const double* v, size_t lo, size_t hi, double* hist);
+
 }  // namespace backend_detail
 
 /// Portable reference backend: blocked 4x4 register-tile GEMM micro-kernel
@@ -71,6 +78,7 @@ class ScalarBackend : public KernelBackend {
   [[nodiscard]] PicStaggerFn pic_stagger(int shape) const override;
   [[nodiscard]] PicLeapfrogFn pic_leapfrog(int shape) const override;
   [[nodiscard]] PicDepositFn pic_deposit(int shape) const override;
+  [[nodiscard]] BinNgpFn bin_ngp() const override;
 };
 
 }  // namespace dlpic::nn

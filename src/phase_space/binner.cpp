@@ -1,7 +1,9 @@
 #include "phase_space/binner.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "pic/grid.hpp"
 
@@ -14,8 +16,10 @@ PhaseSpaceBinner::PhaseSpaceBinner(const BinnerConfig& config) : config_(config)
     throw std::invalid_argument("PhaseSpaceBinner: length must be positive");
   if (!(config.vmax > config.vmin))
     throw std::invalid_argument("PhaseSpaceBinner: vmax must exceed vmin");
-  dx_bin_ = config.length / static_cast<double>(config.nx);
-  dv_bin_ = (config.vmax - config.vmin) / static_cast<double>(config.nv);
+  const double dx_bin = config.length / static_cast<double>(config.nx);
+  const double dv_bin = (config.vmax - config.vmin) / static_cast<double>(config.nv);
+  grid_ = {config.nx, config.nv, config.length, config.vmin, config.vmax, 1.0 / dx_bin,
+           1.0 / dv_bin};
 }
 
 std::vector<double> PhaseSpaceBinner::bin(const pic::Species& species) const {
@@ -30,49 +34,41 @@ std::vector<double> PhaseSpaceBinner::bin(const std::vector<double>& x,
   std::vector<double> hist(nx * nv, 0.0);
   clamped_ = 0;
 
-  const double inv_dx = 1.0 / dx_bin_;
-  const double inv_dv = 1.0 / dv_bin_;
+  if (config_.order == BinningOrder::NGP) {
+    clamped_ = nn::active_backend().bin_ngp()(grid_, x.data(), v.data(), x.size(), hist.data());
+    return hist;
+  }
 
+  // CIC: bilinear weights over the 4 surrounding bin centers. x wraps
+  // periodically; v weights are clamped at the boundary rows.
   for (size_t p = 0; p < x.size(); ++p) {
-    // Periodic wrap in x. The mover already wraps into [0, length), so
-    // wrap_periodic's in-box fast path returns almost every x unchanged.
     const double xp = pic::wrap_periodic(x[p], config_.length);
-    // Clamp in v (velocity axis is not periodic).
     double vp = v[p];
+    if (!std::isfinite(xp) || std::isnan(vp))
+      throw std::invalid_argument("phase-space binning: particle " + std::to_string(p) +
+                                  " has a non-finite position or a NaN velocity");
     if (vp < config_.vmin || vp > config_.vmax) {
       ++clamped_;
       vp = std::min(std::max(vp, config_.vmin), config_.vmax);
     }
-    const double xi = xp * inv_dx;                    // in [0, nx)
-    const double vi = (vp - config_.vmin) * inv_dv;   // in [0, nv]
-
-    if (config_.order == BinningOrder::NGP) {
-      size_t ix = static_cast<size_t>(xi);
-      if (ix >= nx) ix = nx - 1;
-      size_t iv = static_cast<size_t>(vi);
-      if (iv >= nv) iv = nv - 1;  // v == vmax lands in the top bin
-      hist[iv * nx + ix] += 1.0;
-    } else {
-      // CIC: bilinear weights over the 4 surrounding bin centers. x wraps
-      // periodically; v weights are clamped at the boundary rows.
-      const double xc = xi - 0.5;
-      const double vc = vi - 0.5;
-      const long ix0 = static_cast<long>(std::floor(xc));
-      const long iv0 = static_cast<long>(std::floor(vc));
-      const double fx = xc - static_cast<double>(ix0);
-      const double fv = vc - static_cast<double>(iv0);
-      const double wx[2] = {1.0 - fx, fx};
-      const double wv[2] = {1.0 - fv, fv};
-      for (int a = 0; a < 2; ++a) {
-        long iv_idx = iv0 + a;
-        if (iv_idx < 0) iv_idx = 0;
-        if (iv_idx >= static_cast<long>(nv)) iv_idx = static_cast<long>(nv) - 1;
-        for (int b = 0; b < 2; ++b) {
-          long ix_idx = (ix0 + b) % static_cast<long>(nx);
-          if (ix_idx < 0) ix_idx += static_cast<long>(nx);
-          hist[static_cast<size_t>(iv_idx) * nx + static_cast<size_t>(ix_idx)] +=
-              wv[a] * wx[b];
-        }
+    const double xi = xp * grid_.inv_dx;                   // in [0, nx)
+    const double vi = (vp - config_.vmin) * grid_.inv_dv;  // in [0, nv]
+    const double xc = xi - 0.5;
+    const double vc = vi - 0.5;
+    const long ix0 = static_cast<long>(std::floor(xc));
+    const long iv0 = static_cast<long>(std::floor(vc));
+    const double fx = xc - static_cast<double>(ix0);
+    const double fv = vc - static_cast<double>(iv0);
+    const double wx[2] = {1.0 - fx, fx};
+    const double wv[2] = {1.0 - fv, fv};
+    for (int a = 0; a < 2; ++a) {
+      long iv_idx = iv0 + a;
+      if (iv_idx < 0) iv_idx = 0;
+      if (iv_idx >= static_cast<long>(nv)) iv_idx = static_cast<long>(nv) - 1;
+      for (int b = 0; b < 2; ++b) {
+        long ix_idx = (ix0 + b) % static_cast<long>(nx);
+        if (ix_idx < 0) ix_idx += static_cast<long>(nx);
+        hist[static_cast<size_t>(iv_idx) * nx + static_cast<size_t>(ix_idx)] += wv[a] * wx[b];
       }
     }
   }

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "nn/backend.hpp"
 #include "pic/species.hpp"
 
 namespace dlpic::phase_space {
@@ -37,7 +38,10 @@ class PhaseSpaceBinner {
 
   /// Accumulates the histogram of `species`. Particle x is wrapped
   /// periodically; v outside [vmin, vmax] is clamped into the edge bins
-  /// (and counted in clamped_particles()).
+  /// (and counted in clamped_particles()). A particle with a NaN v, or an x
+  /// that is not finite after the wrap, throws std::invalid_argument naming
+  /// its index. NGP binning runs the active backend's bin_ngp kernel
+  /// (nn::KernelBackend); every backend gives the same histogram.
   [[nodiscard]] std::vector<double> bin(const pic::Species& species) const;
 
   /// Histogram from raw coordinate arrays (used by tests and tools).
@@ -56,8 +60,7 @@ class PhaseSpaceBinner {
 
  private:
   BinnerConfig config_;
-  double dx_bin_;
-  double dv_bin_;
+  nn::KernelBackend::PhaseSpaceGrid grid_;
   mutable size_t clamped_ = 0;
 };
 

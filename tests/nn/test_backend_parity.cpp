@@ -28,6 +28,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/quantize.hpp"
 #include "nn/sequential.hpp"
+#include "phase_space/binner.hpp"
 #include "pic/deposit.hpp"
 #include "pic/gather.hpp"
 #include "pic/loader.hpp"
@@ -158,53 +159,6 @@ std::vector<const nn::KernelBackend*> available_backends() {
   return backends;
 }
 
-// The in-place NT path (trans_b, m <= 32: B's rows read in place, A in
-// groups of up to 4 rows) must be bitwise the packed path. The reference is
-// the same product through the untransposed-B packed path on an explicitly
-// transposed W. Row counts cover every 4-row remainder, several groups, the
-// largest in-place m (32) and the first packed m (33). Batches of up to 5
-// rows run the whole shape grid; the 1024 x 4096 weight (the paper MLP's
-// first layer) runs at batch 1 only, and wider batches run only shapes that
-// reach every column and k remainder (8- and 4-column groups, the column
-// tail, a k tail, partial k-blocks), which keeps the suite fast under the
-// thread sanitizer.
-TEST(BackendParity, SkinnyNtGemmBitwiseEqualsPackedPath) {
-  util::ThreadPool::global().resize(4);
-  for (const size_t n : {1, 3, 5, 63, 64, 67, 1024}) {
-    for (const size_t k : {1, 7, 255, 256, 257, 513, 4096}) {
-      const auto W = random_vec(n * k, 1000 + n * 7 + k);  // n x k, rows contiguous in k
-      std::vector<double> Wt(k * n);
-      math::transpose(n, k, W.data(), Wt.data());
-      for (const size_t m : {1, 2, 3, 4, 5, 7, 8, 13, 16, 17, 31, 32, 33}) {
-        if (n * k > (size_t{1} << 20) && m > 1) continue;
-        const bool remainder_shape =
-            (n == 3 || n == 5 || n == 67) && (k == 7 || k == 257 || k == 513);
-        if (m > 5 && !remainder_shape) continue;
-        const auto A = random_vec(m * k, 2000 + m);
-        const auto C0 = random_vec(m * n, 3000 + m);
-        for (const nn::KernelBackend* be : available_backends()) {
-          for (const double alpha : {1.0, 0.7}) {
-            for (const double beta : {0.0, 1.0, 0.3}) {
-              auto packed = C0;
-              gemm_with(be, false, false, m, n, k, alpha, A, Wt, beta, packed);
-              for (const size_t cap : {1, 2, 4}) {
-                util::ScopedMaxWorkers workers(cap);
-                auto skinny = C0;
-                gemm_with(be, false, true, m, n, k, alpha, A, W, beta, skinny);
-                ASSERT_EQ(std::memcmp(skinny.data(), packed.data(), m * n * sizeof(double)),
-                          0)
-                    << be->name() << " m=" << m << " n=" << n << " k=" << k
-                    << " alpha=" << alpha << " beta=" << beta << " cap=" << cap;
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  util::ThreadPool::global().resize(0);
-}
-
 // Bit-for-bit equality that also holds for NaN outputs.
 bool bitwise_equal(const double* x, const double* y, size_t n) {
   return std::memcmp(x, y, n * sizeof(double)) == 0;
@@ -278,6 +232,116 @@ std::vector<RowCase> sparse_row_cases(size_t m, size_t k, uint64_t seed) {
   return cases;
 }
 
+// Inputs shaped like a phase-space histogram, for the skinny kernel's list
+// of nonzero 4-groups (walked when fewer than half of a k-block's groups
+// are nonzero in some row). Cases are per 256-deep k-block; each starts
+// from an all-zero A and fills the chosen groups from a dense base.
+std::vector<RowCase> histogram_row_cases(size_t m, size_t k, uint64_t seed) {
+  const auto base = random_vec(m * k, seed);
+  std::vector<RowCase> cases;
+  auto add = [&](std::string label, auto&& keep) {
+    std::vector<double> A(m * k, 0.0);
+    for (size_t i = 0; i < m; ++i)
+      for (size_t p = 0; p < k; ++p)
+        if (keep(i, p % 256 / 4, p)) A[i * k + p] = base[i * k + p];
+    cases.push_back({std::move(label), std::move(A)});
+  };
+  // Whole 64-value runs (16 groups, one velocity row of a 64 x 64
+  // histogram): a k-block holds one run (listed) or two (exactly half).
+  add("64-value runs", [](size_t, size_t, size_t p) { return (p / 64) % 3 == 1; });
+  // One group per k-block, at a different offset in each block; each row
+  // holds one lane of it.
+  add("one listed group per k-block", [](size_t i, size_t g, size_t p) {
+    return g == (p / 256 * 7 + 3) % 64 && p % 4 == i % 4;
+  });
+  // The first T groups of every block are nonzero, one lane per row, with
+  // T at half of a full block's 64 groups and one either side.
+  for (const size_t t : {31, 32, 33})
+    add("first " + std::to_string(t) + " groups",
+        [t](size_t i, size_t g, size_t p) { return g < t && p % 4 == (g + i) % 4; });
+  // The list ends at the last whole group and the k tail after it is
+  // nonzero.
+  add("list ends at the k tail", [&](size_t, size_t g, size_t p) {
+    return p >= (k & ~size_t{3}) - 4 || g % 9 == 2;
+  });
+  // A NaN inside a listed group of the last row: only that row's outputs
+  // come out NaN.
+  add("NaN in a listed group", [](size_t, size_t, size_t p) { return (p / 64) % 3 == 1; });
+  for (size_t p = 64; p < k; p += 192) cases.back().A[(m - 1) * k + p + 5] =
+      std::numeric_limits<double>::quiet_NaN();
+  return cases;
+}
+
+// The in-place NT path (trans_b, m <= 32: B's rows read in place, A in
+// groups of up to 4 rows) must be bitwise the packed path. The reference is
+// the same product through the untransposed-B packed path on an explicitly
+// transposed W. Row counts cover every 4-row remainder, several groups, the
+// largest in-place m (32) and the first packed m (33). Batches of up to 5
+// rows run the whole shape grid; the 1024 x 4096 weight (the paper MLP's
+// first layer) runs at batch 1 only, and wider batches run only shapes that
+// reach every column and k remainder (8- and 4-column groups, the column
+// tail, a k tail, partial k-blocks), which keeps the suite fast under the
+// thread sanitizer.
+TEST(BackendParity, SkinnyNtGemmBitwiseEqualsPackedPath) {
+  util::ThreadPool::global().resize(4);
+  for (const size_t n : {1, 3, 5, 63, 64, 67, 1024}) {
+    for (const size_t k : {1, 7, 255, 256, 257, 513, 4096}) {
+      const auto W = random_vec(n * k, 1000 + n * 7 + k);  // n x k, rows contiguous in k
+      std::vector<double> Wt(k * n);
+      math::transpose(n, k, W.data(), Wt.data());
+      for (const size_t m : {1, 2, 3, 4, 5, 7, 8, 13, 16, 17, 31, 32, 33}) {
+        if (n * k > (size_t{1} << 20) && m > 1) continue;
+        const bool remainder_shape =
+            (n == 3 || n == 5 || n == 67) && (k == 7 || k == 257 || k == 513);
+        if (m > 5 && !remainder_shape) continue;
+        const auto A = random_vec(m * k, 2000 + m);
+        const auto C0 = random_vec(m * n, 3000 + m);
+        for (const nn::KernelBackend* be : available_backends()) {
+          for (const double alpha : {1.0, 0.7}) {
+            for (const double beta : {0.0, 1.0, 0.3}) {
+              auto packed = C0;
+              gemm_with(be, false, false, m, n, k, alpha, A, Wt, beta, packed);
+              for (const size_t cap : {1, 2, 4}) {
+                util::ScopedMaxWorkers workers(cap);
+                auto skinny = C0;
+                gemm_with(be, false, true, m, n, k, alpha, A, W, beta, skinny);
+                ASSERT_EQ(std::memcmp(skinny.data(), packed.data(), m * n * sizeof(double)),
+                          0)
+                    << be->name() << " m=" << m << " n=" << n << " k=" << k
+                    << " alpha=" << alpha << " beta=" << beta << " cap=" << cap;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // Histogram-shaped sparsity. n = 79 runs 8- and 4-row streams of B and a
+  // column tail; k = 255 and 511 end in a partial block with a k tail.
+  const size_t n = 79;
+  for (const size_t k : {255, 262, 511, 1024}) {
+    const auto W = random_vec(n * k, 51 + k);
+    std::vector<double> Wt(k * n);
+    math::transpose(n, k, W.data(), Wt.data());
+    for (const size_t m : {1, 2, 3, 4, 5, 8, 16, 32}) {
+      for (const RowCase& rc : histogram_row_cases(m, k, 52)) {
+        for (const nn::KernelBackend* be : available_backends()) {
+          for (const double beta : {0.0, 0.3}) {
+            auto skinny = random_vec(m * n, 53);
+            auto packed = skinny;
+            gemm_with(be, false, true, m, n, k, 1.0, rc.A, W, beta, skinny);
+            gemm_with(be, false, false, m, n, k, 1.0, rc.A, Wt, beta, packed);
+            ASSERT_TRUE(bitwise_equal(skinny.data(), packed.data(), m * n))
+                << be->name() << " " << rc.label << " k=" << k << " m=" << m
+                << " beta=" << beta;
+          }
+        }
+      }
+    }
+  }
+  util::ThreadPool::global().resize(0);
+}
+
 // The in-place path packs a transposed A (k x m) the same way, and skips
 // the same zero groups of the packed rows.
 TEST(BackendParity, SkinnyNtGemmTransposedABitwiseEqualsPackedPath) {
@@ -286,8 +350,10 @@ TEST(BackendParity, SkinnyNtGemmTransposedABitwiseEqualsPackedPath) {
     const auto W = random_vec(n * k, 41);
     std::vector<double> Wt(k * n);
     math::transpose(n, k, W.data(), Wt.data());
-    for (const size_t m : {1, 2, 3, 4, 5, 7, 8, 16}) {
-      for (const RowCase& rc : sparse_row_cases(m, k, 42)) {
+    for (const size_t m : {1, 2, 3, 4, 5, 7, 8, 16, 32}) {
+      auto cases = sparse_row_cases(m, k, 42);
+      for (RowCase& rc : histogram_row_cases(m, k, 44)) cases.push_back(std::move(rc));
+      for (const RowCase& rc : cases) {
         std::vector<double> At(k * m);  // k x m
         math::transpose(m, k, rc.A.data(), At.data());
         for (const nn::KernelBackend* be : available_backends()) {
@@ -303,7 +369,7 @@ TEST(BackendParity, SkinnyNtGemmTransposedABitwiseEqualsPackedPath) {
               if (rc.label == "NaN in zero group") {
                 for (size_t j = 0; j < n; ++j) ASSERT_TRUE(std::isnan(skinny[j])) << j;
               }
-              if (rc.label == kNanOneRowCase) {
+              if (rc.label == kNanOneRowCase || rc.label == "NaN in a listed group") {
                 for (size_t i = 0; i < m; ++i)
                   for (size_t j = 0; j < n; ++j)
                     ASSERT_EQ(std::isnan(skinny[i * n + j]), i == m - 1)
@@ -735,6 +801,75 @@ TEST(BackendParity, PicGatherLeapfrogDepositBitwisePerShape) {
       EXPECT_TRUE(same_bits(std::get<3>(scalar), std::get<3>(vec))) << "rho, " << what;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// NGP phase-space binning: the histogram and the clamp count are bitwise
+// identical on every backend.
+
+struct Binned {
+  std::vector<double> hist;
+  size_t clamped;
+};
+
+Binned bin_on(const nn::KernelBackend* be, const phase_space::PhaseSpaceBinner& binner,
+              const std::vector<double>& x, const std::vector<double>& v) {
+  nn::ScopedBackend scope(be);
+  Binned b{binner.bin(x, v), 0};
+  b.clamped = binner.clamped_particles();
+  return b;
+}
+
+void expect_bins_match(const phase_space::PhaseSpaceBinner& binner,
+                       const std::vector<double>& x, const std::vector<double>& v,
+                       const std::string& label) {
+  const Binned ref = bin_on(&nn::scalar_backend(), binner, x, v);
+  EXPECT_EQ(phase_space::PhaseSpaceBinner::total_count(ref.hist), static_cast<double>(x.size()))
+      << label;
+  for (const nn::KernelBackend* be : available_backends()) {
+    const Binned got = bin_on(be, binner, x, v);
+    EXPECT_TRUE(same_bits(ref.hist, got.hist)) << be->name() << " " << label;
+    EXPECT_EQ(ref.clamped, got.clamped) << be->name() << " " << label;
+  }
+}
+
+TEST(BackendParity, BinNgpBitwiseAcrossBackends) {
+  const phase_space::BinnerConfig bc;  // the paper's 64 x 64 grid
+  const phase_space::PhaseSpaceBinner binner(bc);
+  const double L = bc.length;
+  const double inf = std::numeric_limits<double>::infinity();
+  // One edge value in each of lanes 0-3 of the first group and in the two
+  // tail particles; the other particles sit well inside both axes.
+  auto each_lane = [&](const char* axis, double value) {
+    for (size_t lane = 0; lane < 6; ++lane) {
+      std::vector<double> x{0.3, 0.9, 1.4, 1.9, 0.1, 1.2};
+      std::vector<double> v{0.1, -0.2, 0.3, -0.4, 0.05, -0.05};
+      (axis[0] == 'x' ? x : v)[lane] = value;
+      expect_bins_match(binner, x, v,
+                        std::string(axis) + "=" + std::to_string(value) + " lane " +
+                            std::to_string(lane));
+    }
+  };
+  for (const double x : {0.0, std::nextafter(L, 0.0), L, -1e-18, 2.0 * L + 0.25}) each_lane("x", x);
+  for (const double v : {bc.vmin, bc.vmax, std::nextafter(bc.vmin, -inf),
+                         std::nextafter(bc.vmax, inf), -inf, inf})
+    each_lane("v", v);
+  // A group of four with every lane clamped, beside an in-range tail.
+  expect_bins_match(binner, {0.2, 0.4, 0.6, 0.8, 1.0}, {-0.7, 0.7, -5.0, 5.0, 0.0},
+                    "four clamped lanes");
+  // n = 0..9 covers every tail length after zero, one and two groups.
+  math::Rng rng(31);
+  for (size_t n = 0; n <= 9; ++n) {
+    std::vector<double> x(n), v(n);
+    for (size_t p = 0; p < n; ++p) {
+      x[p] = rng.uniform(0.0, L);
+      v[p] = rng.uniform(-0.8, 0.8);  // some beyond [vmin, vmax]
+    }
+    expect_bins_match(binner, x, v, "n=" + std::to_string(n));
+  }
+  // A 64k two-stream species on the paper grid.
+  const auto species = parity_species(pic::Grid1D(64, L), 64000);
+  expect_bins_match(binner, species.x(), species.v(), "64k two-stream");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "math/rng.hpp"
+#include "nn/backend.hpp"
 #include "phase_space/binner.hpp"
 
 namespace {
@@ -100,6 +104,48 @@ TEST_P(BinnerOrders, WrapMatchesFmodFormulaBitwise) {
     EXPECT_EQ(b.bin({xs[i]}, {v}), b.bin({wrapped.back()}, {v})) << "x=" << xs[i];
   }
   EXPECT_EQ(b.bin(xs, vs), b.bin(wrapped, vs));
+}
+
+// A particle with a NaN v, or an x that is not finite after the wrap,
+// throws std::invalid_argument naming its index, on every backend; ±inf in
+// v clamps like any other out-of-range v. The bad value sits in each lane
+// of the first group of four and in both tail particles.
+TEST_P(BinnerOrders, NonFiniteParticleRuleOnEveryBackend) {
+  PhaseSpaceBinner b(small_config(GetParam()));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<const dlpic::nn::KernelBackend*> backends{&dlpic::nn::scalar_backend()};
+  if (const auto* be = dlpic::nn::avx2_backend()) backends.push_back(be);
+  if (const auto* be = dlpic::nn::avx512_backend()) backends.push_back(be);
+  for (const auto* be : backends) {
+    dlpic::nn::ScopedBackend scope(be);
+    for (size_t lane = 0; lane < 6; ++lane) {
+      for (const double bad : {nan, inf, -inf}) {
+        const std::string where = std::string(be->name()) + " lane " + std::to_string(lane) +
+                                  " value " + std::to_string(bad);
+        std::vector<double> x{0.3, 0.9, 1.4, 1.9, 0.1, 1.2};
+        std::vector<double> v{0.1, -0.2, 0.3, -0.4, 0.05, -0.05};
+        x[lane] = bad;
+        try {
+          (void)b.bin(x, v);
+          ADD_FAILURE() << "x: no throw, " << where;
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find("particle " + std::to_string(lane) + " "),
+                    std::string::npos)
+              << e.what() << ", " << where;
+        }
+        x[lane] = 0.5;
+        v[lane] = bad;
+        if (std::isnan(bad)) {
+          EXPECT_THROW((void)b.bin(x, v), std::invalid_argument) << "v, " << where;
+        } else {
+          const auto h = b.bin(x, v);
+          EXPECT_EQ(b.clamped_particles(), 1u) << where;
+          EXPECT_NEAR(PhaseSpaceBinner::total_count(h), 6.0, 1e-12) << where;
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Orders, BinnerOrders,
