@@ -43,9 +43,6 @@ class DlFieldSolver {
   /// activations every cycle.
   [[nodiscard]] std::vector<double> solve_histogram(const std::vector<double>& histogram);
 
-  /// The solver's reusable inference context.
-  [[nodiscard]] nn::ExecutionContext& context() { return ctx_; }
-
   [[nodiscard]] const phase_space::BinnerConfig& binner_config() const {
     return binner_.config();
   }

@@ -9,52 +9,29 @@
 #include <memory>
 
 #include "core/dl_field_solver.hpp"
-#include "pic/history.hpp"
 #include "pic/simulation.hpp"
 
 namespace dlpic::core {
 
-/// DL-based PIC simulation driver; mirrors pic::TraditionalPic so that the
-/// two methods are directly comparable in experiments.
-class DlPicSimulation {
+/// DL-based PIC simulation: the shared pic::PicLoop with the DL field
+/// stage, so the two methods are directly comparable in experiments.
+class DlPicSimulation : public pic::PicLoop<DlPicSimulation> {
  public:
-  /// Loads particles per `config` (geometry/beams/seed/dt/shape are used;
-  /// the `solver` field is ignored) and computes the initial field with the
-  /// DL solver. The solver's binner box must match the simulation box, and
-  /// the model output size must equal the grid cell count.
+  /// Loads particles per `config` and computes the initial field with the
+  /// DL solver. The `solver`, `spectral_efield` and `sort_interval` fields
+  /// are ignored: DL-PIC keeps the particles in load order. The solver's
+  /// binner box must match the simulation box, and the model output size
+  /// must equal the grid cell count.
   DlPicSimulation(const pic::SimulationConfig& config, std::shared_ptr<DlFieldSolver> solver);
 
-  /// One DL-PIC cycle: gather E -> leap-frog push -> bin phase space ->
-  /// DL field inference; records diagnostics.
-  void step();
-
-  /// Runs `n` steps (default: configured nsteps remaining).
-  void run(size_t n = 0);
-
-  using Observer = std::function<void(const DlPicSimulation&)>;
-  void set_observer(Observer obs) { observer_ = std::move(obs); }
-
-  [[nodiscard]] const pic::Grid1D& grid() const { return grid_; }
-  [[nodiscard]] const pic::Species& electrons() const { return electrons_; }
-  [[nodiscard]] const std::vector<double>& efield() const { return E_; }
-  [[nodiscard]] const pic::History& history() const { return history_; }
-  [[nodiscard]] double time() const { return time_; }
-  [[nodiscard]] size_t steps_taken() const { return steps_taken_; }
-  [[nodiscard]] const pic::SimulationConfig& config() const { return config_; }
   [[nodiscard]] DlFieldSolver& field_solver() { return *solver_; }
 
  private:
-  void solve_field();
+  friend class pic::PicLoop<DlPicSimulation>;
+  /// Bin phase space -> normalize -> one network inference.
+  void solve_field(std::vector<double>& E) { E = solver_->solve(electrons_); }
 
-  pic::SimulationConfig config_;
-  pic::Grid1D grid_;
-  pic::Species electrons_;
   std::shared_ptr<DlFieldSolver> solver_;
-  std::vector<double> E_;
-  pic::History history_;
-  double time_ = 0.0;
-  size_t steps_taken_ = 0;
-  Observer observer_;
 };
 
 }  // namespace dlpic::core

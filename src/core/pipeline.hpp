@@ -52,10 +52,6 @@ class Pipeline {
   [[nodiscard]] const Preset& preset() const { return preset_; }
   [[nodiscard]] const std::string& artifacts_dir() const { return artifacts_dir_; }
 
-  /// The pipeline-wide execution context: one workspace reused across
-  /// dataset generation, training and evaluation of every architecture.
-  [[nodiscard]] nn::ExecutionContext& context() { return ctx_; }
-
   /// Path helpers (exposed for tooling/tests).
   [[nodiscard]] std::string dataset_path() const;
   [[nodiscard]] std::string test2_path() const;

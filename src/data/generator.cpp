@@ -26,10 +26,6 @@ void DatasetGenerator::generate_run(double v0, double vth, uint64_t run_seed, si
   cfg.beams.vth = vth;
   cfg.seed = run_seed;
   cfg.nsteps = steps;
-  // Inside a serial-pinned sweep run the simulation must not touch the
-  // process-global worker cap (other runs execute concurrently); the pin
-  // already forces every inner loop serial.
-  if (util::in_serial_scope()) cfg.nthreads = 0;
 
   phase_space::PhaseSpaceBinner binner(config_.binner);
   pic::TraditionalPic sim(cfg);

@@ -1,79 +1,30 @@
 #include "pic/simulation.hpp"
 
-#include <stdexcept>
-
 #include "pic/deposit.hpp"
 #include "pic/efield.hpp"
-#include "pic/gather.hpp"
-#include "pic/mover.hpp"
-#include "pic/sorter.hpp"
-#include "util/parallel.hpp"
 
 namespace dlpic::pic {
 
 TraditionalPic::TraditionalPic(const SimulationConfig& config)
-    : config_(config),
-      grid_(config.ncells, config.length),
-      electrons_("electrons", -1.0, 1.0),  // placeholder, replaced below
-      solver_(make_poisson_solver(config.solver)) {
-  if (config.dt <= 0.0) throw std::invalid_argument("TraditionalPic: dt must be positive");
-  // Per-run worker cap, scoped so one simulation's setting cannot leak into
-  // other work in the process (training GEMMs, other sims).
-  util::ScopedMaxWorkers workers(config.nthreads);
-
-  math::Rng rng(config.seed);
-  electrons_ = load_two_stream(grid_, config.total_particles(), config.beams, rng);
-
+    : PicLoop(config), solver_(make_poisson_solver(config.solver)) {
   // Uniform neutralizing background: cancels the mean electron density
   // (electron charge q = -L/N, so mean rho_e = -1 and background = +1).
   background_ = -electrons_.charge() * static_cast<double>(electrons_.size()) /
                 grid_.length();
-
   rho_ = grid_.make_field();
   phi_ = grid_.make_field();
-  E_ = grid_.make_field();
-  // Room for the initial record plus one per configured step: steady-state
-  // steps then append diagnostics without reallocating.
-  history_.reserve(config_.nsteps + 1);
-
-  solve_field();
-  stagger_velocities_back(grid_, config_.shape, E_, electrons_, config_.dt);
-  history_.record(compute_diagnostics(grid_, electrons_, E_, time_));
-  if (observer_) observer_(*this);
+  start();
 }
 
-void TraditionalPic::solve_field() {
+void TraditionalPic::solve_field(std::vector<double>& E) {
   rho_.assign(grid_.ncells(), 0.0);
   deposit_charge(grid_, config_.shape, electrons_, rho_);
   for (auto& r : rho_) r += background_;
   solver_->solve(grid_, rho_, phi_);
   if (config_.spectral_efield)
-    efield_from_phi_spectral(grid_, phi_, E_);
+    efield_from_phi_spectral(grid_, phi_, E);
   else
-    efield_from_phi(grid_, phi_, E_);
-}
-
-void TraditionalPic::step() {
-  util::ScopedMaxWorkers workers(config_.nthreads);
-  // Periodic cache-locality restore: particles drift apart in memory as the
-  // instability mixes phase space; a counting sort keeps gather/deposit
-  // accesses near-sequential. Done before the push so the sorted order is
-  // what the hot loops see.
-  if (config_.sort_interval > 0 && steps_taken_ > 0 &&
-      steps_taken_ % config_.sort_interval == 0)
-    sort_by_cell(grid_, electrons_);
-  leapfrog_step(grid_, config_.shape, E_, electrons_, config_.dt);
-  solve_field();
-  time_ += config_.dt;
-  ++steps_taken_;
-  history_.record(compute_diagnostics(grid_, electrons_, E_, time_));
-  if (observer_) observer_(*this);
-}
-
-void TraditionalPic::run(size_t n) {
-  const size_t todo = (n == 0) ? (config_.nsteps > steps_taken_ ? config_.nsteps - steps_taken_ : 0)
-                               : n;
-  for (size_t i = 0; i < todo; ++i) step();
+    efield_from_phi(grid_, phi_, E);
 }
 
 }  // namespace dlpic::pic

@@ -42,8 +42,6 @@ size_t max_workers() {
 
 void set_max_workers(size_t n) { g_max_workers.store(n, std::memory_order_relaxed); }
 
-bool in_serial_scope() { return t_serial_depth > 0; }
-
 ScopedSerialExecution::ScopedSerialExecution() { ++t_serial_depth; }
 ScopedSerialExecution::~ScopedSerialExecution() { --t_serial_depth; }
 

@@ -30,15 +30,12 @@ size_t parallel_workers();
 
 /// Caps the partition width for subsequent parallel loops. 0 restores the
 /// default (DLPIC_THREADS environment variable, else hardware concurrency).
-/// Process-global; intended for startup plumbing (SimulationConfig) and for
-/// serial/parallel comparisons in tests and benches.
+/// Process-global; intended for startup plumbing and for serial/parallel
+/// comparisons in tests and benches.
 void set_max_workers(size_t n);
 
 /// The currently configured cap (0 = automatic).
 size_t max_workers();
-
-/// True when the calling thread is inside a ScopedSerialExecution region.
-bool in_serial_scope();
 
 /// RAII thread-local width override: parallel loops issued by the calling
 /// thread partition at most `n` wide for the scope's lifetime (0 = no-op,

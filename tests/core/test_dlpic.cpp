@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/dl_field_solver.hpp"
@@ -97,6 +98,29 @@ TEST(DlPic, RejectsBadConstruction) {
                std::invalid_argument);
 }
 
+// nthreads caps the parallel width of the stepping thread only: the
+// observer runs at width 3, while a thread it starts still sees the
+// process-wide setting.
+TEST(DlPic, WorkerCapStaysOnTheSteppingThread) {
+  util::ScopedMaxWorkers process_cap(1);
+  const size_t caller = util::max_workers();
+  auto cfg = small_sim();
+  cfg.nthreads = 3;
+  phase_space::BinnerConfig bc;
+  bc.nx = 16;
+  bc.nv = 16;
+  DlPicSimulation sim(cfg, zero_solver(bc, cfg.ncells));
+  size_t stepping = 0, other = 0;
+  sim.set_observer([&](const DlPicSimulation&) {
+    stepping = util::parallel_workers();
+    std::thread([&other] { other = util::max_workers(); }).join();
+  });
+  sim.run(2);
+  EXPECT_EQ(stepping, 3u);
+  EXPECT_EQ(other, caller);
+  EXPECT_EQ(util::parallel_workers(), 1u);  // the cap ends with the step
+}
+
 // The particles, field and history of a DL-PIC run with an untrained,
 // seeded MLP, concatenated. The network gives a nonzero field from a sparse
 // phase-space histogram; its 256-wide hidden layers split into four column
@@ -106,9 +130,10 @@ struct DlPicState {
   double max_field = 0.0;
 };
 
-DlPicState run_untrained_mlp(size_t workers) {
+DlPicState run_untrained_mlp(size_t workers, size_t steps = 10, size_t sort_interval = 25) {
   util::ScopedMaxWorkers cap(workers);
   auto cfg = small_sim();
+  cfg.sort_interval = sort_interval;
   phase_space::BinnerConfig bc;
   bc.nx = 32;
   bc.nv = 32;
@@ -118,7 +143,7 @@ DlPicState run_untrained_mlp(size_t workers) {
   spec.hidden = 256;
   DlPicSimulation sim(cfg, std::make_shared<DlFieldSolver>(
                                nn::build_mlp(spec), data::MinMaxNormalizer(0.0, 100.0), bc));
-  sim.run(10);
+  sim.run(steps);
   DlPicState state;
   state.values = sim.electrons().x();
   state.values.insert(state.values.end(), sim.electrons().v().begin(),
@@ -146,6 +171,18 @@ TEST(DlPic, BitwiseInvariantAcrossWorkerCounts) {
         << "workers=" << workers;
   }
   util::ThreadPool::global().resize(0);
+}
+
+// DL-PIC keeps the particles in load order whatever sort_interval says: a
+// run that would sort at step 25 matches one that never sorts, bitwise.
+TEST(DlPic, KeepsParticleOrder) {
+  const DlPicState sorted = run_untrained_mlp(1, 30, 25);
+  const DlPicState unsorted = run_untrained_mlp(1, 30, 0);
+  ASSERT_GT(unsorted.max_field, 0.0);
+  ASSERT_EQ(sorted.values.size(), unsorted.values.size());
+  EXPECT_EQ(std::memcmp(sorted.values.data(), unsorted.values.data(),
+                        unsorted.values.size() * sizeof(double)),
+            0);
 }
 
 // Shared trained solver for the physics tests below (training is the

@@ -56,6 +56,18 @@ TEST(ParallelGenerator, ByteIdenticalAcrossWorkerCounts) {
   expect_byte_identical(d1, d8, "8 workers vs serial");
 }
 
+// A run's own nthreads cap neither widens its serial-pinned inner loops
+// nor touches the process-wide width while runs execute concurrently.
+TEST(ParallelGenerator, RunWorkerCapKeepsRunsSerial) {
+  auto capped = tiny_config();
+  capped.base.nthreads = 3;
+  const auto reference = generate_at_width(tiny_config(), 1);
+  util::ScopedMaxWorkers cap(4);
+  const auto d4 = DatasetGenerator(capped).generate();
+  EXPECT_EQ(util::max_workers(), 4u);
+  expect_byte_identical(reference, d4, "nthreads=3 runs on 4 workers vs serial");
+}
+
 TEST(ParallelGenerator, RunSeedsAreCounterBased) {
   const auto cfg = tiny_config();
   DatasetGenerator gen(cfg);

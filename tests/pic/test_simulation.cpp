@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <numbers>
+#include <thread>
 
 #include "math/stats.hpp"
 #include "pic/simulation.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -61,6 +63,28 @@ TEST(Simulation, ObserverSeesEveryStep) {
   sim.set_observer([&calls](const TraditionalPic&) { ++calls; });
   sim.run();
   EXPECT_EQ(calls, 4u);
+}
+
+// nthreads caps the parallel width of the stepping thread only: the
+// observer runs at width 3, while a thread it starts still sees the
+// process-wide setting.
+TEST(Simulation, WorkerCapStaysOnTheSteppingThread) {
+  namespace util = dlpic::util;
+  util::ScopedMaxWorkers process_cap(1);
+  const size_t caller = util::max_workers();
+  auto cfg = fast_config();
+  cfg.nthreads = 3;
+  cfg.nsteps = 2;
+  TraditionalPic sim(cfg);
+  size_t stepping = 0, other = 0;
+  sim.set_observer([&](const TraditionalPic&) {
+    stepping = util::parallel_workers();
+    std::thread([&other] { other = util::max_workers(); }).join();
+  });
+  sim.run();
+  EXPECT_EQ(stepping, 3u);
+  EXPECT_EQ(other, caller);
+  EXPECT_EQ(util::parallel_workers(), 1u);  // the cap ends with the step
 }
 
 TEST(Simulation, TwoStreamGrowthRateMatchesLinearTheory) {
