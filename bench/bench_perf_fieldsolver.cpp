@@ -4,13 +4,18 @@
 /// solve is deposition + a linear solve. Compares wall time of:
 ///   - full traditional field stage (deposit + Poisson + gradient) per solver
 ///   - DL field stage (phase-space binning + MLP inference)
-/// across grid sizes, using google-benchmark.
+/// across grid sizes, plus the paper-scale bundle load (a DL-PIC run's
+/// setup), using google-benchmark.
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <complex>
+#include <filesystem>
 #include <memory>
 #include <numbers>
+#include <string>
 
 #include "bench_json.hpp"
 #include "core/dl_field_solver.hpp"
@@ -94,6 +99,28 @@ void bench_dl_stage_paper_scale(benchmark::State& state) {
     auto E = solver.solve(species);
     benchmark::DoNotOptimize(E.data());
   }
+}
+
+/// Loading the paper-scale bundle (4096 -> 3x1024 -> 64, ~51 MB): the
+/// setup cost of a DL-PIC run. Saved once; each iteration times only
+/// DlFieldSolver::load, reported as MB/s of bundle read.
+void bench_bundle_load_paper_scale(benchmark::State& state) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("dlpic_bench_bundle_" + std::to_string(::getpid()) + ".bin"))
+                               .string();
+  core::DlFieldSolver(nn::build_mlp(nn::MlpSpec{}), data::MinMaxNormalizer(0.0, 5000.0),
+                      phase_space::BinnerConfig{})
+      .save(path);
+  const double bytes = static_cast<double>(std::filesystem::file_size(path) +
+                                           std::filesystem::file_size(path + ".model"));
+  for (auto _ : state) {
+    auto solver = core::DlFieldSolver::load(path);
+    benchmark::DoNotOptimize(&solver);
+  }
+  state.counters["MB_per_s"] =
+      benchmark::Counter(bytes * 1e-6, benchmark::Counter::kIsIterationInvariantRate);
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".model");
 }
 
 void bench_spectral(benchmark::State& s) { bench_traditional_stage(s, "spectral"); }
@@ -194,6 +221,7 @@ BENCHMARK(bench_spectral)->Arg(64)->Arg(256)->Arg(1000)->Arg(1024);
 BENCHMARK(bench_tridiag)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(bench_dl_stage)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(bench_dl_stage_paper_scale);
+BENCHMARK(bench_bundle_load_paper_scale)->Unit(benchmark::kMillisecond);
 BENCHMARK(bench_fft_legacy_radix2)
     ->ArgsProduct({{64, 256, 1024, 4096}, {0, 1}});
 BENCHMARK(bench_fft_rfft_planned)

@@ -209,14 +209,22 @@ void im2col_rows(const double* img, size_t channels, size_t h, size_t w, size_t 
 }
 
 Conv2D::Conv2D(const Conv2DConfig& config)
-    : cfg_(config),
-      weight_({config.out_channels, config.in_channels * config.kernel_h * config.kernel_w}),
-      weight_grad_(weight_.shape()),
-      bias_({config.out_channels}),
-      bias_grad_({config.out_channels}) {
+    : Conv2D(config,
+             Tensor({config.out_channels,
+                     config.in_channels * config.kernel_h * config.kernel_w}),
+             Tensor({config.out_channels})) {}
+
+Conv2D::Conv2D(const Conv2DConfig& config, Tensor weight, Tensor bias)
+    : cfg_(config), weight_(std::move(weight)), bias_(std::move(bias)) {
   if (cfg_.in_channels == 0 || cfg_.out_channels == 0 || cfg_.kernel_h == 0 ||
       cfg_.kernel_w == 0 || cfg_.stride == 0)
     throw std::invalid_argument("Conv2D: zero-sized configuration");
+}
+
+void Conv2D::ensure_grads() {
+  if (!weight_grad_.empty()) return;
+  weight_grad_ = Tensor(weight_.shape());
+  bias_grad_ = Tensor(bias_.shape());
 }
 
 Conv2D::Conv2D(const Conv2DConfig& config, math::Rng& rng) : Conv2D(config) {
@@ -420,6 +428,8 @@ Tensor& Conv2D::backward(ExecutionContext& ctx, const Tensor& grad_output) {
   ScopedBackend backend_scope(ctx.backend());
   const KernelBackend* be = &ctx.resolved_backend();
 
+  ensure_grads();
+
   const size_t krows = cfg_.in_channels * cfg_.kernel_h * cfg_.kernel_w;
   const size_t plane = oh * ow;
   const size_t wsize = cfg_.out_channels * krows;
@@ -486,6 +496,7 @@ Tensor& Conv2D::backward(ExecutionContext& ctx, const Tensor& grad_output) {
 }
 
 std::vector<Param> Conv2D::params() {
+  ensure_grads();
   return {{&weight_, &weight_grad_, "weight"}, {&bias_, &bias_grad_, "bias"}};
 }
 
@@ -515,16 +526,14 @@ std::unique_ptr<Conv2D> Conv2D::load(util::BinaryReader& r) {
   cfg.kernel_w = r.read_u64();
   cfg.stride = r.read_u64();
   cfg.pad = r.read_u64();
-  auto layer = std::make_unique<Conv2D>(cfg);
-  auto wv = r.read_f64_vector();
-  auto bv = r.read_f64_vector();
-  if (wv.size() != layer->weight_.size() || bv.size() != layer->bias_.size())
-    throw std::runtime_error("Conv2D::load: parameter size mismatch");
-  detail::require_finite(wv, "Conv2D::load");
-  detail::require_finite(bv, "Conv2D::load");
-  layer->weight_.vec() = std::move(wv);
-  layer->bias_.vec() = std::move(bv);
-  return layer;
+  auto wv = detail::read_param(
+      r, {cfg.out_channels, cfg.in_channels, cfg.kernel_h, cfg.kernel_w}, "Conv2D::load");
+  // read_param checked the full product, so this one cannot overflow (a
+  // zero out_channels is rejected by the constructor).
+  Tensor weight({cfg.out_channels, cfg.in_channels * cfg.kernel_h * cfg.kernel_w},
+                std::move(wv));
+  Tensor bias({cfg.out_channels}, detail::read_param(r, {cfg.out_channels}, "Conv2D::load"));
+  return std::unique_ptr<Conv2D>(new Conv2D(cfg, std::move(weight), std::move(bias)));
 }
 
 }  // namespace dlpic::nn

@@ -24,14 +24,18 @@ struct Conv2DConfig {
 class Conv2D final : public Layer {
  public:
   Conv2D(const Conv2DConfig& config, math::Rng& rng);
-  explicit Conv2D(const Conv2DConfig& config);  // deserialization path
+  explicit Conv2D(const Conv2DConfig& config);  // zero filters
 
   Tensor& forward(ExecutionContext& ctx, const Tensor& input, bool training) override;
   Tensor& backward(ExecutionContext& ctx, const Tensor& grad_output) override;
   std::vector<Param> params() override;
   void zero_grad() override {
+    ensure_grads();
     weight_grad_.zero();
     bias_grad_.zero();
+  }
+  [[nodiscard]] size_t parameter_count() const override {
+    return weight_.size() + bias_.size();
   }
   [[nodiscard]] std::string type() const override { return "conv2d"; }
   [[nodiscard]] std::vector<size_t> output_shape(
@@ -46,6 +50,13 @@ class Conv2D final : public Layer {
   [[nodiscard]] const Tensor& bias() const { return bias_; }
 
  private:
+  /// Wraps parameters already read and checked by load().
+  Conv2D(const Conv2DConfig& config, Tensor weight, Tensor bias);
+
+  /// Sizes the gradients to the values on the first training touch (see
+  /// Dense::ensure_grads).
+  void ensure_grads();
+
   /// Output spatial dims for an input of h x w.
   [[nodiscard]] std::pair<size_t, size_t> out_dims(size_t h, size_t w) const;
 
@@ -60,8 +71,8 @@ class Conv2D final : public Layer {
                          size_t h, size_t w, size_t oh, size_t ow);
 
   Conv2DConfig cfg_;
-  Tensor weight_, weight_grad_;  // [oc, ic*kh*kw]
-  Tensor bias_, bias_grad_;      // [oc]
+  Tensor weight_, weight_grad_;  // [oc, ic*kh*kw]; the gradients stay
+  Tensor bias_, bias_grad_;      // [oc]            empty until ensure_grads()
   // No per-call state: the cached input lives in the execution context, so
   // one layer instance can serve concurrent forward passes on distinct
   // contexts.

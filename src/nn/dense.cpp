@@ -38,13 +38,18 @@ Dense::Dense(size_t in_features, size_t out_features, math::Rng& rng, bool linea
 }
 
 Dense::Dense(size_t in_features, size_t out_features)
-    : in_(in_features),
-      out_(out_features),
-      weight_({out_features, in_features}),
-      weight_grad_({out_features, in_features}),
-      bias_({out_features}),
-      bias_grad_({out_features}) {
+    : Dense(Tensor({out_features, in_features}), Tensor({out_features})) {}
+
+Dense::Dense(Tensor weight, Tensor bias)
+    : in_(weight.dim(1)), out_(weight.dim(0)), weight_(std::move(weight)),
+      bias_(std::move(bias)) {
   if (in_ == 0 || out_ == 0) throw std::invalid_argument("Dense: zero-sized layer");
+}
+
+void Dense::ensure_grads() {
+  if (!weight_grad_.empty()) return;
+  weight_grad_ = Tensor(weight_.shape());
+  bias_grad_ = Tensor(bias_.shape());
 }
 
 Tensor& Dense::forward(ExecutionContext& ctx, const Tensor& input, bool training) {
@@ -158,6 +163,7 @@ Tensor& Dense::backward(ExecutionContext& ctx, const Tensor& grad_output) {
                                 grad_output.shape_string());
   util::ScopedWorkerCap cap(ctx.worker_cap());
   ScopedBackend backend_scope(ctx.backend());
+  ensure_grads();
 
   // dW[o,i] += sum_b dY[b,o] X[b,i]  ->  dY^T (out x batch) * X (batch x in).
   // Each dW tile is owned by one GEMM task with a fixed k-order, so the
@@ -184,6 +190,7 @@ Tensor& Dense::backward(ExecutionContext& ctx, const Tensor& grad_output) {
 }
 
 std::vector<Param> Dense::params() {
+  ensure_grads();
   return {{&weight_, &weight_grad_, "weight"}, {&bias_, &bias_grad_, "bias"}};
 }
 
@@ -203,16 +210,9 @@ void Dense::save(util::BinaryWriter& w) const {
 std::unique_ptr<Dense> Dense::load(util::BinaryReader& r) {
   const size_t in = r.read_u64();
   const size_t out = r.read_u64();
-  auto layer = std::make_unique<Dense>(in, out);
-  auto wv = r.read_f64_vector();
-  auto bv = r.read_f64_vector();
-  if (wv.size() != in * out || bv.size() != out)
-    throw std::runtime_error("Dense::load: parameter size mismatch");
-  detail::require_finite(wv, "Dense::load");
-  detail::require_finite(bv, "Dense::load");
-  layer->weight_ = Tensor({out, in}, std::move(wv));
-  layer->bias_ = Tensor({out}, std::move(bv));
-  return layer;
+  Tensor weight({out, in}, detail::read_param(r, {out, in}, "Dense::load"));
+  Tensor bias({out}, detail::read_param(r, {out}, "Dense::load"));
+  return std::unique_ptr<Dense>(new Dense(std::move(weight), std::move(bias)));
 }
 
 }  // namespace dlpic::nn

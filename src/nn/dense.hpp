@@ -16,15 +16,19 @@ class Dense final : public Layer {
   Dense(size_t in_features, size_t out_features, math::Rng& rng,
         bool linear_output = false);
 
-  /// Uninitialized-weight constructor used by deserialization.
+  /// Zero-weight constructor, for models whose weights are set by hand.
   Dense(size_t in_features, size_t out_features);
 
   Tensor& forward(ExecutionContext& ctx, const Tensor& input, bool training) override;
   Tensor& backward(ExecutionContext& ctx, const Tensor& grad_output) override;
   std::vector<Param> params() override;
   void zero_grad() override {
+    ensure_grads();
     weight_grad_.zero();
     bias_grad_.zero();
+  }
+  [[nodiscard]] size_t parameter_count() const override {
+    return weight_.size() + bias_.size();
   }
   [[nodiscard]] std::string type() const override { return "dense"; }
   [[nodiscard]] std::vector<size_t> output_shape(
@@ -40,6 +44,14 @@ class Dense final : public Layer {
   [[nodiscard]] const Tensor& bias() const { return bias_; }
 
  private:
+  /// Wraps parameters already read and checked by load().
+  Dense(Tensor weight, Tensor bias);
+
+  /// Sizes the gradients to the values on the first training touch
+  /// (params(), zero_grad(), backward()), so a layer that only runs
+  /// inference — a loaded bundle — holds no gradient storage.
+  void ensure_grads();
+
   /// The quantized inference paths (ctx.precision() == kInt8 / kInt16):
   /// fast-quantize the activation rows, fetch (or fast-quantize) the
   /// weights, run the integer GEMM into `out`. The caller adds the f64
@@ -48,8 +60,8 @@ class Dense final : public Layer {
   void forward_int16(ExecutionContext& ctx, const Tensor& input, Tensor& out);
 
   size_t in_, out_;
-  Tensor weight_, weight_grad_;  // [out, in]
-  Tensor bias_, bias_grad_;      // [out]
+  Tensor weight_, weight_grad_;  // [out, in]; the gradients stay empty
+  Tensor bias_, bias_grad_;      // [out]     until ensure_grads()
   // No per-call state: the cached input lives in the execution context, so
   // one layer instance can serve concurrent forward passes on distinct
   // contexts.

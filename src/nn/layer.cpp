@@ -16,10 +16,19 @@ void parallel_copy(const double* src, double* dst, size_t n) {
       kElemGrain);
 }
 
-void require_finite(const std::vector<double>& values, const char* what) {
+std::vector<double> read_param(util::BinaryReader& r, std::initializer_list<size_t> dims,
+                               const char* what) {
+  std::vector<double> values = r.read_f64_vector();
+  size_t volume = 1;
+  for (const size_t d : dims)
+    if (__builtin_mul_overflow(volume, d, &volume))
+      throw std::runtime_error(std::string(what) + ": parameter size mismatch");
+  if (values.size() != volume)
+    throw std::runtime_error(std::string(what) + ": parameter size mismatch");
   for (const double v : values)
     if (!std::isfinite(v))
       throw std::runtime_error(std::string(what) + ": non-finite parameter");
+  return values;
 }
 
 }  // namespace dlpic::nn::detail

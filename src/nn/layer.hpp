@@ -13,6 +13,7 @@
 /// so one model instance may serve several threads as long as each thread
 /// brings its own ExecutionContext (inference) and only one thread trains.
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,6 +67,10 @@ class Layer {
   virtual void zero_grad() {
     for (auto& p : params()) p.grad->zero();
   }
+
+  /// Learnable scalar count, from the values alone: unlike params(), it
+  /// never creates gradient storage.
+  [[nodiscard]] virtual size_t parameter_count() const { return 0; }
 };
 
 namespace detail {
@@ -77,10 +82,16 @@ void parallel_copy(const double* src, double* dst, size_t n);
 /// Shared grain for elementwise layer loops (elements per task).
 constexpr size_t kElemGrain = 1 << 14;
 
-/// Throws std::runtime_error("<what>: non-finite parameter") unless every
-/// value is finite. Layer loaders run it on parameters read from a file: the
-/// skinny dense kernel's zero-group skip is exact only for finite weights.
-void require_finite(const std::vector<double>& values, const char* what);
+/// Reads one parameter tensor's values for a layer loader: a length-prefixed
+/// f64 vector, bounded by the reader's max_alloc before it is allocated.
+/// The header dimensions `dims` are only compared against the length read
+/// (overflow-safe), never allocated from. Throws std::runtime_error
+/// ("<what>: parameter size mismatch") on a length that is not their
+/// product, and ("<what>: non-finite parameter") unless every value is
+/// finite: the skinny dense kernel's zero-group skip is exact only for
+/// finite weights.
+std::vector<double> read_param(util::BinaryReader& r, std::initializer_list<size_t> dims,
+                               const char* what);
 
 }  // namespace detail
 

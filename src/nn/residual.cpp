@@ -13,20 +13,24 @@ constexpr int kSlotPre = 0;   // pre-activation of the inner layer
 constexpr int kSlotSkip = 1;  // copy of the block input for the skip path
 }  // namespace
 
+// Zero-sized blocks are rejected by the Dense constructors.
 ResidualDense::ResidualDense(size_t width, size_t hidden)
-    : width_(width), hidden_(hidden), inner_(width, hidden), outer_(hidden, width) {
-  if (width == 0 || hidden == 0)
-    throw std::invalid_argument("ResidualDense: zero-sized block");
-}
+    : width_(width), hidden_(hidden), inner_(width, hidden), outer_(hidden, width) {}
 
+// He init for the ReLU inner layer, Glorot for the linear outer layer so the
+// block starts near identity-plus-small-perturbation. Members initialize in
+// declaration order, so the shared rng is drawn inner first.
 ResidualDense::ResidualDense(size_t width, size_t hidden, math::Rng& rng)
-    : ResidualDense(width, hidden) {
-  // Reinitialize the sub-layers with the shared rng (He for the ReLU inner
-  // layer, Glorot for the linear outer layer so the block starts near
-  // identity-plus-small-perturbation).
-  inner_ = Dense(width, hidden, rng, /*linear_output=*/false);
-  outer_ = Dense(hidden, width, rng, /*linear_output=*/true);
-}
+    : width_(width),
+      hidden_(hidden),
+      inner_(width, hidden, rng, /*linear_output=*/false),
+      outer_(hidden, width, rng, /*linear_output=*/true) {}
+
+ResidualDense::ResidualDense(Dense inner, Dense outer)
+    : width_(inner.in_features()),
+      hidden_(inner.out_features()),
+      inner_(std::move(inner)),
+      outer_(std::move(outer)) {}
 
 Tensor& ResidualDense::forward(ExecutionContext& ctx, const Tensor& input, bool training) {
   if (input.rank() != 2 || input.dim(1) != width_)
@@ -124,15 +128,13 @@ void ResidualDense::save(util::BinaryWriter& w) const {
 std::unique_ptr<ResidualDense> ResidualDense::load(util::BinaryReader& r) {
   const size_t width = r.read_u64();
   const size_t hidden = r.read_u64();
-  auto block = std::make_unique<ResidualDense>(width, hidden);
   auto inner = Dense::load(r);
   auto outer = Dense::load(r);
   if (inner->in_features() != width || inner->out_features() != hidden ||
       outer->in_features() != hidden || outer->out_features() != width)
     throw std::runtime_error("ResidualDense::load: sub-layer shape mismatch");
-  block->inner_ = std::move(*inner);
-  block->outer_ = std::move(*outer);
-  return block;
+  return std::unique_ptr<ResidualDense>(
+      new ResidualDense(std::move(*inner), std::move(*outer)));
 }
 
 }  // namespace dlpic::nn

@@ -21,7 +21,7 @@ class ResidualDense final : public Layer {
   /// `width` is the block's input/output dimension; `hidden` the inner
   /// expansion width (defaults to `width`).
   ResidualDense(size_t width, size_t hidden, math::Rng& rng);
-  ResidualDense(size_t width, size_t hidden);  // deserialization path
+  ResidualDense(size_t width, size_t hidden);  // zero weights
 
   Tensor& forward(ExecutionContext& ctx, const Tensor& input, bool training) override;
   Tensor& backward(ExecutionContext& ctx, const Tensor& grad_output) override;
@@ -29,6 +29,9 @@ class ResidualDense final : public Layer {
   void zero_grad() override {
     inner_.zero_grad();
     outer_.zero_grad();
+  }
+  [[nodiscard]] size_t parameter_count() const override {
+    return inner_.parameter_count() + outer_.parameter_count();
   }
   [[nodiscard]] std::string type() const override { return "residual_dense"; }
   [[nodiscard]] std::vector<size_t> output_shape(
@@ -44,6 +47,9 @@ class ResidualDense final : public Layer {
   [[nodiscard]] const Dense& outer() const { return outer_; }
 
  private:
+  /// Wraps sub-layers already loaded and shape-checked by load().
+  ResidualDense(Dense inner, Dense outer);
+
   size_t width_, hidden_;
   Dense inner_;  // width -> hidden
   Dense outer_;  // hidden -> width; the pre-activation cache and the skip

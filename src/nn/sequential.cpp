@@ -55,9 +55,9 @@ std::vector<Param> Sequential::params() {
   return out;
 }
 
-size_t Sequential::parameter_count() {
+size_t Sequential::parameter_count() const {
   size_t n = 0;
-  for (const auto& p : params()) n += p.value->size();
+  for (const auto& l : layers_) n += l->parameter_count();
   return n;
 }
 

@@ -44,8 +44,8 @@ class Sequential {
   /// All learnable parameters, with names "layer<i>.<param>".
   std::vector<Param> params();
 
-  /// Total learnable scalar count.
-  [[nodiscard]] size_t parameter_count();
+  /// Total learnable scalar count (creates no gradient storage).
+  [[nodiscard]] size_t parameter_count() const;
 
   /// Zeroes all parameter gradients.
   void zero_grad();

@@ -1,21 +1,73 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
 
+#include "core/dl_field_solver.hpp"
 #include "math/rng.hpp"
 #include "nn/activation.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/model_zoo.hpp"
+#include "nn/optimizer.hpp"
+#include "nn/residual.hpp"
 #include "nn/sequential.hpp"
+#include "nn/trainer.hpp"
+
+// Allocation probe: while armed, global operator new records the largest
+// single request and the total bytes requested. Every new maps to malloc and
+// every delete to free, so the pairs are consistent (see the matching note
+// in test_execution_context.cpp on GCC's mismatched-pair warning).
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+static std::atomic<bool> g_probe_armed{false};
+static std::atomic<size_t> g_probe_largest{0};
+static std::atomic<size_t> g_probe_total{0};
+
+static void* probed_malloc(std::size_t n) {
+  if (g_probe_armed.load(std::memory_order_relaxed)) {
+    g_probe_total.fetch_add(n, std::memory_order_relaxed);
+    size_t seen = g_probe_largest.load(std::memory_order_relaxed);
+    while (n > seen && !g_probe_largest.compare_exchange_weak(seen, n)) {
+    }
+  }
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n) { return probed_malloc(n); }
+void* operator new[](std::size_t n) { return probed_malloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
 using namespace dlpic::nn;
 using dlpic::math::Rng;
+
+struct Allocations {
+  size_t largest = 0;
+  size_t total = 0;
+};
+
+/// Runs `fn` with the allocation probe armed.
+Allocations probe_allocations(const std::function<void()>& fn) {
+  g_probe_largest = 0;
+  g_probe_total = 0;
+  g_probe_armed = true;
+  fn();
+  g_probe_armed = false;
+  return {g_probe_largest.load(), g_probe_total.load()};
+}
 
 Tensor random_tensor(std::vector<size_t> shape, uint64_t seed) {
   Rng rng(seed);
@@ -112,6 +164,142 @@ TEST(Serialize, NonFiniteParameterThrows) {
         EXPECT_NE(std::string(e.what()).find("non-finite parameter"), std::string::npos)
             << param.name << ": " << e.what();
       }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A layer header is untrusted: its dimensions are compared against the
+// bounded vector reads, never allocated from. Each file declares a
+// 4096 x 4096 layer (128 MB of f64) and a weight length above the reader's
+// 1 MB budget; the load must throw without any allocation above that budget.
+TEST(Serialize, LayerLoadersBoundBeforeAllocating) {
+  constexpr uint64_t kMaxAlloc = 1 << 20;
+  constexpr uint64_t kDim = 4096;
+  const std::string path = testing::TempDir() + "/dlpic_hostile_layer.bin";
+  struct Case {
+    const char* name;
+    std::function<void(dlpic::util::BinaryWriter&)> header;
+    std::function<void(dlpic::util::BinaryReader&)> load;
+  };
+  const Case cases[] = {
+      {"dense",
+       [](auto& w) {
+         w.write_u64(kDim);  // in
+         w.write_u64(kDim);  // out
+       },
+       [](auto& r) { (void)Dense::load(r); }},
+      {"conv2d",
+       [](auto& w) {
+         for (uint64_t v : {kDim, kDim, uint64_t{1}, uint64_t{1}, uint64_t{1}, uint64_t{0}})
+           w.write_u64(v);  // in/out channels, kernel h/w, stride, pad
+       },
+       [](auto& r) { (void)Conv2D::load(r); }},
+      {"residual_dense",
+       [](auto& w) {
+         for (uint64_t v : {kDim, kDim, kDim, kDim}) w.write_u64(v);  // block, inner
+       },
+       [](auto& r) { (void)ResidualDense::load(r); }},
+  };
+  for (const Case& c : cases) {
+    {
+      dlpic::util::BinaryWriter w(path);
+      c.header(w);
+      w.write_u64(kDim * kDim);  // weight length, above max_alloc / 8
+      w.flush();
+    }
+    dlpic::util::BinaryReader r(path, kMaxAlloc);
+    const Allocations a = probe_allocations(
+        [&] { EXPECT_THROW(c.load(r), std::runtime_error) << c.name; });
+    EXPECT_LE(a.largest, kMaxAlloc) << c.name << " allocated from its header";
+  }
+  std::remove(path.c_str());
+}
+
+// Loading a paper-shaped bundle (4096 -> 3 x 1024 -> 64, ~51 MB) allocates
+// about the bytes it reads: the weights once, no gradients, no placeholder
+// layer. The loaded solver predicts bitwise what the saved one did.
+TEST(Serialize, PaperBundleLoadAllocatesAboutWhatItReads) {
+  dlpic::phase_space::BinnerConfig bc;  // 64 x 64, the paper's histogram
+  dlpic::core::DlFieldSolver saved(build_mlp(MlpSpec{}),
+                                   dlpic::data::MinMaxNormalizer(0.0, 40.0), bc);
+  const std::string path = testing::TempDir() + "/dlpic_paper_bundle.bin";
+  saved.save(path);
+  const auto file_bytes = std::filesystem::file_size(path) +
+                          std::filesystem::file_size(path + ".model");
+
+  std::unique_ptr<dlpic::core::DlFieldSolver> loaded;
+  const Allocations a = probe_allocations([&] {
+    loaded = std::make_unique<dlpic::core::DlFieldSolver>(
+        dlpic::core::DlFieldSolver::load(path));
+  });
+  EXPECT_LE(static_cast<double>(a.total), 1.05 * static_cast<double>(file_bytes))
+      << "load allocated " << a.total << " bytes for a " << file_bytes << "-byte bundle";
+
+  const Sequential& model = loaded->model();
+  size_t count = 0;
+  const Allocations c = probe_allocations([&] { count = model.parameter_count(); });
+  EXPECT_EQ(count, (4096 * 1024 + 1024) + 2 * (1024 * 1024 + 1024) + (1024 * 64 + 64));
+  EXPECT_EQ(c.total, 0u) << "parameter_count allocated";
+
+  Rng rng(136);
+  std::vector<double> hist(bc.nx * bc.nv);
+  for (double& h : hist) h = rng.uniform() < 0.5 ? 0.0 : std::floor(rng.uniform(0, 40));
+  EXPECT_EQ(loaded->solve_histogram(hist), saved.solve_histogram(hist));
+  std::remove(path.c_str());
+  std::remove((path + ".model").c_str());
+}
+
+// A loaded model trains exactly like the model it was saved from: its
+// gradients are created on the first training touch, zeroed, as the
+// in-memory model's are.
+TEST(Serialize, TrainAfterLoadMatchesInMemory) {
+  MlpSpec mlp;
+  mlp.input_dim = 16;
+  mlp.output_dim = 4;
+  mlp.hidden = 8;
+  ResMlpSpec res;
+  res.input_dim = 16;
+  res.output_dim = 4;
+  res.width = 8;
+  res.blocks = 2;
+  CnnSpec cnn;
+  cnn.input_h = 4;
+  cnn.input_w = 4;
+  cnn.output_dim = 4;
+  cnn.channels1 = 2;
+  cnn.channels2 = 2;
+  cnn.hidden = 8;
+  Dataset train(16, 4);
+  Rng rng(137);
+  for (int i = 0; i < 20; ++i) {
+    std::vector<double> x(16), y(4);
+    for (double& v : x) v = rng.uniform(-1, 1);
+    for (double& v : y) v = rng.uniform(-1, 1);
+    train.add(x, y);
+  }
+  TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.batch_size = 8;  // 3 batches per epoch
+  const std::string path = testing::TempDir() + "/dlpic_train_after_load.bin";
+  for (const int arch : {0, 1, 2}) {
+    auto build = [&] {
+      return arch == 0 ? build_mlp(mlp) : arch == 1 ? build_resmlp(res) : build_cnn(cnn);
+    };
+    Sequential initial = build();
+    Sequential in_memory = build();
+    in_memory.save(path);
+    Sequential loaded = Sequential::load_file(path);
+    for (Sequential* model : {&in_memory, &loaded}) {
+      Adam adam(1e-2);
+      Trainer(cfg).fit(*model, adam, train);
+    }
+    const auto a = in_memory.params();
+    const auto b = loaded.params();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].value->vec(), b[i].value->vec()) << "arch " << arch << " " << a[i].name;
+      EXPECT_NE(a[i].value->vec(), initial.params()[i].value->vec()) << "did not train";
     }
   }
   std::remove(path.c_str());
