@@ -13,6 +13,7 @@
 
 #include <complex>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <numbers>
 #include <string>
@@ -101,9 +102,21 @@ void bench_dl_stage_paper_scale(benchmark::State& state) {
   }
 }
 
+/// AnonHugePages of this process in MB (/proc/self/smaps_rollup), 0 where
+/// the file or the field is missing.
+double anon_huge_mb() {
+  std::ifstream rollup("/proc/self/smaps_rollup");
+  for (std::string key; rollup >> key;) {
+    double kb = 0.0;
+    if (key == "AnonHugePages:" && rollup >> kb) return kb / 1024.0;
+  }
+  return 0.0;
+}
+
 /// Loading the paper-scale bundle (4096 -> 3x1024 -> 64, ~51 MB): the
 /// setup cost of a DL-PIC run. Saved once; each iteration times only
-/// DlFieldSolver::load, reported as MB/s of bundle read.
+/// DlFieldSolver::load, reported as MB/s of bundle read. `huge_mb` is how
+/// much of one untimed load, held alive, landed on transparent huge pages.
 void bench_bundle_load_paper_scale(benchmark::State& state) {
   const std::string path = (std::filesystem::temp_directory_path() /
                             ("dlpic_bench_bundle_" + std::to_string(::getpid()) + ".bin"))
@@ -113,6 +126,11 @@ void bench_bundle_load_paper_scale(benchmark::State& state) {
       .save(path);
   const double bytes = static_cast<double>(std::filesystem::file_size(path) +
                                            std::filesystem::file_size(path + ".model"));
+  {
+    const double before = anon_huge_mb();
+    const auto held = core::DlFieldSolver::load(path);
+    state.counters["huge_mb"] = anon_huge_mb() - before;
+  }
   for (auto _ : state) {
     auto solver = core::DlFieldSolver::load(path);
     benchmark::DoNotOptimize(&solver);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "util/binary_io.hpp"
 
@@ -73,8 +74,11 @@ DlFieldSolver DlFieldSolver::load(const std::string& path) {
   bc.length = r.read_f64();
   bc.vmin = r.read_f64();
   bc.vmax = r.read_f64();
-  bc.order = r.read_u32() == 0 ? phase_space::BinningOrder::NGP
-                               : phase_space::BinningOrder::CIC;
+  const uint32_t order = r.read_u32();
+  if (order > 1)
+    throw std::runtime_error("DlFieldSolver::load: unknown binning order code " +
+                             std::to_string(order) + " in " + path);
+  bc.order = order == 0 ? phase_space::BinningOrder::NGP : phase_space::BinningOrder::CIC;
   auto normalizer = data::MinMaxNormalizer::load(r);
   auto model = nn::Sequential::load_file(model_path_for(path));
   return DlFieldSolver(std::move(model), normalizer, bc);

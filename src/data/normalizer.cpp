@@ -1,11 +1,27 @@
 #include "data/normalizer.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace dlpic::data {
 
+namespace {
+
+/// True when y = (x - min) / (max - min) is finite for finite x: both
+/// bounds finite, max above min, and neither the width nor its reciprocal
+/// overflowing.
+bool usable_range(double min, double max) {
+  return std::isfinite(min) && std::isfinite(max) && max > min &&
+         std::isfinite(max - min) && std::isfinite(1.0 / (max - min));
+}
+
+}  // namespace
+
 MinMaxNormalizer::MinMaxNormalizer(double min, double max) : min_(min), max_(max), fitted_(true) {
-  if (!(max > min)) throw std::invalid_argument("MinMaxNormalizer: max must exceed min");
+  if (!usable_range(min, max))
+    throw std::invalid_argument(
+        "MinMaxNormalizer: bounds must be finite with max above min and a finite width");
 }
 
 MinMaxNormalizer MinMaxNormalizer::fit(const nn::Dataset& data) {
@@ -57,6 +73,10 @@ void MinMaxNormalizer::save(util::BinaryWriter& w) const {
 MinMaxNormalizer MinMaxNormalizer::load(util::BinaryReader& r) {
   const double lo = r.read_f64();
   const double hi = r.read_f64();
+  if (!usable_range(lo, hi))
+    throw std::runtime_error("MinMaxNormalizer::load: unusable bounds [" + std::to_string(lo) +
+                             ", " + std::to_string(hi) + "] at offset " +
+                             std::to_string(r.offset()) + " in " + r.path());
   return MinMaxNormalizer(lo, hi);
 }
 

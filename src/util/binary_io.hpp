@@ -64,6 +64,8 @@ class BinaryReader {
   double read_f64();
   std::string read_string();
   void read_f64_array(double* data, size_t n);
+  /// u64 length + data. A vector spanning a whole 2 MB page asks for
+  /// transparent huge pages on its 2 MB-aligned interior before the read.
   std::vector<double> read_f64_vector();
 
   /// True when the stream is positioned at end-of-file (or has failed — a
@@ -72,6 +74,9 @@ class BinaryReader {
 
   /// Bytes successfully consumed so far (the offset reported by errors).
   [[nodiscard]] uint64_t offset() const { return offset_; }
+
+  /// The file being read (named by every error).
+  [[nodiscard]] const std::string& path() const { return path_; }
 
   /// The allocation budget for length-prefixed reads.
   [[nodiscard]] uint64_t max_alloc() const { return max_alloc_; }

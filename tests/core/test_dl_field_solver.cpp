@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -115,6 +119,55 @@ TEST(DlFieldSolver, SaveLoadRoundTripPredictsIdentically) {
   for (size_t i = 0; i < before.size(); ++i) EXPECT_DOUBLE_EQ(before[i], after[i]);
   EXPECT_EQ(loaded.binner_config().order, dlpic::phase_space::BinningOrder::CIC);
   EXPECT_DOUBLE_EQ(loaded.normalizer().max(), 50.0);
+  std::remove(path.c_str());
+  std::remove((path + ".model").c_str());
+}
+
+/// Overwrites the bytes at `offset` of the file at `path` with `value`.
+template <typename T>
+void patch(const std::string& path, std::streamoff offset, T value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(&value), sizeof value);
+  ASSERT_TRUE(f.good()) << path;
+}
+
+// Bundle header: magic, version (u32 each), nx, nv (u64), length, vmin,
+// vmax (f64), order (u32), then the normalizer's min and max (f64).
+constexpr std::streamoff kOrderOffset = 4 + 4 + 8 + 8 + 3 * 8;
+constexpr std::streamoff kNormalizerMaxOffset = kOrderOffset + 4 + 8;
+
+// A bundle is untrusted: a binning order code other than 0 (NGP) or 1 (CIC)
+// and a non-finite normalizer bound fail its load.
+TEST(DlFieldSolver, LoadRejectsUnknownOrderAndInfiniteBound) {
+  DlFieldSolver solver(tiny_model(64, 16), MinMaxNormalizer(0.0, 10.0), tiny_binner());
+  const std::string path = testing::TempDir() + "/dlpic_solver_corrupt.bin";
+  struct Case {
+    const char* name;
+    std::function<void()> corrupt;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"order 2", [&] { patch(path, kOrderOffset, uint32_t{2}); }, "binning order"},
+      {"infinite max",
+       [&] {
+         patch(path, kNormalizerMaxOffset, std::numeric_limits<double>::infinity());
+       },
+       "unusable bounds"},
+  };
+  for (const Case& c : cases) {
+    solver.save(path);
+    (void)DlFieldSolver::load(path);  // the saved bundle itself loads
+    c.corrupt();
+    try {
+      (void)DlFieldSolver::load(path);
+      ADD_FAILURE() << c.name << " loaded";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.message), std::string::npos) << c.name << ": " << what;
+      EXPECT_NE(what.find(path), std::string::npos) << c.name << ": " << what;
+    }
+  }
   std::remove(path.c_str());
   std::remove((path + ".model").c_str());
 }

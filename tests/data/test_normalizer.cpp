@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstdio>
+#include <limits>
 
 #include "data/normalizer.hpp"
 
@@ -65,6 +67,42 @@ TEST(Normalizer, UnfittedAndDegenerateThrow) {
   EXPECT_THROW(MinMaxNormalizer::fit(constant), std::runtime_error);
   Dataset empty(2, 1);
   EXPECT_THROW(MinMaxNormalizer::fit(empty), std::invalid_argument);
+}
+
+// Bounds that would map every input to 0, to an infinity or to NaN are
+// rejected: infinite or NaN bounds, a width max - min that overflows, and a
+// width whose reciprocal overflows.
+TEST(Normalizer, NonFiniteBoundsAndWidthThrow) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double bad[][2] = {{0.0, inf},         {-inf, 0.0},   {-inf, inf},
+                           {nan, 1.0},         {0.0, nan},    {nan, nan},
+                           {-DBL_MAX, DBL_MAX}, {0.0, DBL_TRUE_MIN}};
+  for (const auto& b : bad)
+    EXPECT_THROW(MinMaxNormalizer(b[0], b[1]), std::invalid_argument) << b[0] << ", " << b[1];
+  MinMaxNormalizer widest(-DBL_MAX / 2, DBL_MAX / 2);
+  std::vector<double> v = {0.0};
+  widest.apply(v);
+  EXPECT_DOUBLE_EQ(v[0], 0.5);
+}
+
+// A saved file is untrusted: unusable bounds fail its load with the file
+// named.
+TEST(Normalizer, LoadRejectsNonFiniteBounds) {
+  const std::string path = testing::TempDir() + "/dlpic_norm_inf.bin";
+  {
+    dlpic::util::BinaryWriter w(path);
+    w.write_f64(0.0);
+    w.write_f64(std::numeric_limits<double>::infinity());
+  }
+  dlpic::util::BinaryReader r(path);
+  try {
+    (void)MinMaxNormalizer::load(r);
+    ADD_FAILURE() << "an infinite bound loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Normalizer, SaveLoadRoundTrip) {

@@ -4,11 +4,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <new>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -166,6 +169,115 @@ TEST(Serialize, NonFiniteParameterThrows) {
       }
     }
   }
+  std::remove(path.c_str());
+}
+
+// A 1024 -> 512 Dense: a 4 MB weight, large enough to span whole 2 MB pages
+// and so take the loader's huge-page path.
+std::unique_ptr<Dense> large_dense(uint64_t seed) {
+  Rng rng(seed);
+  return std::make_unique<Dense>(1024, 512, rng);
+}
+
+void save_layer(const Layer& layer, const std::string& path) {
+  dlpic::util::BinaryWriter w(path);
+  layer.save(w);
+  w.flush();
+}
+
+std::unique_ptr<Dense> load_dense(const std::string& path) {
+  dlpic::util::BinaryReader r(path);
+  return Dense::load(r);
+}
+
+// The finiteness check covers the whole of a large tensor: a non-finite
+// value at its first, middle or last element fails the load.
+TEST(Serialize, LargeTensorNonFiniteParameterThrows) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  const std::string path = testing::TempDir() + "/dlpic_large_nonfinite.bin";
+  auto dense = large_dense(138);
+  Tensor& w = dense->weight();
+  const size_t at[] = {0, w.size() / 2, w.size() - 1};
+  for (size_t i = 0; i < 3; ++i) {
+    const double kept = w[at[i]];
+    w[at[i]] = bad[i];
+    save_layer(*dense, path);
+    w[at[i]] = kept;
+    try {
+      (void)load_dense(path);
+      ADD_FAILURE() << "weight[" << at[i] << "] = " << bad[i] << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite parameter"), std::string::npos)
+          << "weight[" << at[i] << "]: " << e.what();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A large tensor round-trips bitwise, edge values included: -0.0, the
+// smallest subnormal and +-DBL_MAX.
+TEST(Serialize, LargeTensorRoundTripsBitwise) {
+  const std::string path = testing::TempDir() + "/dlpic_large_bitwise.bin";
+  auto dense = large_dense(139);
+  Tensor& w = dense->weight();
+  w[0] = -0.0;
+  w[1] = std::numeric_limits<double>::denorm_min();
+  w[w.size() / 2] = std::numeric_limits<double>::max();
+  w[w.size() - 1] = -std::numeric_limits<double>::max();
+  dense->bias()[0] = -0.0;
+  save_layer(*dense, path);
+  const auto loaded = load_dense(path);
+  ASSERT_EQ(loaded->weight().size(), w.size());
+  EXPECT_EQ(std::memcmp(loaded->weight().data(), w.data(), w.size() * sizeof(double)), 0);
+  ASSERT_EQ(loaded->bias().size(), dense->bias().size());
+  EXPECT_EQ(std::memcmp(loaded->bias().data(), dense->bias().data(),
+                        dense->bias().size() * sizeof(double)),
+            0);
+  EXPECT_TRUE(std::signbit(loaded->weight()[0]));
+  std::remove(path.c_str());
+}
+
+/// The VmFlags line of the /proc/self/smaps mapping holding `addr`, or ""
+/// when none does.
+std::string vm_flags_of(const void* addr) {
+  const auto a = reinterpret_cast<uintptr_t>(addr);
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool holds = false;
+  while (std::getline(smaps, line)) {
+    const std::string first = line.substr(0, line.find(' '));
+    if (first.find(':') == std::string::npos) {  // a mapping's "lo-hi perms ..." header
+      const size_t dash = first.find('-');
+      if (dash == std::string::npos) continue;
+      const uintptr_t lo = std::stoull(first.substr(0, dash), nullptr, 16);
+      const uintptr_t hi = std::stoull(first.substr(dash + 1), nullptr, 16);
+      holds = lo <= a && a < hi;
+    } else if (holds && first == "VmFlags:") {
+      return line;
+    }
+  }
+  return "";
+}
+
+// A loaded tensor spanning whole 2 MB pages was advised for transparent huge
+// pages before its first touch. MADV_HUGEPAGE sets the mapping's "hg" flag
+// whether or not the kernel grants a huge page, so this holds in every THP
+// mode; only a kernel without THP (no sysfs directory) is skipped.
+TEST(Serialize, LargeTensorLoadAdvisesHugePages) {
+  if (!std::filesystem::exists("/sys/kernel/mm/transparent_hugepage"))
+    GTEST_SKIP() << "kernel without transparent huge pages";
+  const std::string path = testing::TempDir() + "/dlpic_large_thp.bin";
+  save_layer(*large_dense(140), path);
+  const auto loaded = load_dense(path);
+  const Tensor& w = loaded->weight();
+  const std::string flags = vm_flags_of(w.data() + w.size() / 2);
+  ASSERT_FALSE(flags.empty()) << "no mapping holds the loaded weight";
+  std::istringstream tokens(flags);
+  bool advised = false;
+  for (std::string t; tokens >> t;) advised |= t == "hg";
+  EXPECT_TRUE(advised) << flags;
   std::remove(path.c_str());
 }
 
