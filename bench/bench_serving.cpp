@@ -117,14 +117,16 @@ void run_serve_batched(benchmark::State& state, bool observability) {
   cfg.worker_threads = worker_threads;
   // One parallel worker context; several contexts pinned serial.
   cfg.context_worker_cap = worker_threads > 1 ? 1 : 0;
-  cfg.pad_to_batch = state.range(4) != 0 ? max_batch : 0;
-  cfg.precision = state.range(5) == 1   ? nn::Precision::kInt8
-                  : state.range(5) == 2 ? nn::Precision::kInt16
-                                        : nn::Precision::kF64;
   if (observability) cfg.trace_capacity = 4096;
+  serve::ModelConfig mc = cfg.model_defaults();
+  mc.pad_to_batch = state.range(4) != 0 ? max_batch : 0;
+  mc.precision = state.range(5) == 1   ? nn::Precision::kInt8
+                 : state.range(5) == 2 ? nn::Precision::kInt16
+                                       : nn::Precision::kF64;
   state.counters["precision"] =
       benchmark::Counter(static_cast<double>(state.range(5)));
-  serve::InferenceServer server(model, kInputDim, cfg);
+  serve::InferenceServer server(cfg);
+  server.add_model("default", model, kInputDim, mc);
 
   serve::SubmitOptions options;
   options.trace = observability;

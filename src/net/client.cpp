@@ -27,9 +27,6 @@ std::future<NetResponse> Client::submit_async(const std::string& model,
                                               std::vector<double> input,
                                               uint8_t priority,
                                               int64_t deadline_us) {
-  if (!connected_.load(std::memory_order_relaxed))
-    throw SocketError("Client: not connected");
-
   NetRequest request;
   request.request_id = next_id_.fetch_add(1, std::memory_order_relaxed);
   request.model = model;
@@ -38,10 +35,15 @@ std::future<NetResponse> Client::submit_async(const std::string& model,
   request.payload = std::move(input);
 
   // Register the promise BEFORE sending: the response could arrive (and be
-  // dispatched by the reader) before a post-send registration happened.
+  // dispatched by the reader) before a post-send registration happened. The
+  // connected check shares the lock with fail_all_pending, so a promise is
+  // either registered before a failing reader fails everything or not at
+  // all — never left behind a reader that has already exited.
   std::future<NetResponse> future;
   {
     std::lock_guard<std::mutex> lock(pending_mutex_);
+    if (!connected_.load(std::memory_order_relaxed))
+      throw SocketError("Client: not connected");
     future = pending_[request.request_id].get_future();
   }
 
@@ -112,9 +114,9 @@ void Client::fail_all_pending(const std::string& reason) {
   std::map<uint64_t, std::promise<NetResponse>> orphans;
   {
     std::lock_guard<std::mutex> lock(pending_mutex_);
+    connected_.store(false, std::memory_order_relaxed);
     orphans.swap(pending_);
   }
-  connected_.store(false, std::memory_order_relaxed);
   for (auto& [id, promise] : orphans) {
     try {
       promise.set_exception(std::make_exception_ptr(SocketError(reason)));

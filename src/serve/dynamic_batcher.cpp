@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "serve/metrics.hpp"
 #include "util/fault_injection.hpp"
 
 namespace dlpic::serve {
@@ -20,15 +21,6 @@ constexpr int kSlotBatchInput = 0;
 DynamicBatcher::DynamicBatcher(const ModelRegistry& registry,
                                nn::ExecutionContext& context)
     : registry_(registry), ctx_(context) {}
-
-DynamicBatcher::DynamicBatcher(nn::Sequential& model, nn::ExecutionContext& context,
-                               size_t input_dim, BatcherConfig config,
-                               const data::MinMaxNormalizer* normalizer)
-    : owned_registry_(std::make_unique<ModelRegistry>()),
-      registry_(*owned_registry_),
-      ctx_(context) {
-  owned_registry_->add("default", &model, input_dim, config, normalizer);
-}
 
 size_t DynamicBatcher::serve_once(RequestQueue& queue) {
   registry_.snapshot_policies(policies_);
@@ -59,7 +51,6 @@ size_t DynamicBatcher::serve_once(RequestQueue& queue) {
   // deadline is allowed to finish.
   const auto now = std::chrono::steady_clock::now();
   BatchAccounting accounting;
-  accounting.popped = n;
   failed_.clear();
   size_t keep = 0;
   for (size_t i = 0; i < batch_.size(); ++i) {
@@ -79,12 +70,13 @@ size_t DynamicBatcher::serve_once(RequestQueue& queue) {
   }
   batch_.resize(keep);
   accounting.batch_size = keep;
-  accounting.forward_pass = keep > 0 && bundle != nullptr;
+  accounting.forward_pass = keep > 0;  // an unknown model keeps nothing
 
-  // Commit the whole batch's accounting in ONE coherent write per counter
-  // group BEFORE resolving any promise, so a client that has just observed
-  // its future also sees its request in closed stats totals.
-  metrics_.record(accounting);
+  // Commit the whole batch's accounting in ONE coherent write to the model's
+  // counter block BEFORE resolving any promise, so a client that has just
+  // observed its future also sees its request in closed stats totals. A
+  // batch for an unknown model counts nowhere (InferenceServer::submit
+  // rejects unknown ids, so only direct queue users reach that branch).
   if (bundle != nullptr && bundle->metrics != nullptr)
     bundle->metrics->record(accounting);
 
@@ -115,8 +107,6 @@ size_t DynamicBatcher::serve_once(RequestQueue& queue) {
   batch_.clear();
   return n;
 }
-
-void DynamicBatcher::reset_stats() { metrics_.reset(); }
 
 void DynamicBatcher::run_batch(ModelBundle& bundle) {
   const size_t b = batch_.size();
@@ -185,7 +175,6 @@ void DynamicBatcher::run_batch(ModelBundle& bundle) {
       }
     }
   } catch (...) {
-    metrics_.record_forward_error();
     if (bundle.metrics != nullptr) bundle.metrics->record_forward_error();
     // Deliver the failure to every request of the batch that has not been
     // answered yet (set_value may have run for a prefix of the rows).

@@ -15,22 +15,13 @@
 /// tests/serve/test_serving_stress.cpp enforce this).
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "data/normalizer.hpp"
 #include "nn/execution_context.hpp"
-#include "nn/sequential.hpp"
-#include "serve/metrics.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/request_queue.hpp"
 
 namespace dlpic::serve {
-
-/// Batch-formation policy of one model (historical name; the single-model
-/// constructor and InferenceServer's per-model configs share this shape).
-using BatcherConfig = ModelConfig;
 
 /// One serving loop body: pop a single-model batch, reject expired requests,
 /// assemble the batch tensor in the context's workspace (allocation-free in
@@ -40,19 +31,10 @@ using BatcherConfig = ModelConfig;
 /// in this batcher's ExecutionContext.
 class DynamicBatcher {
  public:
-  /// Multi-model form: serves whichever registered model the queue opens a
-  /// batch for. The registry (and every model in it) must outlive the
-  /// batcher.
+  /// Serves whichever registered model the queue opens a batch for, under
+  /// that model's ModelConfig. The registry (and every model in it) and the
+  /// context must outlive the batcher.
   DynamicBatcher(const ModelRegistry& registry, nn::ExecutionContext& context);
-
-  /// Single-model convenience: wraps `model` in a private one-entry
-  /// registry. `input_dim` is the flattened sample width the model expects;
-  /// a non-null `normalizer` is applied to the assembled batch before
-  /// inference (elementwise, so batching preserves per-sample results).
-  /// The model, context and normalizer must outlive the batcher.
-  DynamicBatcher(nn::Sequential& model, nn::ExecutionContext& context,
-                 size_t input_dim, BatcherConfig config,
-                 const data::MinMaxNormalizer* normalizer = nullptr);
 
   /// Pops one batch from `queue` and serves it (blocking per the selected
   /// model's batching window). Returns the number of requests popped
@@ -60,42 +42,17 @@ class DynamicBatcher {
   /// drained — the consumer loop's exit signal.
   size_t serve_once(RequestQueue& queue);
 
-  /// This batcher's coherent counter block: one seqlock-guarded write per
-  /// popped batch, so any snapshot closes exactly (requests == served +
-  /// expired + rejected). Register it with a MetricsRegistry for
-  /// server-level aggregation.
-  [[nodiscard]] const BatcherMetrics& metrics() const { return metrics_; }
-
-  /// Batches served so far (coherent snapshot; readable from any thread).
-  [[nodiscard]] size_t batches_served() const { return metrics_.snapshot().batches; }
-  /// Requests popped so far, including expired/rejected ones.
-  [[nodiscard]] size_t requests_popped() const { return metrics_.snapshot().requests; }
-  /// Requests that went through a forward pass so far.
-  [[nodiscard]] size_t requests_served() const { return metrics_.snapshot().served; }
-  /// Largest batch observed so far.
-  [[nodiscard]] size_t max_batch_observed() const {
-    return metrics_.snapshot().max_batch_observed;
-  }
-  /// Requests rejected with DeadlineExpired so far.
-  [[nodiscard]] size_t requests_expired() const { return metrics_.snapshot().expired; }
-
-  /// Zeroes every counter above. Meant for server restart cycles; call
-  /// while the batcher is not serving for an exact reset.
-  void reset_stats();
-
  private:
   /// Serves `batch_` (never empty, all requests of `bundle`'s model): one
   /// forward pass + row scatter. On failure every request in the batch
   /// receives the exception (and its trace, if any, finishes kError).
   void run_batch(ModelBundle& bundle);
 
-  std::unique_ptr<ModelRegistry> owned_registry_;  // single-model ctor only
   const ModelRegistry& registry_;
   nn::ExecutionContext& ctx_;
   std::vector<Request> batch_;      // reused across serve_once calls
   std::vector<Request> failed_;     // reused: requests failed pre-assembly
   std::vector<PopPolicy> policies_; // reused policy snapshot
-  BatcherMetrics metrics_;
 };
 
 }  // namespace dlpic::serve

@@ -1,6 +1,5 @@
 #include "serve/inference_server.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -16,8 +15,6 @@ ServerConfig validated(ServerConfig config) {
     throw std::invalid_argument("InferenceServer: max_batch must be >= 1");
   if (config.worker_threads == 0)
     throw std::invalid_argument("InferenceServer: worker_threads must be >= 1");
-  if (config.pad_to_batch != 0 && config.pad_to_batch < config.max_batch)
-    throw std::invalid_argument("InferenceServer: pad_to_batch must be >= max_batch");
   return config;
 }
 }  // namespace
@@ -69,7 +66,6 @@ void InferenceServer::start_workers() {
     contexts_.push_back(
         std::make_unique<nn::ExecutionContext>(config_.context_worker_cap, backend));
     batchers_.push_back(std::make_unique<DynamicBatcher>(registry_, *contexts_.back()));
-    registry_.metrics().register_batcher(&batchers_.back()->metrics());
   }
   try {
     for (size_t w = 0; w < config_.worker_threads; ++w) {
@@ -208,10 +204,7 @@ void InferenceServer::restart() {
   if (!stopped_) return;
   // The old workers are joined (shutdown() did that); rebuilding the
   // batcher/context pool rather than reusing it re-pins the contexts to the
-  // backend active on the calling thread, mirroring construction. The old
-  // batcher metric blocks must leave the registry BEFORE the batchers are
-  // destroyed — a concurrent scrape walks the registered blocks.
-  registry_.metrics().clear_batchers();
+  // backend active on the calling thread, mirroring construction.
   workers_.clear();
   batchers_.clear();
   contexts_.clear();
@@ -228,7 +221,6 @@ void InferenceServer::reset_stats() {
 }
 
 void InferenceServer::reset_stats_locked() {
-  for (auto& batcher : batchers_) batcher->reset_stats();
   const size_t models = registry_.size();
   for (size_t id = 0; id < models; ++id)
     if (ModelBundle* bundle = registry_.get(id)) bundle->reset_stats();
@@ -236,23 +228,7 @@ void InferenceServer::reset_stats_locked() {
 }
 
 ServerStats InferenceServer::stats() const {
-  // The lock serializes against restart() swapping the batcher pool out
-  // underneath the sum; it is never held across a forward pass, so stats()
-  // stays safe (and cheap) while serving. Each batcher contributes one
-  // coherent seqlock snapshot, so requests == served + expired + rejected
-  // closes exactly even mid-traffic.
-  std::lock_guard<std::mutex> lock(shutdown_mutex_);
-  ServerStats s;
-  for (const auto& batcher : batchers_) {
-    const BatcherCounters c = batcher->metrics().snapshot();
-    s.requests += c.requests;
-    s.served += c.served;
-    s.batches += c.batches;
-    s.expired += c.expired;
-    s.rejected += c.rejected;
-    s.forward_errors += c.forward_errors;
-    s.max_batch_observed = std::max(s.max_batch_observed, c.max_batch_observed);
-  }
+  ServerStats s = registry_.metrics().totals();
   s.drained = drained_.load(std::memory_order_relaxed);
   return s;
 }

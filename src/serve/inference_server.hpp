@@ -40,20 +40,13 @@
 namespace dlpic::serve {
 
 /// Server tuning knobs: worker topology and backpressure, plus the default
-/// per-model batch-formation policy applied by the single-model constructors
-/// and by add_model() calls that do not pass their own ModelConfig.
+/// batching policy of models added without their own ModelConfig. Every
+/// other per-model knob (padding, precision) lives only in ModelConfig.
 struct ServerConfig {
   /// Default ModelConfig::max_batch for models added without a config.
   size_t max_batch = 16;
   /// Default ModelConfig::max_wait_us for models added without a config.
   uint32_t max_wait_us = 200;
-  /// Default ModelConfig::pad_to_batch for models added without a config.
-  size_t pad_to_batch = 0;
-  /// Default ModelConfig::precision for models added without a config.
-  /// Three-rung ladder: kF64 (bitwise full precision) > kInt16 (near-f64
-  /// accuracy, faster GEMMs) > kInt8 (fastest, loosest budget). One server
-  /// can host lanes at all three tiers side by side.
-  nn::Precision precision = nn::Precision::kF64;
   /// Batcher threads, each with a private ExecutionContext. Must be >= 1.
   size_t worker_threads = 1;
   /// Worker cap of each batcher's context: 0 inherits the global width
@@ -69,7 +62,10 @@ struct ServerConfig {
 
   /// The per-model policy implied by the batching fields above.
   [[nodiscard]] ModelConfig model_defaults() const {
-    return ModelConfig{max_batch, max_wait_us, pad_to_batch, precision};
+    ModelConfig config;
+    config.max_batch = max_batch;
+    config.max_wait_us = max_wait_us;
+    return config;
   }
 };
 
@@ -79,27 +75,6 @@ struct ServerConfig {
 /// the future fails with DeadlineExpired and no forward pass is spent on
 /// it). Same shape the queue consumes; the server only adds validation.
 using SubmitOptions = RequestOptions;
-
-/// Aggregate serving counters (summed over all batcher threads and models).
-/// Each batcher contributes one coherent seqlock snapshot, so the
-/// accounting invariant `requests == served + expired + rejected` closes
-/// exactly in EVERY stats() result, even under full concurrent traffic.
-struct ServerStats {
-  size_t requests = 0;            ///< requests popped (served + expired + rejected)
-  size_t served = 0;              ///< requests that went through a forward pass
-  size_t batches = 0;             ///< forward passes run
-  size_t max_batch_observed = 0;  ///< largest coalesced batch seen
-  size_t expired = 0;             ///< requests rejected with DeadlineExpired
-  size_t rejected = 0;            ///< malformed requests failed before assembly
-  size_t forward_errors = 0;      ///< forward passes that threw
-  size_t drained = 0;             ///< leftover requests failed at shutdown
-  /// Mean served requests per forward pass — the batching amortization
-  /// factor (expired/rejected requests never ride a batch, so they do not
-  /// count).
-  [[nodiscard]] double mean_batch() const {
-    return batches > 0 ? static_cast<double>(served) / static_cast<double>(batches) : 0.0;
-  }
-};
 
 /// Owns the serving stack: priority-laned request queue + batcher threads +
 /// per-thread contexts over N shared models. Construction starts the
@@ -174,21 +149,21 @@ class InferenceServer {
   [[nodiscard]] bool running() const;
 
   /// Restarts a shut-down server: reopens the queue, resets every serving
-  /// counter (aggregate, per-batcher and per-model — close()/restart
+  /// counter (per-model blocks and the drained count — close()/restart
   /// cycles must not leak stale mean_batch/lane stats into the new run)
   /// and spawns a fresh worker pool. The new workers' contexts pin to the
   /// kernel backend active on the *calling* thread, mirroring the
   /// constructor. No-op while the server is still running. Thread-safe
-  /// against shutdown()/running()/stats().
+  /// against shutdown()/running(); stats() never blocks on it.
   void restart();
 
-  /// Zeroes every serving counter (aggregate, per-batcher and per-model)
+  /// Zeroes every serving counter (per-model blocks and the drained count)
   /// without touching the workers. Counters updated by in-flight batches
   /// may survive the reset; quiesce traffic first for an exact zero.
   void reset_stats();
 
-  /// Counters summed over all batcher threads and models (safe while
-  /// serving).
+  /// Counters summed over every model's block (MetricsRegistry::totals)
+  /// plus the drained count. Safe while serving; takes no server lock.
   [[nodiscard]] ServerStats stats() const;
 
   /// Per-model, per-lane counters for one registered model (safe while
@@ -213,8 +188,8 @@ class InferenceServer {
     return live_workers_.load(std::memory_order_relaxed);
   }
 
-  /// The metrics hub: per-model counter blocks, this server's batcher
-  /// blocks, and queue-depth gauges. Safe to scrape while serving.
+  /// The metrics hub: per-model counter blocks and queue-depth gauges.
+  /// Safe to scrape while serving.
   [[nodiscard]] MetricsRegistry& metrics() { return registry_.metrics(); }
   [[nodiscard]] const MetricsRegistry& metrics() const { return registry_.metrics(); }
 

@@ -51,70 +51,6 @@ void LatencyHistogram::reset() {
 }
 
 // ---------------------------------------------------------------------------
-// BatcherMetrics
-
-uint64_t BatcherMetrics::acquire_write() {
-  // Claim the seqlock: CAS an even version to odd. Writers are almost
-  // always the single owning batcher thread; the loop only spins when a
-  // reset from another thread overlaps.
-  uint64_t v = version_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (v % 2 == 0 &&
-        version_.compare_exchange_weak(v, v + 1, std::memory_order_acquire,
-                                       std::memory_order_relaxed))
-      return v;
-    v = version_.load(std::memory_order_relaxed);
-  }
-}
-
-void BatcherMetrics::record(const BatchAccounting& accounting) {
-  const uint64_t v = acquire_write();
-  requests_.fetch_add(accounting.popped, std::memory_order_relaxed);
-  served_.fetch_add(accounting.total_served(), std::memory_order_relaxed);
-  expired_.fetch_add(accounting.total_expired(), std::memory_order_relaxed);
-  rejected_.fetch_add(accounting.rejected, std::memory_order_relaxed);
-  if (accounting.forward_pass) batches_.fetch_add(1, std::memory_order_relaxed);
-  if (accounting.batch_size > max_batch_.load(std::memory_order_relaxed))
-    max_batch_.store(accounting.batch_size, std::memory_order_relaxed);
-  version_.store(v + 2, std::memory_order_release);
-}
-
-void BatcherMetrics::record_forward_error() {
-  const uint64_t v = acquire_write();
-  forward_errors_.fetch_add(1, std::memory_order_relaxed);
-  version_.store(v + 2, std::memory_order_release);
-}
-
-BatcherCounters BatcherMetrics::snapshot() const {
-  for (;;) {
-    const uint64_t v0 = version_.load(std::memory_order_acquire);
-    if (v0 % 2 != 0) continue;  // writer active
-    BatcherCounters s;
-    s.requests = requests_.load(std::memory_order_relaxed);
-    s.served = served_.load(std::memory_order_relaxed);
-    s.batches = batches_.load(std::memory_order_relaxed);
-    s.expired = expired_.load(std::memory_order_relaxed);
-    s.rejected = rejected_.load(std::memory_order_relaxed);
-    s.forward_errors = forward_errors_.load(std::memory_order_relaxed);
-    s.max_batch_observed = max_batch_.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (version_.load(std::memory_order_relaxed) == v0) return s;
-  }
-}
-
-void BatcherMetrics::reset() {
-  const uint64_t v = acquire_write();
-  requests_.store(0, std::memory_order_relaxed);
-  served_.store(0, std::memory_order_relaxed);
-  batches_.store(0, std::memory_order_relaxed);
-  expired_.store(0, std::memory_order_relaxed);
-  rejected_.store(0, std::memory_order_relaxed);
-  forward_errors_.store(0, std::memory_order_relaxed);
-  max_batch_.store(0, std::memory_order_relaxed);
-  version_.store(v + 2, std::memory_order_release);
-}
-
-// ---------------------------------------------------------------------------
 // ModelMetrics
 
 uint64_t ModelMetrics::acquire_write() {
@@ -219,30 +155,14 @@ ModelStats MetricsRegistry::model_snapshot(size_t id) const {
   return s;
 }
 
-void MetricsRegistry::register_batcher(const BatcherMetrics* metrics) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  batchers_.push_back(metrics);
-}
-
-void MetricsRegistry::clear_batchers() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  batchers_.clear();
-}
-
-BatcherCounters MetricsRegistry::batcher_totals() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  BatcherCounters total;
-  for (const BatcherMetrics* batcher : batchers_) {
-    const BatcherCounters s = batcher->snapshot();
-    total.requests += s.requests;
-    total.served += s.served;
-    total.batches += s.batches;
-    total.expired += s.expired;
-    total.rejected += s.rejected;
-    total.forward_errors += s.forward_errors;
-    total.max_batch_observed = std::max(total.max_batch_observed, s.max_batch_observed);
+std::vector<ModelStats> MetricsRegistry::snapshot_models_locked() const {
+  std::vector<ModelStats> snapshots;
+  snapshots.reserve(models_.size());
+  for (const auto& model : models_) {
+    snapshots.push_back(model->metrics.snapshot());
+    snapshots.back().name = model->name;
   }
-  return total;
+  return snapshots;
 }
 
 void MetricsRegistry::register_gauge(std::string name, std::string label_key,
@@ -260,7 +180,22 @@ void MetricsRegistry::clear_gauges() {
 
 namespace {
 
-/// `name{model="m",lane="l"} value` with empty labels omitted.
+ServerStats sum_models(const std::vector<ModelStats>& models) {
+  ServerStats total;
+  for (const ModelStats& s : models) {
+    total.requests += s.served + s.expired + s.rejected;
+    total.served += s.served;
+    total.batches += s.batches;
+    total.expired += s.expired;
+    total.rejected += s.rejected;
+    total.forward_errors += s.forward_errors;
+    total.max_batch_observed = std::max(total.max_batch_observed, s.max_batch_observed);
+  }
+  return total;
+}
+
+/// `name{model="m",lane="l"} value` with empty labels omitted. Label values
+/// are escaped as the text format requires (`\\`, `\"`, `\n`).
 void prom_line(std::ostringstream& out, const std::string& name,
                std::initializer_list<std::pair<const char*, std::string>> labels,
                uint64_t value) {
@@ -268,7 +203,13 @@ void prom_line(std::ostringstream& out, const std::string& name,
   bool first = true;
   for (const auto& [key, label_value] : labels) {
     if (label_value.empty()) continue;
-    out << (first ? '{' : ',') << key << "=\"" << label_value << '"';
+    out << (first ? '{' : ',') << key << "=\"";
+    for (char c : label_value) {
+      if (c == '\\' || c == '"') out << '\\' << c;
+      else if (c == '\n') out << "\\n";
+      else out << c;
+    }
+    out << '"';
     first = false;
   }
   if (!first) out << '}';
@@ -292,7 +233,22 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream file(path, std::ios::trunc);
+  if (!file) throw std::runtime_error("MetricsRegistry: cannot open " + path);
+  // A full device accepts the open and the buffered write and fails only at
+  // flush, so the stream state is checked after flushing.
+  file << text;
+  file.flush();
+  if (!file) throw std::runtime_error("MetricsRegistry: cannot write " + path);
+}
+
 }  // namespace
+
+ServerStats MetricsRegistry::totals() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return sum_models(snapshot_models_locked());
+}
 
 std::string MetricsRegistry::to_prometheus() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -301,18 +257,10 @@ std::string MetricsRegistry::to_prometheus() const {
   const char* kCounter = "counter";
   const char* kGauge = "gauge";
 
-  // Server-level totals over every registered batcher.
-  BatcherCounters total;
-  for (const BatcherMetrics* batcher : batchers_) {
-    const BatcherCounters s = batcher->snapshot();
-    total.requests += s.requests;
-    total.served += s.served;
-    total.batches += s.batches;
-    total.expired += s.expired;
-    total.rejected += s.rejected;
-    total.forward_errors += s.forward_errors;
-    total.max_batch_observed = std::max(total.max_batch_observed, s.max_batch_observed);
-  }
+  // One snapshot per model feeds every family below, so the server totals
+  // are exactly the sum of the per-model rows of this scrape.
+  const std::vector<ModelStats> models = snapshot_models_locked();
+  const ServerStats total = sum_models(models);
   prom_header(out, "dlpic_server_requests_total", kCounter,
               "Requests popped by any batcher (served + expired + rejected)");
   prom_line(out, "dlpic_server_requests_total", {}, total.requests);
@@ -344,81 +292,58 @@ std::string MetricsRegistry::to_prometheus() const {
   }
 
   // Per-model counters + per-lane latency histograms.
-  if (!models_.empty()) {
-    prom_header(out, "dlpic_requests_served_total", kCounter,
-                "Requests served, per model and lane");
-    for (const auto& model : models_) {
-      const ModelStats s = model->metrics.snapshot();
-      for (size_t lane = 0; lane < kNumLanes; ++lane)
-        prom_line(out, "dlpic_requests_served_total",
-                  {{"model", model->name}, {"lane", lane_name(lane)}},
-                  s.lanes[lane].served);
-    }
-    prom_header(out, "dlpic_requests_expired_total", kCounter,
-                "Requests expired, per model and lane");
-    for (const auto& model : models_) {
-      const ModelStats s = model->metrics.snapshot();
-      for (size_t lane = 0; lane < kNumLanes; ++lane)
-        prom_line(out, "dlpic_requests_expired_total",
-                  {{"model", model->name}, {"lane", lane_name(lane)}},
-                  s.lanes[lane].expired);
-    }
-    prom_header(out, "dlpic_lane_batches_total", kCounter,
-                "Forward passes carrying the lane, per model and lane");
-    for (const auto& model : models_) {
-      const ModelStats s = model->metrics.snapshot();
-      for (size_t lane = 0; lane < kNumLanes; ++lane)
-        prom_line(out, "dlpic_lane_batches_total",
-                  {{"model", model->name}, {"lane", lane_name(lane)}},
-                  s.lanes[lane].batches);
-    }
-    prom_header(out, "dlpic_requests_rejected_total", kCounter,
-                "Malformed requests failed before assembly, per model");
-    for (const auto& model : models_) {
-      const ModelStats s = model->metrics.snapshot();
-      prom_line(out, "dlpic_requests_rejected_total", {{"model", model->name}},
-                s.rejected);
-    }
-    prom_header(out, "dlpic_batches_total", kCounter, "Forward passes run, per model");
-    for (const auto& model : models_) {
-      const ModelStats s = model->metrics.snapshot();
-      prom_line(out, "dlpic_batches_total", {{"model", model->name}}, s.batches);
-    }
-    prom_header(out, "dlpic_forward_errors_total", kCounter,
-                "Forward passes that threw, per model");
-    for (const auto& model : models_) {
-      const ModelStats s = model->metrics.snapshot();
-      prom_line(out, "dlpic_forward_errors_total", {{"model", model->name}},
-                s.forward_errors);
-    }
-    prom_header(out, "dlpic_max_batch", kGauge,
-                "Largest coalesced batch seen, per model");
-    for (const auto& model : models_) {
-      const ModelStats s = model->metrics.snapshot();
-      prom_line(out, "dlpic_max_batch", {{"model", model->name}}, s.max_batch_observed);
-    }
-    prom_header(out, "dlpic_request_latency_us", "histogram",
-                "Submit-to-scatter latency of served requests, microseconds");
-    for (const auto& model : models_) {
-      const ModelStats s = model->metrics.snapshot();
-      for (size_t lane = 0; lane < kNumLanes; ++lane) {
-        const HistogramSnapshot& h = s.lanes[lane].latency;
-        uint64_t cumulative = 0;
-        for (size_t b = 0; b < LatencyHistogram::kNumBuckets; ++b) {
-          cumulative += h.buckets[b];
-          const std::string le =
-              b < LatencyHistogram::kNumFiniteBuckets
-                  ? std::to_string(LatencyHistogram::bucket_upper_bound_us(b))
-                  : "+Inf";
-          prom_line(out, "dlpic_request_latency_us_bucket",
-                    {{"model", model->name}, {"lane", lane_name(lane)}, {"le", le}},
-                    cumulative);
-        }
-        prom_line(out, "dlpic_request_latency_us_sum",
-                  {{"model", model->name}, {"lane", lane_name(lane)}}, h.sum_us);
-        prom_line(out, "dlpic_request_latency_us_count",
-                  {{"model", model->name}, {"lane", lane_name(lane)}}, h.count);
+  if (models.empty()) return out.str();
+  prom_header(out, "dlpic_requests_served_total", kCounter,
+              "Requests served, per model and lane");
+  for (const ModelStats& s : models)
+    for (size_t lane = 0; lane < kNumLanes; ++lane)
+      prom_line(out, "dlpic_requests_served_total",
+                {{"model", s.name}, {"lane", lane_name(lane)}}, s.lanes[lane].served);
+  prom_header(out, "dlpic_requests_expired_total", kCounter,
+              "Requests expired, per model and lane");
+  for (const ModelStats& s : models)
+    for (size_t lane = 0; lane < kNumLanes; ++lane)
+      prom_line(out, "dlpic_requests_expired_total",
+                {{"model", s.name}, {"lane", lane_name(lane)}}, s.lanes[lane].expired);
+  prom_header(out, "dlpic_lane_batches_total", kCounter,
+              "Forward passes carrying the lane, per model and lane");
+  for (const ModelStats& s : models)
+    for (size_t lane = 0; lane < kNumLanes; ++lane)
+      prom_line(out, "dlpic_lane_batches_total",
+                {{"model", s.name}, {"lane", lane_name(lane)}}, s.lanes[lane].batches);
+  prom_header(out, "dlpic_requests_rejected_total", kCounter,
+              "Malformed requests failed before assembly, per model");
+  for (const ModelStats& s : models)
+    prom_line(out, "dlpic_requests_rejected_total", {{"model", s.name}}, s.rejected);
+  prom_header(out, "dlpic_batches_total", kCounter, "Forward passes run, per model");
+  for (const ModelStats& s : models)
+    prom_line(out, "dlpic_batches_total", {{"model", s.name}}, s.batches);
+  prom_header(out, "dlpic_forward_errors_total", kCounter,
+              "Forward passes that threw, per model");
+  for (const ModelStats& s : models)
+    prom_line(out, "dlpic_forward_errors_total", {{"model", s.name}}, s.forward_errors);
+  prom_header(out, "dlpic_max_batch", kGauge, "Largest coalesced batch seen, per model");
+  for (const ModelStats& s : models)
+    prom_line(out, "dlpic_max_batch", {{"model", s.name}}, s.max_batch_observed);
+  prom_header(out, "dlpic_request_latency_us", "histogram",
+              "Submit-to-scatter latency of served requests, microseconds");
+  for (const ModelStats& s : models) {
+    for (size_t lane = 0; lane < kNumLanes; ++lane) {
+      const HistogramSnapshot& h = s.lanes[lane].latency;
+      uint64_t cumulative = 0;
+      for (size_t b = 0; b < LatencyHistogram::kNumBuckets; ++b) {
+        cumulative += h.buckets[b];
+        const std::string le =
+            b < LatencyHistogram::kNumFiniteBuckets
+                ? std::to_string(LatencyHistogram::bucket_upper_bound_us(b))
+                : "+Inf";
+        prom_line(out, "dlpic_request_latency_us_bucket",
+                  {{"model", s.name}, {"lane", lane_name(lane)}, {"le", le}}, cumulative);
       }
+      prom_line(out, "dlpic_request_latency_us_sum",
+                {{"model", s.name}, {"lane", lane_name(lane)}}, h.sum_us);
+      prom_line(out, "dlpic_request_latency_us_count",
+                {{"model", s.name}, {"lane", lane_name(lane)}}, h.count);
     }
   }
   return out.str();
@@ -428,17 +353,8 @@ std::string MetricsRegistry::to_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream out;
 
-  BatcherCounters total;
-  for (const BatcherMetrics* batcher : batchers_) {
-    const BatcherCounters s = batcher->snapshot();
-    total.requests += s.requests;
-    total.served += s.served;
-    total.batches += s.batches;
-    total.expired += s.expired;
-    total.rejected += s.rejected;
-    total.forward_errors += s.forward_errors;
-    total.max_batch_observed = std::max(total.max_batch_observed, s.max_batch_observed);
-  }
+  const std::vector<ModelStats> models = snapshot_models_locked();
+  const ServerStats total = sum_models(models);
   out << "{\n  \"server\": {"
       << "\"requests\": " << total.requests << ", \"served\": " << total.served
       << ", \"expired\": " << total.expired << ", \"rejected\": " << total.rejected
@@ -459,10 +375,10 @@ std::string MetricsRegistry::to_json() const {
   out << "],\n";
 
   out << "  \"models\": [";
-  for (size_t id = 0; id < models_.size(); ++id) {
-    const ModelStats s = models_[id]->metrics.snapshot();
+  for (size_t id = 0; id < models.size(); ++id) {
+    const ModelStats& s = models[id];
     if (id > 0) out << ",";
-    out << "\n    {\"name\": \"" << json_escape(models_[id]->name) << "\", \"id\": " << id
+    out << "\n    {\"name\": \"" << json_escape(s.name) << "\", \"id\": " << id
         << ", \"served\": " << s.served << ", \"expired\": " << s.expired
         << ", \"rejected\": " << s.rejected << ", \"batches\": " << s.batches
         << ", \"forward_errors\": " << s.forward_errors
@@ -482,21 +398,17 @@ std::string MetricsRegistry::to_json() const {
     }
     out << "]}";
   }
-  out << (models_.empty() ? "]\n}" : "\n  ]\n}");
+  out << (models.empty() ? "]\n}" : "\n  ]\n}");
   out << '\n';
   return out.str();
 }
 
 void MetricsRegistry::write_prometheus(const std::string& path) const {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) throw std::runtime_error("MetricsRegistry: cannot write " + path);
-  file << to_prometheus();
+  write_text(path, to_prometheus());
 }
 
 void MetricsRegistry::write_json(const std::string& path) const {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) throw std::runtime_error("MetricsRegistry: cannot write " + path);
-  file << to_json();
+  write_text(path, to_json());
 }
 
 }  // namespace dlpic::serve

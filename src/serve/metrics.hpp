@@ -4,9 +4,9 @@
 /// counters and log-bucketed latency histograms, a registry that aggregates
 /// them, and Prometheus-style text / JSON snapshot exposition.
 ///
-/// Coherency model. The counters of one batch (popped, served-per-lane,
+/// Coherency model. The counters of one batch (served-per-lane,
 /// expired-per-lane, rejected, batch size) are committed in ONE seqlock
-/// write (BatcherMetrics::record / ModelMetrics::record), and snapshots
+/// write to the batch's model (ModelMetrics::record), and snapshots
 /// retry until they observe a quiescent version — so the accounting
 /// invariant `requests == served + expired + rejected` holds in EVERY
 /// snapshot, even mid-traffic, not just after quiesce. All fields are
@@ -119,62 +119,32 @@ struct ModelStats {
 /// One popped batch's complete counter delta, committed atomically (one
 /// seqlock write) so snapshots always see closed totals.
 struct BatchAccounting {
-  size_t popped = 0;                        ///< requests popped (all categories)
   std::array<size_t, kNumLanes> served{};   ///< kept for the forward pass, per lane
   std::array<size_t, kNumLanes> expired{};  ///< failed with DeadlineExpired, per lane
   size_t rejected = 0;                      ///< failed for any other reason
   bool forward_pass = false;                ///< a forward pass ran (batches += 1)
   size_t batch_size = 0;                    ///< kept rows (max-batch candidate)
-  [[nodiscard]] size_t total_served() const {
-    size_t n = 0;
-    for (size_t lane = 0; lane < kNumLanes; ++lane) n += served[lane];
-    return n;
-  }
-  [[nodiscard]] size_t total_expired() const {
-    size_t n = 0;
-    for (size_t lane = 0; lane < kNumLanes; ++lane) n += expired[lane];
-    return n;
-  }
 };
 
-/// Coherent snapshot of one batcher's aggregate counters. The invariant
-/// `requests == served + expired + rejected` holds in every snapshot.
-struct BatcherCounters {
+/// Server-wide serving counters: the sum of every model's coherent
+/// snapshot (each served batch lands in exactly one model's block), so the
+/// accounting invariant `requests == served + expired + rejected` closes
+/// exactly in every result, even under full concurrent traffic.
+struct ServerStats {
   size_t requests = 0;            ///< requests popped (served + expired + rejected)
-  size_t served = 0;              ///< requests that rode a forward pass
+  size_t served = 0;              ///< requests that went through a forward pass
   size_t batches = 0;             ///< forward passes run
+  size_t max_batch_observed = 0;  ///< largest coalesced batch seen
   size_t expired = 0;             ///< requests rejected with DeadlineExpired
   size_t rejected = 0;            ///< malformed requests failed before assembly
   size_t forward_errors = 0;      ///< forward passes that threw
-  size_t max_batch_observed = 0;  ///< largest coalesced batch seen
-};
-
-/// Aggregate counters of one DynamicBatcher, written only through
-/// seqlock-guarded record() calls so snapshot() is a single coherent group
-/// read (the satellite fix for the old sum-of-independent-atomics stats()).
-class BatcherMetrics {
- public:
-  /// Commits one batch's counters atomically (writer side of the seqlock).
-  void record(const BatchAccounting& accounting);
-  /// Counts one failed forward pass (its requests stay counted as served).
-  void record_forward_error();
-  /// Coherent group read (reader side of the seqlock; spins out writers).
-  [[nodiscard]] BatcherCounters snapshot() const;
-  /// Zeroes every counter. Quiesce the owning batcher first.
-  void reset();
-
- private:
-  void write_locked(const BatchAccounting& accounting, size_t forward_errors);
-  uint64_t acquire_write();  // returns the pre-write (even) version
-
-  std::atomic<uint64_t> version_{0};
-  std::atomic<size_t> requests_{0};
-  std::atomic<size_t> served_{0};
-  std::atomic<size_t> batches_{0};
-  std::atomic<size_t> expired_{0};
-  std::atomic<size_t> rejected_{0};
-  std::atomic<size_t> forward_errors_{0};
-  std::atomic<size_t> max_batch_{0};
+  size_t drained = 0;             ///< leftover requests failed at shutdown
+  /// Mean served requests per forward pass — the batching amortization
+  /// factor (expired/rejected requests never ride a batch, so they do not
+  /// count).
+  [[nodiscard]] double mean_batch() const {
+    return batches > 0 ? static_cast<double>(served) / static_cast<double>(batches) : 0.0;
+  }
 };
 
 /// Per-model serving counters + per-lane latency histograms, shared by
@@ -210,9 +180,10 @@ class ModelMetrics {
 };
 
 /// Aggregation + exposition hub for one server: owns heap-pinned per-model
-/// metrics (stable pointers across add_model growth), references the
-/// batchers' counter blocks and any number of callback gauges (e.g. queue
-/// depths), and renders everything as Prometheus text or JSON.
+/// metrics (stable pointers across add_model growth) and any number of
+/// callback gauges (e.g. queue depths), and renders everything as
+/// Prometheus text or JSON. Server totals are always the sum of the
+/// per-model blocks, never a second set of counters.
 ///
 /// Thread-safety: registration and exposition lock a registry mutex; the
 /// metric objects themselves are lock-free, so serving threads never touch
@@ -229,17 +200,10 @@ class MetricsRegistry {
   /// unknown id.
   [[nodiscard]] ModelStats model_snapshot(size_t id) const;
 
-  /// References a batcher's counter block for server-level aggregation.
-  /// The block must stay alive until clear_batchers().
-  void register_batcher(const BatcherMetrics* metrics);
-
-  /// Drops every batcher reference (call BEFORE destroying the batchers —
-  /// a concurrent scrape walks the registered blocks).
-  void clear_batchers();
-
-  /// Sum of every registered batcher's coherent snapshot. The accounting
-  /// invariant holds for the sum because it holds per snapshot.
-  [[nodiscard]] BatcherCounters batcher_totals() const;
+  /// Sum of one coherent snapshot per model (`drained` stays 0: the
+  /// server owns that count). The accounting invariant holds for the sum
+  /// because it holds per snapshot.
+  [[nodiscard]] ServerStats totals() const;
 
   /// Registers a callback gauge, rendered as
   /// `name{label_key="label_value"} value` (labels omitted when empty).
@@ -252,14 +216,17 @@ class MetricsRegistry {
   void clear_gauges();
 
   /// Prometheus text exposition of server totals, gauges, per-model
-  /// counters and latency histograms.
+  /// counters and latency histograms. Every family is rendered from one
+  /// snapshot per model, so the server totals equal the sum of the
+  /// per-model rows of the same scrape.
   [[nodiscard]] std::string to_prometheus() const;
 
-  /// The same data as one nested JSON object.
+  /// The same data as one nested JSON object (same one-snapshot rule).
   [[nodiscard]] std::string to_json() const;
 
   /// Writes to_prometheus() / to_json() to a file (throws
-  /// std::runtime_error when the file cannot be written).
+  /// std::runtime_error naming the path when the file cannot be opened or
+  /// the write fails, e.g. on a full device).
   void write_prometheus(const std::string& path) const;
   void write_json(const std::string& path) const;
 
@@ -275,9 +242,11 @@ class MetricsRegistry {
     std::function<size_t()> fn;
   };
 
+  /// One named snapshot per model, in id order. Pre: mutex_ held.
+  [[nodiscard]] std::vector<ModelStats> snapshot_models_locked() const;
+
   mutable std::mutex mutex_;  // guards the tables below, not the counters
   std::vector<std::unique_ptr<ModelEntry>> models_;
-  std::vector<const BatcherMetrics*> batchers_;
   std::vector<Gauge> gauges_;
 };
 

@@ -37,7 +37,9 @@ size_t ModelRegistry::add(std::string name, nn::Sequential* model, size_t input_
         " us bound for model '" + name +
         "' — was a negative value converted to the unsigned field?");
   if (config.pad_to_batch != 0 && config.pad_to_batch < config.max_batch)
-    throw std::invalid_argument("ModelRegistry: pad_to_batch must be >= max_batch");
+    throw std::invalid_argument("ModelRegistry: pad_to_batch " +
+                                std::to_string(config.pad_to_batch) + " must be >= max_batch " +
+                                std::to_string(config.max_batch) + " for model '" + name + "'");
   // Validates the model/batch-shape combination up front instead of failing
   // inside a worker thread on the first request.
   (void)model->output_shape({config.max_batch, input_dim});

@@ -121,7 +121,7 @@ class ModelRegistry {
   void snapshot_policies(std::vector<PopPolicy>& out) const;
 
   /// The metrics hub holding every bundle's counter block (and, on a
-  /// server, the batcher blocks and queue-depth gauges). Scrape through
+  /// server, the queue-depth gauges). Scrape through
   /// to_prometheus()/to_json(); safe while serving.
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }

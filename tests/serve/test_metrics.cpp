@@ -1,20 +1,24 @@
 /// \file test_metrics.cpp
 /// Metrics-layer contract suite: log2 histogram bucket boundaries are exact,
-/// seqlock counter groups stay coherent under concurrent writers (the
-/// accounting invariant `requests == served + expired + rejected` holds in
-/// EVERY snapshot, asserted by a racing reader under TSan), the Prometheus
-/// text exposition matches a golden line set, the JSON snapshot carries the
-/// same data, and InferenceServer::stats() totals close under full
-/// concurrent traffic (the satellite fix for the old non-atomic group read).
+/// the per-model seqlock counter group stays coherent under concurrent
+/// writers (asserted by a racing reader under TSan), the Prometheus text
+/// exposition matches a golden line set, the JSON snapshot carries the same
+/// data, InferenceServer::stats() totals close under full concurrent
+/// traffic, and every mid-traffic scrape is coherent: its server totals are
+/// the sum of its own per-model rows.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,8 +33,6 @@ namespace {
 
 using namespace dlpic;
 using serve::BatchAccounting;
-using serve::BatcherCounters;
-using serve::BatcherMetrics;
 using serve::InferenceServer;
 using serve::LatencyHistogram;
 using serve::MetricsRegistry;
@@ -86,60 +88,14 @@ TEST(LatencyHistogramTest, RecordAndSnapshot) {
 }
 
 // The headline coherency guarantee: with writers hammering record(), every
-// concurrent snapshot satisfies requests == served + expired + rejected —
-// no torn group reads. Runs under TSan in CI, so the seqlock's atomics are
-// also checked for data-race freedom.
-TEST(BatcherMetricsTest, SnapshotsStayCoherentUnderConcurrentWriters) {
-  BatcherMetrics metrics;
-  constexpr size_t kWriters = 3;
-  constexpr size_t kBatchesPerWriter = 4000;
-  // Per-batch delta: 4 popped = 2 served + 1 expired + 1 rejected.
-  BatchAccounting delta;
-  delta.popped = 4;
-  delta.served[kInteractive] = 1;
-  delta.served[kBulk] = 1;
-  delta.expired[kBulk] = 1;
-  delta.rejected = 1;
-  delta.forward_pass = true;
-  delta.batch_size = 2;
-
-  std::atomic<bool> done{false};
-  std::atomic<size_t> incoherent{0};
-  std::thread reader([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      const BatcherCounters s = metrics.snapshot();
-      if (s.requests != s.served + s.expired + s.rejected)
-        incoherent.fetch_add(1, std::memory_order_relaxed);
-      // Within one coherent snapshot the fixed delta shape is also visible:
-      // every committed batch contributed requests in multiples of 4.
-      if (s.requests % 4 != 0) incoherent.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  std::vector<std::thread> writers;
-  for (size_t w = 0; w < kWriters; ++w)
-    writers.emplace_back([&] {
-      for (size_t i = 0; i < kBatchesPerWriter; ++i) metrics.record(delta);
-    });
-  for (auto& t : writers) t.join();
-  done.store(true, std::memory_order_release);
-  reader.join();
-
-  EXPECT_EQ(incoherent.load(), 0u);
-  const BatcherCounters s = metrics.snapshot();
-  EXPECT_EQ(s.requests, kWriters * kBatchesPerWriter * 4);
-  EXPECT_EQ(s.served, kWriters * kBatchesPerWriter * 2);
-  EXPECT_EQ(s.expired, kWriters * kBatchesPerWriter);
-  EXPECT_EQ(s.rejected, kWriters * kBatchesPerWriter);
-  EXPECT_EQ(s.batches, kWriters * kBatchesPerWriter);
-  EXPECT_EQ(s.max_batch_observed, 2u);
-}
-
+// concurrent snapshot sees whole batches only — no torn group reads. Runs
+// under TSan in CI, so the seqlock's atomics are also checked for
+// data-race freedom.
 TEST(ModelMetricsTest, SnapshotsStayCoherentUnderConcurrentWriters) {
   ModelMetrics metrics;
   constexpr size_t kWriters = 3;
   constexpr size_t kBatchesPerWriter = 3000;
   BatchAccounting delta;
-  delta.popped = 3;
   delta.served[kInteractive] = 2;
   delta.expired[kBulk] = 1;
   delta.forward_pass = true;
@@ -187,29 +143,26 @@ TEST(ModelMetricsTest, SnapshotsStayCoherentUnderConcurrentWriters) {
   EXPECT_EQ(s.lanes[kInteractive].latency.buckets[12], kWriters * kBatchesPerWriter);
 }
 
-// Golden test of the Prometheus text exposition: a registry with one model,
-// one batcher block and two gauges renders exactly these lines. The format
-// (names, label sets, cumulative le buckets) is a public scrape contract.
+// Golden test of the Prometheus text exposition: a registry with two models
+// and two gauges renders exactly these lines. The format (names, label sets,
+// cumulative le buckets, escaped label values) is a public scrape contract.
 TEST(MetricsRegistryTest, PrometheusExpositionMatchesGolden) {
   MetricsRegistry registry;
   ModelMetrics* model = registry.add_model("phi");
-  BatcherMetrics batcher;
-  registry.register_batcher(&batcher);
+  // A name holding every character the text format escapes in label values.
+  registry.add_model("a\"b\\c\nd");
   registry.register_gauge("dlpic_queue_depth", "lane", "interactive", [] { return 3; });
   registry.register_gauge("dlpic_queue_depth", "lane", "bulk", [] { return 7; });
 
   BatchAccounting delta;
-  delta.popped = 5;
   delta.served[kInteractive] = 2;
   delta.served[kBulk] = 1;
   delta.expired[kBulk] = 1;
   delta.rejected = 1;
   delta.forward_pass = true;
   delta.batch_size = 3;
-  batcher.record(delta);
   model->record(delta);
   model->record_forward_error();
-  batcher.record_forward_error();
   model->record_latency(kInteractive, 3);    // bucket le="4"
   model->record_latency(kInteractive, 4);    // bucket le="4"
   model->record_latency(kBulk, 3000000);     // beyond 2^21 us: +Inf bucket
@@ -247,6 +200,9 @@ TEST(MetricsRegistryTest, PrometheusExpositionMatchesGolden) {
       "dlpic_request_latency_us_bucket{model=\"phi\",lane=\"bulk\",le=\"2097152\"} 0",
       "dlpic_request_latency_us_bucket{model=\"phi\",lane=\"bulk\",le=\"+Inf\"} 1",
       "dlpic_request_latency_us_count{model=\"phi\",lane=\"bulk\"} 1",
+      // The second model's name, escaped as `\\`, `\"` and `\n`.
+      "dlpic_requests_rejected_total{model=\"a\\\"b\\\\c\\nd\"} 0",
+      "dlpic_request_latency_us_count{model=\"a\\\"b\\\\c\\nd\",lane=\"bulk\"} 0",
   };
   // Every golden line must appear as a COMPLETE exposition line.
   std::vector<std::string> lines;
@@ -270,16 +226,12 @@ TEST(MetricsRegistryTest, PrometheusExpositionMatchesGolden) {
 TEST(MetricsRegistryTest, JsonSnapshotCarriesTheSameData) {
   MetricsRegistry registry;
   ModelMetrics* model = registry.add_model("psi\"q");  // name needs escaping
-  BatcherMetrics batcher;
-  registry.register_batcher(&batcher);
   registry.register_gauge("dlpic_live_workers", "", "", [] { return 2; });
 
   BatchAccounting delta;
-  delta.popped = 2;
   delta.served[kBulk] = 2;
   delta.forward_pass = true;
   delta.batch_size = 2;
-  batcher.record(delta);
   model->record(delta);
   model->record_latency(kBulk, 10);
 
@@ -329,12 +281,21 @@ TEST(MetricsRegistryTest, WritesExpositionFiles) {
   std::remove(prom_path.c_str());
   std::remove(json_path.c_str());
   EXPECT_THROW(registry.write_prometheus("/nonexistent-dir/x.prom"), std::runtime_error);
+  // A full device opens and buffers fine and fails only at flush: the
+  // failed write must still surface, naming the path.
+  for (const bool json : {false, true}) {
+    try {
+      json ? registry.write_json("/dev/full") : registry.write_prometheus("/dev/full");
+      ADD_FAILURE() << "write to /dev/full returned silently (json=" << json << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos) << e.what();
+    }
+  }
 }
 
-// Satellite regression test: stats() used to sum independent atomics, so a
-// mid-batch read could observe requests != served + expired + rejected.
-// Now every batcher contributes one coherent seqlock snapshot — the
-// invariant must close in EVERY stats() call, even mid-traffic.
+// stats() sums one coherent seqlock snapshot per model, so the invariant
+// requests == served + expired + rejected must close in EVERY stats() call,
+// even mid-traffic with two workers writing.
 TEST(ServerStatsTest, TotalsCloseUnderConcurrentTraffic) {
   constexpr size_t kInputDim = 48;
   nn::MlpSpec spec;
@@ -350,7 +311,7 @@ TEST(ServerStatsTest, TotalsCloseUnderConcurrentTraffic) {
   cfg.context_worker_cap = 1;
   cfg.max_batch = 8;
   cfg.max_wait_us = 200;
-  InferenceServer server(model, kInputDim);
+  InferenceServer server(model, kInputDim, cfg);
 
   constexpr size_t kProducers = 3;
   constexpr size_t kPerProducer = 150;
@@ -421,6 +382,146 @@ TEST(ServerStatsTest, TotalsCloseUnderConcurrentTraffic) {
   EXPECT_NE(text.find("dlpic_server_served_total " + std::to_string(s.served)),
             std::string::npos);
   EXPECT_NE(text.find("dlpic_live_workers 0"), std::string::npos);  // shut down
+}
+
+/// Sum and max of one Prometheus scrape's sample values per family name
+/// (labels dropped).
+struct FamilyValues {
+  uint64_t sum = 0;
+  uint64_t max = 0;
+};
+std::map<std::string, FamilyValues> prom_families(const std::string& text) {
+  std::map<std::string, FamilyValues> families;
+  std::istringstream stream(text);
+  std::string line;
+  while (std::getline(stream, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const uint64_t value = std::stoull(line.substr(line.rfind(' ') + 1));
+    FamilyValues& family = families[line.substr(0, line.find_first_of("{ "))];
+    family.sum += value;
+    family.max = std::max(family.max, value);
+  }
+  return families;
+}
+
+/// The number after `"key": ` at or after `from` in a JSON snapshot.
+uint64_t json_field(const std::string& json, size_t from, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const size_t at = json.find(needle, from);
+  if (at == std::string::npos) throw std::runtime_error("missing JSON field " + key);
+  return std::stoull(json.substr(at + needle.size()));
+}
+
+// One scrape is one snapshot per model: every server total of a mid-traffic
+// scrape equals the sum of the per-model rows of the SAME text, and the
+// accounting closes inside it. Two models, two workers, both lanes and a
+// slice of expired deadlines keep every counter moving while a scraper
+// reads both exposition formats.
+TEST(MetricsRegistryTest, ScrapesStayCoherentUnderConcurrentTraffic) {
+  constexpr size_t kInputDim = 32;
+  nn::MlpSpec spec;
+  spec.input_dim = kInputDim;
+  spec.output_dim = 8;
+  spec.hidden = 24;
+  spec.depth = 2;
+  spec.seed = 41;
+  nn::Sequential model_a = nn::build_mlp(spec);
+  spec.seed = 42;
+  nn::Sequential model_b = nn::build_mlp(spec);
+
+  ServerConfig cfg;
+  cfg.worker_threads = 2;
+  cfg.context_worker_cap = 1;
+  InferenceServer server(cfg);
+  serve::ModelConfig mc;
+  mc.max_batch = 8;
+  mc.max_wait_us = 200;
+  const size_t ids[2] = {server.add_model("a", model_a, kInputDim, mc),
+                         server.add_model("b", model_b, kInputDim, mc)};
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> scrapes{0};
+  std::atomic<size_t> incoherent{0};
+  std::thread scraper([&] {
+    do {
+      auto prom = prom_families(server.metrics_prometheus());
+      const uint64_t requests = prom["dlpic_server_requests_total"].sum;
+      const uint64_t served = prom["dlpic_server_served_total"].sum;
+      const uint64_t expired = prom["dlpic_server_expired_total"].sum;
+      const uint64_t rejected = prom["dlpic_server_rejected_total"].sum;
+      const bool prom_ok =
+          requests == served + expired + rejected &&
+          served == prom["dlpic_requests_served_total"].sum &&
+          expired == prom["dlpic_requests_expired_total"].sum &&
+          rejected == prom["dlpic_requests_rejected_total"].sum &&
+          prom["dlpic_server_batches_total"].sum == prom["dlpic_batches_total"].sum &&
+          prom["dlpic_server_forward_errors_total"].sum ==
+              prom["dlpic_forward_errors_total"].sum &&
+          prom["dlpic_server_max_batch"].sum == prom["dlpic_max_batch"].max;
+
+      const std::string json = server.metrics_json();
+      const size_t server_at = json.find("\"server\": {");
+      const uint64_t j_requests = json_field(json, server_at, "requests");
+      const uint64_t j_served = json_field(json, server_at, "served");
+      const uint64_t j_expired = json_field(json, server_at, "expired");
+      const uint64_t j_rejected = json_field(json, server_at, "rejected");
+      const uint64_t j_batches = json_field(json, server_at, "batches");
+      uint64_t m_served = 0, m_expired = 0, m_rejected = 0, m_batches = 0;
+      for (size_t at = json.find("\"id\": "); at != std::string::npos;
+           at = json.find("\"id\": ", at + 1)) {
+        m_served += json_field(json, at, "served");
+        m_expired += json_field(json, at, "expired");
+        m_rejected += json_field(json, at, "rejected");
+        m_batches += json_field(json, at, "batches");
+      }
+      const bool json_ok = j_requests == j_served + j_expired + j_rejected &&
+                           j_served == m_served && j_expired == m_expired &&
+                           j_rejected == m_rejected && j_batches == m_batches;
+      if (!prom_ok || !json_ok) incoherent.fetch_add(1, std::memory_order_relaxed);
+      scrapes.fetch_add(1, std::memory_order_relaxed);
+    } while (!stop.load(std::memory_order_acquire));
+  });
+
+  constexpr size_t kProducers = 3;
+  constexpr size_t kPerProducer = 1000;
+  std::vector<std::thread> producers;
+  std::vector<std::vector<std::future<std::vector<double>>>> futures(kProducers);
+  for (size_t p = 0; p < kProducers; ++p)
+    producers.emplace_back([&, p] {
+      math::Rng rng(700 + p);
+      for (size_t i = 0; i < kPerProducer; ++i) {
+        std::vector<double> x(kInputDim);
+        for (auto& v : x) v = rng.uniform(0.0, 10.0);
+        serve::SubmitOptions options;
+        options.model_id = ids[(i + p) % 2];
+        options.priority = (i % 3 == 0) ? Priority::kInteractive : Priority::kBulk;
+        if (i % 5 == 0)
+          options.deadline = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+        futures[p].push_back(server.submit(std::move(x), options));
+      }
+    });
+  for (auto& t : producers) t.join();
+  size_t expired = 0;
+  for (auto& mine : futures)
+    for (auto& f : mine) {
+      try {
+        f.get();
+      } catch (const serve::DeadlineExpired&) {
+        ++expired;
+      }
+    }
+  stop.store(true, std::memory_order_release);
+  scraper.join();
+
+  EXPECT_GT(scrapes.load(), 0u);
+  EXPECT_EQ(incoherent.load(), 0u) << "over " << scrapes.load() << " concurrent scrapes";
+  GTEST_LOG_(INFO) << scrapes.load() << " concurrent scrapes, " << incoherent.load()
+                   << " incoherent";
+  const serve::ServerStats s = server.stats();
+  EXPECT_EQ(s.requests, kProducers * kPerProducer);
+  EXPECT_EQ(s.expired, expired);
+  EXPECT_GT(s.expired, 0u);
+  EXPECT_EQ(server.model_stats(ids[0]).served + server.model_stats(ids[1]).served, s.served);
 }
 
 }  // namespace

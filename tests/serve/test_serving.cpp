@@ -239,11 +239,13 @@ TEST(DynamicBatcher, PaddingIsBitwiseNeutral) {
     std::vector<std::future<std::vector<double>>> futures;
     for (const auto& s : samples) futures.push_back(queue.push(s));
     nn::ExecutionContext ctx(/*worker_cap=*/1);
-    serve::BatcherConfig bc;
-    bc.max_batch = 16;
-    bc.max_wait_us = 0;  // serve whatever is queued right now
-    bc.pad_to_batch = pad;
-    serve::DynamicBatcher batcher(model, ctx, kInputDim, bc);
+    serve::ModelConfig mc;
+    mc.max_batch = 16;
+    mc.max_wait_us = 0;  // serve whatever is queued right now
+    mc.pad_to_batch = pad;
+    serve::ModelRegistry registry;
+    registry.add("default", &model, kInputDim, mc, nullptr);
+    serve::DynamicBatcher batcher(registry, ctx);
     EXPECT_EQ(batcher.serve_once(queue), samples.size());
     std::vector<std::vector<double>> out;
     for (auto& f : futures) out.push_back(f.get());
@@ -265,23 +267,16 @@ TEST(InferenceServer, PaddedServerMatchesSerialReferenceBitwise) {
   auto samples = make_samples(19, 1234);  // never a multiple of max_batch
   const auto expected = serial_reference(model, samples);
 
-  ServerConfig cfg;
-  cfg.max_batch = 8;
-  cfg.pad_to_batch = 8;  // every forward pass runs at exactly 8 rows
-  cfg.max_wait_us = 1'000;
-  InferenceServer server(model, kInputDim, cfg);
+  InferenceServer server;
+  serve::ModelConfig mc;
+  mc.max_batch = 8;
+  mc.pad_to_batch = 8;  // every forward pass runs at exactly 8 rows
+  mc.max_wait_us = 1'000;
+  server.add_model("padded", model, kInputDim, mc);
 
   std::vector<std::future<std::vector<double>>> futures;
   for (const auto& s : samples) futures.push_back(server.submit(s));
   for (size_t i = 0; i < futures.size(); ++i) EXPECT_EQ(futures[i].get(), expected[i]);
-}
-
-TEST(InferenceServer, RejectsPadSmallerThanMaxBatch) {
-  auto model = make_model();
-  ServerConfig cfg;
-  cfg.max_batch = 8;
-  cfg.pad_to_batch = 4;
-  EXPECT_THROW(InferenceServer(model, kInputDim, cfg), std::invalid_argument);
 }
 
 TEST(InferenceServer, MultiModelServesEachModelBitwiseAndNeverMixes) {
@@ -741,9 +736,22 @@ TEST(InferenceServer, AddModelRejectsInvalidConfigsWithClearErrors) {
     EXPECT_NE(std::string(e.what()).find("negative"), std::string::npos);
   }
 
+  // Fixed-shape padding below max_batch could not hold a full batch.
+  serve::ModelConfig small_pad;
+  small_pad.max_batch = 8;
+  small_pad.pad_to_batch = 4;
+  try {
+    server.add_model("bad-pad", model, kInputDim, small_pad);
+    FAIL() << "pad_to_batch < max_batch was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("pad_to_batch"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("bad-pad"), std::string::npos);
+  }
+
   // A rejected config publishes nothing: the names stay free.
   EXPECT_THROW((void)server.model_id("bad-batch"), std::out_of_range);
   EXPECT_THROW((void)server.model_id("bad-wait"), std::out_of_range);
+  EXPECT_THROW((void)server.model_id("bad-pad"), std::out_of_range);
   // The bound itself is accepted (policy only — no request rides it here).
   serve::ModelConfig max_wait;
   max_wait.max_wait_us = serve::kMaxWaitUs;
