@@ -15,6 +15,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <optional>
+
 #include "bench_json.hpp"
 #include "math/linalg.hpp"
 #include "math/rng.hpp"
@@ -24,6 +27,7 @@
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/quantize.hpp"
+#include "nn/sequential.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -52,6 +56,25 @@ class WorkerCapGuard {
   size_t previous_;
 };
 
+/// The quantized rows of bench_gemm: B precise-quantized once up front, A
+/// fast-quantized inside the timed region.
+template <typename Code>
+void run_quantized_gemm(benchmark::State& state, size_t n, const std::vector<double>& A,
+                        const std::vector<double>& B, std::vector<double>& C) {
+  nn::QuantizedMatrix<Code> Bq;
+  // quantized_gemm consumes B row-major k-contiguous = B^T of this GEMM;
+  // for a throughput bench the transposed random matrix is equivalent.
+  nn::quantize_rows_precise(B.data(), n, n, Bq);
+  std::vector<Code> Aq(n * n);
+  std::vector<double> As(n);
+  for (auto _ : state) {
+    nn::quantize_rows_fast(A.data(), n, n, Aq.data(), As.data());
+    nn::quantized_gemm(n, n, n, Aq.data(), As.data(), Bq.q.data(), Bq.scales.data(),
+                       C.data(), n);
+    benchmark::DoNotOptimize(C.data());
+  }
+}
+
 void bench_gemm(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   benchjson::BackendGuard backend(state, 1);
@@ -59,7 +82,7 @@ void bench_gemm(benchmark::State& state) {
   // Third axis: precision (0 = f64, 1 = int8, 2 = int16). The quantized
   // rows measure the serving-shaped cost — weights (B) precise-quantized
   // once up front, the activation operand (A) fast-quantized inside the
-  // timed region, exactly as Dense::forward_int8/_int16 pays it per batch.
+  // timed region, exactly as Dense::forward_quantized pays it per batch.
   const long precision = state.range(2);
   state.counters["precision"] = benchmark::Counter(static_cast<double>(precision));
   math::Rng rng(888);
@@ -67,29 +90,9 @@ void bench_gemm(benchmark::State& state) {
   for (auto& v : A) v = rng.uniform(-1, 1);
   for (auto& v : B) v = rng.uniform(-1, 1);
   if (precision == 1) {
-    nn::QuantizedMatrix Bq;
-    // quantized_gemm consumes B row-major k-contiguous = B^T of this GEMM;
-    // for a throughput bench the transposed random matrix is equivalent.
-    nn::quantize_rows_precise(B.data(), n, n, Bq);
-    std::vector<int8_t> Aq(n * n);
-    std::vector<double> As(n);
-    for (auto _ : state) {
-      nn::quantize_rows_fast(A.data(), n, n, Aq.data(), As.data());
-      nn::quantized_gemm(n, n, n, Aq.data(), As.data(), Bq.q.data(),
-                         Bq.scales.data(), C.data(), n);
-      benchmark::DoNotOptimize(C.data());
-    }
+    run_quantized_gemm<int8_t>(state, n, A, B, C);
   } else if (precision == 2) {
-    nn::QuantizedMatrix16 Bq;
-    nn::quantize_rows_precise_i16(B.data(), n, n, Bq);
-    std::vector<int16_t> Aq(n * n);
-    std::vector<double> As(n);
-    for (auto _ : state) {
-      nn::quantize_rows_fast_i16(A.data(), n, n, Aq.data(), As.data());
-      nn::quantized_gemm_i16(n, n, n, Aq.data(), As.data(), Bq.q.data(),
-                             Bq.scales.data(), C.data(), n);
-      benchmark::DoNotOptimize(C.data());
-    }
+    run_quantized_gemm<int16_t>(state, n, A, B, C);
   } else {
     for (auto _ : state) {
       math::gemm(false, false, n, n, n, 1.0, A.data(), n, B.data(), n, 0.0, C.data(), n);
@@ -250,17 +253,14 @@ void bench_conv_step(benchmark::State& state) {
   nn::Conv2DConfig cfg;
   cfg.in_channels = channels;
   cfg.out_channels = channels;
-  nn::Conv2D layer(cfg, rng);
+  nn::Sequential model;
+  model.add(std::make_unique<nn::Conv2D>(cfg, rng));
+  nn::Layer& layer = model.layer(0);
   nn::ExecutionContext ctx;
-  nn::QuantizedWeightCache cache;
+  std::optional<nn::QuantizedWeightCache> cache;
   if (mode == 2 || mode == 3) {
-    const size_t krows = cfg.in_channels * cfg.kernel_h * cfg.kernel_w;
-    if (mode == 2)
-      cache.put(&layer, layer.weight().data(), cfg.out_channels, krows);
-    else
-      cache.put_i16(&layer, layer.weight().data(), cfg.out_channels, krows);
-    ctx.set_weight_cache(&cache);
-    ctx.set_precision(mode == 2 ? nn::Precision::kInt8 : nn::Precision::kInt16);
+    cache.emplace(model, mode == 2 ? nn::Precision::kInt8 : nn::Precision::kInt16);
+    ctx.set_quantized_weights(&*cache);
   }
   auto x = random_tensor({8, channels, hw, hw}, 8);
   if (mode == 0) {

@@ -5,7 +5,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
 #include "math/linalg.hpp"
 #include "nn/init.hpp"
@@ -25,20 +24,9 @@ constexpr int kSlotDw = 5;      // per-image weight-grad contributions
 constexpr int kSlotDb = 6;      // per-image bias-grad contributions
 // Quantized-path staging (int8 and int16 share ids: the code maps are
 // per-width, and every f64 scale buffer is fully rewritten each call).
-constexpr int kSlotQCols = 7;         // per-worker lowered column codes
-constexpr int kSlotQColScale = 8;     // per-worker per-pixel column scales
-constexpr int kSlotQWeight = 9;       // fast-quantized filters (cache miss)
-constexpr int kSlotQWeightScale = 10; // per-filter scales (cache miss)
-constexpr int kSlotQImg = 11;         // per-worker quantized input image
-
-/// Width-dispatching scratch accessor for the quantized staging buffers.
-template <typename Code>
-std::vector<Code>& scratch_codes(Workspace& ws, const void* owner, int slot, size_t n) {
-  if constexpr (std::is_same_v<Code, int8_t>)
-    return ws.scratch_i8(owner, slot, n);
-  else
-    return ws.scratch_i16(owner, slot, n);
-}
+constexpr int kSlotQCols = 7;       // per-worker lowered column codes
+constexpr int kSlotQColScale = 8;   // per-worker per-pixel column scales
+constexpr int kSlotQImg = 9;        // per-worker quantized input image
 
 /// Shared traversal of the transposed lowering — see im2col_rows for the
 /// layout contract. Templated over the element type so the quantized path
@@ -252,15 +240,15 @@ Tensor& Conv2D::forward(ExecutionContext& ctx, const Tensor& input, bool trainin
   const size_t krows = cfg_.in_channels * cfg_.kernel_h * cfg_.kernel_w;
   const size_t plane = oh * ow;
 
-  if (is_quantized(ctx.precision())) {
+  if (const QuantizedWeightCache* cache = ctx.quantized_weights()) {
     if (training)
       throw std::invalid_argument(
-          std::string("Conv2D::forward: ") + precision_name(ctx.precision()) +
+          std::string("Conv2D::forward: ") + precision_name(cache->precision()) +
           " precision is inference-only (train at kF64)");
     // Inference-only: no backward will follow, so skip the input caching and
     // read `input` directly.
     Tensor& out = ctx.workspace().tensor(this, kSlotOut, {n, cfg_.out_channels, oh, ow});
-    if (ctx.precision() == Precision::kInt8)
+    if (cache->precision() == Precision::kInt8)
       forward_quantized<int8_t>(ctx, input, out, h, w, oh, ow);
     else
       forward_quantized<int16_t>(ctx, input, out, h, w, oh, ow);
@@ -300,7 +288,6 @@ Tensor& Conv2D::forward(ExecutionContext& ctx, const Tensor& input, bool trainin
 template <typename Code>
 void Conv2D::forward_quantized(ExecutionContext& ctx, const Tensor& input, Tensor& out,
                                size_t h, size_t w, size_t oh, size_t ow) {
-  constexpr bool kIs8 = std::is_same_v<Code, int8_t>;
   const size_t n = input.dim(0);
   const size_t krows = cfg_.in_channels * cfg_.kernel_h * cfg_.kernel_w;
   const size_t plane = oh * ow;
@@ -310,46 +297,15 @@ void Conv2D::forward_quantized(ExecutionContext& ctx, const Tensor& input, Tenso
   // caller's thread, rather than inside a pool task. Serving rejects such
   // models at registration (validate_quantizable); this is the backstop for
   // direct context users.
-  constexpr size_t kMaxDepth = kIs8 ? kQuantizedGemmMaxDepth : kQuantizedGemmInt16MaxDepth;
-  if (krows > kMaxDepth)
+  if (krows > kQuantizedDepthBound<Code>)
     throw std::invalid_argument("Conv2D::forward: patch depth " + std::to_string(krows) +
                                 " exceeds the quantized GEMM bound " +
-                                std::to_string(kMaxDepth));
+                                std::to_string(kQuantizedDepthBound<Code>));
 
-  // Static side: precise filter codes from the serving cache when present
-  // (shape-checked: [oc, ic*kh*kw] row-major, k-contiguous rows), else one
-  // fast per-call quantization before the image loop.
-  const Code* w_codes = nullptr;
-  const double* w_scales = nullptr;
-  if (const QuantizedWeightCache* cache = ctx.weight_cache()) {
-    if constexpr (kIs8) {
-      if (const QuantizedMatrix* wq = cache->find(this)) {
-        if (wq->rows != cfg_.out_channels || wq->cols != krows)
-          throw std::logic_error("Conv2D::forward: quantized weight cache shape mismatch");
-        w_codes = wq->q.data();
-        w_scales = wq->scales.data();
-      }
-    } else {
-      if (const QuantizedMatrix16* wq = cache->find_i16(this)) {
-        if (wq->rows != cfg_.out_channels || wq->cols != krows)
-          throw std::logic_error("Conv2D::forward: quantized weight cache shape mismatch");
-        w_codes = wq->q.data();
-        w_scales = wq->scales.data();
-      }
-    }
-  }
-  if (w_codes == nullptr) {
-    std::vector<Code>& wqs =
-        scratch_codes<Code>(ws, this, kSlotQWeight, cfg_.out_channels * krows);
-    std::vector<double>& wss = ws.scratch(this, kSlotQWeightScale, cfg_.out_channels);
-    if constexpr (kIs8)
-      quantize_rows_fast(weight_.data(), cfg_.out_channels, krows, wqs.data(), wss.data());
-    else
-      quantize_rows_fast_i16(weight_.data(), cfg_.out_channels, krows, wqs.data(),
-                             wss.data());
-    w_codes = wqs.data();
-    w_scales = wss.data();
-  }
+  // Precise filter codes from the cache: [oc, ic*kh*kw] row-major,
+  // k-contiguous rows.
+  const QuantizedMatrix<Code>& wq =
+      ctx.quantized_weights()->weights<Code>(*this, cfg_.out_channels, krows);
 
   // Dynamic side, parallel over images exactly like the f64 path. Each
   // worker fast-quantizes its whole image once — symmetric, one shared
@@ -372,8 +328,8 @@ void Conv2D::forward_quantized(ExecutionContext& ctx, const Tensor& input, Tenso
   // lowering's one-element group overstore never crosses into the next
   // worker's segment (which would race with that worker's own writes).
   const size_t colstride = plane * krows + kLowerPad;
-  std::vector<Code>& qimg = scratch_codes<Code>(ws, this, kSlotQImg, nworkers * chw);
-  std::vector<Code>& qcols = scratch_codes<Code>(ws, this, kSlotQCols, nworkers * colstride);
+  std::vector<Code>& qimg = ws.scratch<Code>(this, kSlotQImg, nworkers * chw);
+  std::vector<Code>& qcols = ws.scratch<Code>(this, kSlotQCols, nworkers * colstride);
   std::vector<double>& qscales = ws.scratch(this, kSlotQColScale, nworkers * plane);
   util::parallel_for_workers(0, n, [&](size_t worker, size_t lo, size_t hi) {
     ScopedBackend worker_backend(be);
@@ -382,10 +338,7 @@ void Conv2D::forward_quantized(ExecutionContext& ctx, const Tensor& input, Tenso
     double* myscales = qscales.data() + worker * plane;
     for (size_t b = lo; b < hi; ++b) {
       double img_scale = 0.0;
-      if constexpr (kIs8)
-        quantize_rows_fast(input.data() + b * chw, 1, chw, myimg, &img_scale);
-      else
-        quantize_rows_fast_i16(input.data() + b * chw, 1, chw, myimg, &img_scale);
+      quantize_rows_fast(input.data() + b * chw, 1, chw, myimg, &img_scale);
       if (fast_lower)
         lower_rows_s1k3<Code>(myimg, cfg_.in_channels, h, w, cfg_.kernel_h, cfg_.pad,
                               mycodes);
@@ -396,12 +349,8 @@ void Conv2D::forward_quantized(ExecutionContext& ctx, const Tensor& input, Tenso
       double* dst = out.data() + b * cfg_.out_channels * plane;
       // out[b] (oc x plane) = Wq (oc x krows) x colsq^T — the quantized GEMM
       // nested under this parallel region degrades to serial, like math::gemm.
-      if constexpr (kIs8)
-        quantized_gemm(cfg_.out_channels, plane, krows, w_codes, w_scales, mycodes,
-                       myscales, dst, plane);
-      else
-        quantized_gemm_i16(cfg_.out_channels, plane, krows, w_codes, w_scales, mycodes,
-                           myscales, dst, plane);
+      quantized_gemm(cfg_.out_channels, plane, krows, wq.q.data(), wq.scales.data(),
+                     mycodes, myscales, dst, plane);
       for (size_t oc = 0; oc < cfg_.out_channels; ++oc) {
         double* drow = dst + oc * plane;
         const double bv = bias_[oc];

@@ -60,12 +60,12 @@ class Conv2D final : public Layer {
   /// Output spatial dims for an input of h x w.
   [[nodiscard]] std::pair<size_t, size_t> out_dims(size_t h, size_t w) const;
 
-  /// Quantized inference path (ctx.precision() == kInt8 / kInt16, Code =
-  /// int8_t / int16_t): fast symmetric quantization of the whole image
-  /// (one shared scale per image), transposed im2col lowering of the
-  /// CODES — quantized im2col, so the 9x-duplicating lowering moves
-  /// code-width bytes, not doubles — then an integer GEMM against the
-  /// cached (or fast-quantized) filter codes.
+  /// Quantized inference path (the context holds a weight cache; Code =
+  /// int8_t / int16_t per the cache's precision): fast symmetric
+  /// quantization of the whole image (one shared scale per image),
+  /// transposed im2col lowering of the CODES — quantized im2col, so the
+  /// 9x-duplicating lowering moves code-width bytes, not doubles — then an
+  /// integer GEMM against the cached filter codes.
   template <typename Code>
   void forward_quantized(ExecutionContext& ctx, const Tensor& input, Tensor& out,
                          size_t h, size_t w, size_t oh, size_t ow);

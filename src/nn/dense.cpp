@@ -16,16 +16,10 @@ namespace {
 constexpr int kSlotInput = 0;
 constexpr int kSlotOut = 1;
 constexpr int kSlotGradIn = 2;
-// Int8-path staging slots (grow-only scratch; see quantize.hpp).
-constexpr int kSlotInt8In = 3;          // quantized activation rows
-constexpr int kSlotInt8InScale = 4;     // per-row activation scales
-constexpr int kSlotInt8Weight = 5;      // fast-quantized weights (cache miss)
-constexpr int kSlotInt8WeightScale = 6; // per-row weight scales (cache miss)
-// Int16-path staging slots (same roles at 16-bit code width).
-constexpr int kSlotInt16In = 7;
-constexpr int kSlotInt16InScale = 8;
-constexpr int kSlotInt16Weight = 9;
-constexpr int kSlotInt16WeightScale = 10;
+// Quantized-path staging (grow-only scratch; see quantize.hpp). The code
+// slot is per code width; the scale slot is fully rewritten each call.
+constexpr int kSlotQIn = 3;       // quantized activation rows
+constexpr int kSlotQInScale = 4;  // per-row activation scales
 }  // namespace
 
 Dense::Dense(size_t in_features, size_t out_features, math::Rng& rng, bool linear_output)
@@ -62,15 +56,15 @@ Tensor& Dense::forward(ExecutionContext& ctx, const Tensor& input, bool training
   const size_t batch = input.dim(0);
   Tensor& out = ctx.workspace().tensor(this, kSlotOut, {batch, out_});
 
-  if (is_quantized(ctx.precision())) {
+  if (const QuantizedWeightCache* cache = ctx.quantized_weights()) {
     if (training)
       throw std::invalid_argument(
-          std::string("Dense::forward: ") + precision_name(ctx.precision()) +
+          std::string("Dense::forward: ") + precision_name(cache->precision()) +
           " precision is inference-only (train at kF64)");
-    if (ctx.precision() == Precision::kInt8)
-      forward_int8(ctx, input, out);
+    if (cache->precision() == Precision::kInt8)
+      forward_quantized<int8_t>(ctx, input, out);
     else
-      forward_int16(ctx, input, out);
+      forward_quantized<int16_t>(ctx, input, out);
   } else {
     Tensor& xc = ctx.workspace().tensor(this, kSlotInput, {batch, in_});
     detail::parallel_copy(input.data(), xc.data(), input.size());
@@ -88,67 +82,21 @@ Tensor& Dense::forward(ExecutionContext& ctx, const Tensor& input, bool training
   return out;
 }
 
-void Dense::forward_int8(ExecutionContext& ctx, const Tensor& input, Tensor& out) {
+template <typename Code>
+void Dense::forward_quantized(ExecutionContext& ctx, const Tensor& input, Tensor& out) {
   const size_t batch = input.dim(0);
+  const QuantizedMatrix<Code>& wq = ctx.quantized_weights()->weights<Code>(*this, out_, in_);
+  // Fast per-row quantization of the activations into grow-only scratch —
+  // the steady-state batch loop allocates nothing. Each row's codes depend
+  // only on that row, so batching/padding cannot change any sample's result.
   Workspace& ws = ctx.workspace();
-  // Dynamic side: fast per-row quantization of the activations into
-  // grow-only scratch — the steady-state batch loop allocates nothing. Each
-  // row's codes depend only on that row, so batching/padding cannot change
-  // any sample's result.
-  std::vector<int8_t>& xq = ws.scratch_i8(this, kSlotInt8In, batch * in_);
-  std::vector<double>& xs = ws.scratch(this, kSlotInt8InScale, batch);
+  std::vector<Code>& xq = ws.scratch<Code>(this, kSlotQIn, batch * in_);
+  std::vector<double>& xs = ws.scratch(this, kSlotQInScale, batch);
   quantize_rows_fast(input.data(), batch, in_, xq.data(), xs.data());
-  // Static side: the precise per-model cache when the caller provides one
-  // (serving builds it at registration); otherwise fast-quantize the
-  // weights per call — correct, but slower and slightly less accurate.
-  const QuantizedMatrix* wq =
-      ctx.weight_cache() != nullptr ? ctx.weight_cache()->find(this) : nullptr;
-  const int8_t* w_codes;
-  const double* w_scales;
-  if (wq != nullptr) {
-    if (wq->rows != out_ || wq->cols != in_)
-      throw std::logic_error("Dense::forward: quantized weight cache shape mismatch");
-    w_codes = wq->q.data();
-    w_scales = wq->scales.data();
-  } else {
-    std::vector<int8_t>& wqs = ws.scratch_i8(this, kSlotInt8Weight, out_ * in_);
-    std::vector<double>& wss = ws.scratch(this, kSlotInt8WeightScale, out_);
-    quantize_rows_fast(weight_.data(), out_, in_, wqs.data(), wss.data());
-    w_codes = wqs.data();
-    w_scales = wss.data();
-  }
-  // out[b,o] = sx[b] * sw[o] * sum_i qx[b,i] qw[o,i] — exact int32 sums, so
-  // the result is bitwise invariant across backends and worker counts.
-  quantized_gemm(batch, out_, in_, xq.data(), xs.data(), w_codes, w_scales, out.data(),
-                 out_);
-}
-
-void Dense::forward_int16(ExecutionContext& ctx, const Tensor& input, Tensor& out) {
-  // Mirrors forward_int8 at 16-bit code width: same staging structure, same
-  // cache-then-fallback weight policy, exact int64 sums in the GEMM.
-  const size_t batch = input.dim(0);
-  Workspace& ws = ctx.workspace();
-  std::vector<int16_t>& xq = ws.scratch_i16(this, kSlotInt16In, batch * in_);
-  std::vector<double>& xs = ws.scratch(this, kSlotInt16InScale, batch);
-  quantize_rows_fast_i16(input.data(), batch, in_, xq.data(), xs.data());
-  const QuantizedMatrix16* wq =
-      ctx.weight_cache() != nullptr ? ctx.weight_cache()->find_i16(this) : nullptr;
-  const int16_t* w_codes;
-  const double* w_scales;
-  if (wq != nullptr) {
-    if (wq->rows != out_ || wq->cols != in_)
-      throw std::logic_error("Dense::forward: quantized weight cache shape mismatch");
-    w_codes = wq->q.data();
-    w_scales = wq->scales.data();
-  } else {
-    std::vector<int16_t>& wqs = ws.scratch_i16(this, kSlotInt16Weight, out_ * in_);
-    std::vector<double>& wss = ws.scratch(this, kSlotInt16WeightScale, out_);
-    quantize_rows_fast_i16(weight_.data(), out_, in_, wqs.data(), wss.data());
-    w_codes = wqs.data();
-    w_scales = wss.data();
-  }
-  quantized_gemm_i16(batch, out_, in_, xq.data(), xs.data(), w_codes, w_scales,
-                     out.data(), out_);
+  // out[b,o] = sx[b] * sw[o] * sum_i qx[b,i] qw[o,i] — exact integer sums,
+  // so the result is bitwise invariant across backends and worker counts.
+  quantized_gemm(batch, out_, in_, xq.data(), xs.data(), wq.q.data(), wq.scales.data(),
+                 out.data(), out_);
 }
 
 Tensor& Dense::backward(ExecutionContext& ctx, const Tensor& grad_output) {

@@ -52,12 +52,12 @@ class Dense final : public Layer {
   /// inference — a loaded bundle — holds no gradient storage.
   void ensure_grads();
 
-  /// The quantized inference paths (ctx.precision() == kInt8 / kInt16):
-  /// fast-quantize the activation rows, fetch (or fast-quantize) the
-  /// weights, run the integer GEMM into `out`. The caller adds the f64
-  /// bias afterwards.
-  void forward_int8(ExecutionContext& ctx, const Tensor& input, Tensor& out);
-  void forward_int16(ExecutionContext& ctx, const Tensor& input, Tensor& out);
+  /// The quantized inference path (the context holds a weight cache; Code
+  /// = int8_t / int16_t per the cache's precision): fast-quantize the
+  /// activation rows, run the integer GEMM against the cached weight codes
+  /// into `out`. The caller adds the f64 bias afterwards.
+  template <typename Code>
+  void forward_quantized(ExecutionContext& ctx, const Tensor& input, Tensor& out);
 
   size_t in_, out_;
   Tensor weight_, weight_grad_;  // [out, in]; the gradients stay empty

@@ -10,24 +10,6 @@ Tensor& Workspace::tensor(const void* owner, int slot, std::initializer_list<siz
 
 Tensor& Workspace::peek(const void* owner, int slot) { return tensors_[Key{owner, slot}]; }
 
-std::vector<double>& Workspace::scratch(const void* owner, int slot, size_t n) {
-  std::vector<double>& v = scratch_[Key{owner, slot}];
-  if (v.size() < n) v.resize(n);
-  return v;
-}
-
-std::vector<int8_t>& Workspace::scratch_i8(const void* owner, int slot, size_t n) {
-  std::vector<int8_t>& v = scratch_i8_[Key{owner, slot}];
-  if (v.size() < n) v.resize(n);
-  return v;
-}
-
-std::vector<int16_t>& Workspace::scratch_i16(const void* owner, int slot, size_t n) {
-  std::vector<int16_t>& v = scratch_i16_[Key{owner, slot}];
-  if (v.size() < n) v.resize(n);
-  return v;
-}
-
 std::vector<size_t>& Workspace::indices(const void* owner, int slot, size_t n) {
   std::vector<size_t>& v = indices_[Key{owner, slot}];
   v.resize(n);  // vector keeps capacity on shrink: grow-only storage
@@ -40,19 +22,18 @@ std::vector<size_t>& Workspace::indices_peek(const void* owner, int slot) {
 
 void Workspace::clear() {
   tensors_.clear();
-  scratch_.clear();
-  scratch_i8_.clear();
-  scratch_i16_.clear();
+  std::apply([](auto&... maps) { (maps.clear(), ...); }, scratch_);
   indices_.clear();
 }
 
 size_t Workspace::bytes() const {
   size_t total = 0;
   for (const auto& [k, t] : tensors_) total += t.size() * sizeof(double);
-  for (const auto& [k, v] : scratch_) total += v.capacity() * sizeof(double);
-  for (const auto& [k, v] : scratch_i8_) total += v.capacity();
-  for (const auto& [k, v] : scratch_i16_) total += v.capacity() * sizeof(int16_t);
-  for (const auto& [k, v] : indices_) total += v.capacity() * sizeof(size_t);
+  const auto add = [&](const auto& map) {
+    for (const auto& [k, v] : map) total += v.capacity() * sizeof(v[0]);
+  };
+  std::apply([&](const auto&... maps) { (add(maps), ...); }, scratch_);
+  add(indices_);
   return total;
 }
 

@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -49,17 +50,16 @@ class Workspace {
   /// activations in backward passes.
   Tensor& peek(const void* owner, int slot);
 
-  /// Reusable raw double scratch of at least `n` elements (grow-only).
-  std::vector<double>& scratch(const void* owner, int slot, size_t n);
-
-  /// Reusable raw int8 scratch of at least `n` elements (grow-only) — the
-  /// quantized-operand staging buffers of the int8 inference path, so the
-  /// steady-state batch loop quantizes without allocating.
-  std::vector<int8_t>& scratch_i8(const void* owner, int slot, size_t n);
-
-  /// Reusable raw int16 scratch of at least `n` elements (grow-only) — the
-  /// int16 tier's staging buffers, same contract as scratch_i8.
-  std::vector<int16_t>& scratch_i16(const void* owner, int slot, size_t n);
+  /// Reusable raw scratch of at least `n` elements (grow-only). T is double
+  /// for f64 staging, or a quantized code type (int8_t, int16_t) for the
+  /// quantized forwards' operand staging, so a steady-state batch loop
+  /// quantizes without allocating.
+  template <typename T = double>
+  std::vector<T>& scratch(const void* owner, int slot, size_t n) {
+    std::vector<T>& v = std::get<Map<std::vector<T>>>(scratch_)[Key{owner, slot}];
+    if (v.size() < n) v.resize(n);
+    return v;
+  }
 
   /// Reusable index scratch of exactly `n` elements (grow-only capacity).
   std::vector<size_t>& indices(const void* owner, int slot, size_t n);
@@ -93,11 +93,13 @@ class Workspace {
     }
   };
 
-  std::unordered_map<Key, Tensor, KeyHash> tensors_;
-  std::unordered_map<Key, std::vector<double>, KeyHash> scratch_;
-  std::unordered_map<Key, std::vector<int8_t>, KeyHash> scratch_i8_;
-  std::unordered_map<Key, std::vector<int16_t>, KeyHash> scratch_i16_;
-  std::unordered_map<Key, std::vector<size_t>, KeyHash> indices_;
+  template <typename V>
+  using Map = std::unordered_map<Key, V, KeyHash>;
+
+  Map<Tensor> tensors_;
+  std::tuple<Map<std::vector<double>>, Map<std::vector<int8_t>>, Map<std::vector<int16_t>>>
+      scratch_;
+  Map<std::vector<size_t>> indices_;
 };
 
 /// Execution state handed to Layer::forward/backward: workspace + worker
@@ -131,19 +133,26 @@ class ExecutionContext {
     return backend_ != nullptr ? *backend_ : active_backend();
   }
 
-  /// Numeric precision layer forwards on this context execute at (kF64
-  /// default). kInt8/kInt16 route every Dense and Conv2D GEMM through the
-  /// quantized kernels — inference only; the layers throw when asked to
-  /// train at a quantized precision.
-  [[nodiscard]] Precision precision() const { return precision_; }
-  void set_precision(Precision precision) { precision_ = precision; }
+  /// Quantized weights layer forwards on this context run with (not
+  /// owned). Null (the default) is the f64 path. A cache makes every Dense
+  /// and Conv2D forward run its GEMM through the quantized kernels at the
+  /// cache's precision, taking the weight codes from the cache —
+  /// inference only: the layers throw when asked to train, and throw
+  /// std::logic_error for a layer the cache does not hold. The serving
+  /// layer points this at the served bundle's cache before each batch.
+  [[nodiscard]] const QuantizedWeightCache* quantized_weights() const {
+    return quantized_weights_;
+  }
+  void set_quantized_weights(const QuantizedWeightCache* cache) {
+    quantized_weights_ = cache;
+  }
 
-  /// Precise pre-quantized static weights consulted by the quantized paths
-  /// (nullptr = none; layers fall back to fast per-call weight
-  /// quantization). Not owned; the serving layer points this at the served
-  /// bundle's cache before each batch.
-  [[nodiscard]] const QuantizedWeightCache* weight_cache() const { return weight_cache_; }
-  void set_weight_cache(const QuantizedWeightCache* cache) { weight_cache_ = cache; }
+  /// Numeric precision layer forwards on this context execute at: the
+  /// cache's precision, or kF64 without one.
+  [[nodiscard]] Precision precision() const {
+    return quantized_weights_ != nullptr ? quantized_weights_->precision()
+                                         : Precision::kF64;
+  }
 
   /// Effective partition width this context dispatches at right now.
   [[nodiscard]] size_t workers() const {
@@ -156,8 +165,7 @@ class ExecutionContext {
  private:
   size_t worker_cap_;
   const KernelBackend* backend_;
-  Precision precision_ = Precision::kF64;
-  const QuantizedWeightCache* weight_cache_ = nullptr;
+  const QuantizedWeightCache* quantized_weights_ = nullptr;
   Workspace workspace_;
 };
 

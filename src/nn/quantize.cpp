@@ -7,6 +7,7 @@
 
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
+#include "nn/layer.hpp"
 #include "nn/residual.hpp"
 #include "nn/sequential.hpp"
 #include "util/parallel.hpp"
@@ -15,7 +16,7 @@ namespace dlpic::nn {
 
 namespace {
 
-// Output-tile shape of the quantized GEMM drivers. Smaller than the f64
+// Output-tile shape of the quantized GEMM driver. Smaller than the f64
 // GEMM's blocks: there is no packing pass (both operands are already
 // k-contiguous), so the tile only has to bound the working set of integer
 // rows touched per task and expose enough tasks for small serving batches.
@@ -24,26 +25,27 @@ constexpr size_t kQBlockN = 64;
 
 /// Round to nearest with halves away from zero — std::llround semantics for
 /// the |v| <= 2^51 domain every scaled code lives in (|x * inv| <= a few
-/// Limit), but inlineable arithmetic instead of a libm call: the add of
+/// kCodeLimit), but inlineable arithmetic instead of a libm call: the add of
 /// +/-0.5 is exact below 2^51, so the truncating cast lands on the llround
 /// result independent of the FP rounding environment, which the bitwise-
 /// reproducibility contract needs.
-template <long long Limit>
+template <typename Code>
 long long round_code(double v) {
+  constexpr long long kLimit = kCodeLimit<Code>;
   long long code = static_cast<long long>(v + (v < 0.0 ? -0.5 : 0.5));
-  return std::max(-Limit, std::min(Limit, code));
+  return std::max(-kLimit, std::min(kLimit, code));
 }
 
 /// Quantizes one row with scale `s` (s > 0) into codes clamped to
-/// [-Limit, Limit]. WithErr additionally returns the codes' round-trip
-/// squared error — the precise path's selection metric; the fast path
-/// skips it (the hot per-batch / per-image cost in quantized serving).
-template <typename Code, long long Limit, bool WithErr>
+/// [-kCodeLimit, kCodeLimit]. WithErr additionally returns the codes'
+/// round-trip squared error — the precise path's selection metric; the fast
+/// path skips it (the hot per-batch / per-image cost in quantized serving).
+template <typename Code, bool WithErr>
 double quantize_row(const double* x, size_t cols, double s, Code* q) {
   const double inv = 1.0 / s;
   double err = 0.0;
   for (size_t c = 0; c < cols; ++c) {
-    const long long code = round_code<Limit>(x[c] * inv);
+    const long long code = round_code<Code>(x[c] * inv);
     q[c] = static_cast<Code>(code);
     if constexpr (WithErr) {
       const double d = x[c] - s * static_cast<double>(code);
@@ -57,62 +59,6 @@ double row_absmax(const double* x, size_t cols) {
   double m = 0.0;
   for (size_t c = 0; c < cols; ++c) m = std::max(m, std::fabs(x[c]));
   return m;
-}
-
-/// Shared fast-path body: scale = absmax / Limit, one quantize pass per row.
-template <typename Code, long long Limit>
-void quantize_rows_fast_impl(const double* src, size_t rows, size_t cols, Code* q,
-                             double* scales) {
-  for (size_t r = 0; r < rows; ++r) {
-    const double* x = src + r * cols;
-    Code* qr = q + r * cols;
-    const double absmax = row_absmax(x, cols);
-    if (absmax == 0.0) {
-      scales[r] = 0.0;
-      std::memset(qr, 0, cols * sizeof(Code));
-      continue;
-    }
-    const double s = absmax / static_cast<double>(Limit);
-    scales[r] = s;
-    (void)quantize_row<Code, Limit, false>(x, cols, s, qr);
-  }
-}
-
-/// Shared precise-path body: candidate scales absmax/Limit .. absmax/TMin —
-/// a finer grid (larger t) trades clipping of the largest entries against
-/// resolution for the rest; keep whichever minimizes this row's round-trip
-/// error. t = Limit runs first so the fast path's result is the
-/// tie-breaking baseline.
-template <typename Code, long long Limit, long long TMin, typename Matrix>
-void quantize_rows_precise_impl(const double* src, size_t rows, size_t cols,
-                                Matrix& out) {
-  out.rows = rows;
-  out.cols = cols;
-  out.q.resize(rows * cols);
-  out.scales.resize(rows);
-  std::vector<Code> trial(cols);
-  for (size_t r = 0; r < rows; ++r) {
-    const double* x = src + r * cols;
-    Code* qr = out.q.data() + r * cols;
-    const double absmax = row_absmax(x, cols);
-    if (absmax == 0.0) {
-      out.scales[r] = 0.0;
-      std::memset(qr, 0, cols * sizeof(Code));
-      continue;
-    }
-    double best_err = quantize_row<Code, Limit, true>(x, cols, absmax / Limit, qr);
-    double best_s = absmax / static_cast<double>(Limit);
-    for (long long t = Limit - 1; t >= TMin && best_err > 0.0; --t) {
-      const double s = absmax / static_cast<double>(t);
-      const double err = quantize_row<Code, Limit, true>(x, cols, s, trial.data());
-      if (err < best_err) {
-        best_err = err;
-        best_s = s;
-        std::memcpy(qr, trial.data(), cols * sizeof(Code));
-      }
-    }
-    out.scales[r] = best_s;
-  }
 }
 
 }  // namespace
@@ -133,35 +79,76 @@ Precision precision_from_name(const std::string& name) {
                               "' (want f64|int16|int8)");
 }
 
-void quantize_rows_fast(const double* src, size_t rows, size_t cols, int8_t* q,
+template <typename Code>
+void quantize_rows_fast(const double* src, size_t rows, size_t cols, Code* q,
                         double* scales) {
-  quantize_rows_fast_impl<int8_t, 127>(src, rows, cols, q, scales);
+  constexpr long long kLimit = kCodeLimit<Code>;
+  for (size_t r = 0; r < rows; ++r) {
+    const double* x = src + r * cols;
+    Code* qr = q + r * cols;
+    const double absmax = row_absmax(x, cols);
+    if (absmax == 0.0) {
+      scales[r] = 0.0;
+      std::memset(qr, 0, cols * sizeof(Code));
+      continue;
+    }
+    const double s = absmax / static_cast<double>(kLimit);
+    scales[r] = s;
+    (void)quantize_row<Code, false>(x, cols, s, qr);
+  }
 }
 
-void quantize_rows_fast_i16(const double* src, size_t rows, size_t cols, int16_t* q,
-                            double* scales) {
-  quantize_rows_fast_impl<int16_t, 32767>(src, rows, cols, q, scales);
-}
-
+/// Candidate scales absmax/kLimit .. absmax/(kLimit - 31) — a finer grid
+/// (larger t) trades clipping of the largest entries against resolution for
+/// the rest; keep whichever minimizes this row's round-trip error. t =
+/// kLimit runs first so the fast path's result is the tie-breaking baseline.
+template <typename Code>
 void quantize_rows_precise(const double* src, size_t rows, size_t cols,
-                           QuantizedMatrix& out) {
-  quantize_rows_precise_impl<int8_t, 127, 96>(src, rows, cols, out);
+                           QuantizedMatrix<Code>& out) {
+  constexpr long long kLimit = kCodeLimit<Code>;
+  constexpr long long kTMin = kLimit - 31;
+  out.rows = rows;
+  out.cols = cols;
+  out.q.resize(rows * cols);
+  out.scales.resize(rows);
+  std::vector<Code> trial(cols);
+  for (size_t r = 0; r < rows; ++r) {
+    const double* x = src + r * cols;
+    Code* qr = out.q.data() + r * cols;
+    const double absmax = row_absmax(x, cols);
+    if (absmax == 0.0) {
+      out.scales[r] = 0.0;
+      std::memset(qr, 0, cols * sizeof(Code));
+      continue;
+    }
+    double best_err = quantize_row<Code, true>(x, cols, absmax / kLimit, qr);
+    double best_s = absmax / static_cast<double>(kLimit);
+    for (long long t = kLimit - 1; t >= kTMin && best_err > 0.0; --t) {
+      const double s = absmax / static_cast<double>(t);
+      const double err = quantize_row<Code, true>(x, cols, s, trial.data());
+      if (err < best_err) {
+        best_err = err;
+        best_s = s;
+        std::memcpy(qr, trial.data(), cols * sizeof(Code));
+      }
+    }
+    out.scales[r] = best_s;
+  }
 }
 
-void quantize_rows_precise_i16(const double* src, size_t rows, size_t cols,
-                               QuantizedMatrix16& out) {
-  quantize_rows_precise_impl<int16_t, 32767, 32736>(src, rows, cols, out);
-}
-
-namespace {
-
-/// Shared 2D-tile dispatch of both quantized GEMM drivers: resolve the
-/// backend on the calling thread and capture it (tile bodies run on pool
-/// workers, where the thread-local selection is not in scope), then hand
-/// each output tile to one task.
-template <typename Kernel>
-void quantized_gemm_tiles(size_t m, size_t n, Kernel&& kernel) {
+template <typename Code>
+void quantized_gemm(size_t m, size_t n, size_t k, const Code* Aq,
+                    const double* a_scales, const Code* Bq, const double* b_scales,
+                    double* C, size_t ldc) {
+  if (k > kQuantizedDepthBound<Code>)
+    throw std::invalid_argument(
+        "quantized_gemm: k = " + std::to_string(k) + " exceeds the " +
+        (sizeof(Code) == 1 ? "int8" : "int16") + " depth bound " +
+        std::to_string(kQuantizedDepthBound<Code>));
   if (m == 0 || n == 0) return;
+  // Resolve the backend on the calling thread and capture it: tile bodies
+  // run on pool workers, where the thread-local selection is not in scope.
+  const KernelBackend* backend = &active_backend();
   const size_t m_blocks = (m + kQBlockM - 1) / kQBlockM;
   const size_t n_blocks = (n + kQBlockN - 1) / kQBlockN;
   util::parallel_for_chunks(
@@ -170,43 +157,31 @@ void quantized_gemm_tiles(size_t m, size_t n, Kernel&& kernel) {
         for (size_t t = tile_lo; t < tile_hi; ++t) {
           const size_t i0 = (t / n_blocks) * kQBlockM;
           const size_t j0 = (t % n_blocks) * kQBlockN;
-          kernel(i0, j0, std::min(kQBlockM, m - i0), std::min(kQBlockN, n - j0));
+          const size_t mb = std::min(kQBlockM, m - i0);
+          const size_t nb = std::min(kQBlockN, n - j0);
+          if constexpr (sizeof(Code) == 1)
+            backend->gemm_int8(mb, nb, k, Aq + i0 * k, a_scales + i0, Bq + j0 * k,
+                               b_scales + j0, C + i0 * ldc + j0, ldc);
+          else
+            backend->gemm_int16(mb, nb, k, Aq + i0 * k, a_scales + i0, Bq + j0 * k,
+                                b_scales + j0, C + i0 * ldc + j0, ldc);
         }
       },
       /*grain=*/1);
 }
 
-}  // namespace
-
-void quantized_gemm(size_t m, size_t n, size_t k, const int8_t* Aq,
-                    const double* a_scales, const int8_t* Bq, const double* b_scales,
-                    double* C, size_t ldc) {
-  if (k > kQuantizedGemmMaxDepth)
-    throw std::invalid_argument(
-        "quantized_gemm: k = " + std::to_string(k) + " exceeds the int32 " +
-        "accumulator bound kQuantizedGemmMaxDepth = " +
-        std::to_string(kQuantizedGemmMaxDepth));
-  const KernelBackend* backend = &active_backend();
-  quantized_gemm_tiles(m, n, [&](size_t i0, size_t j0, size_t mb, size_t nb) {
-    backend->gemm_int8(mb, nb, k, Aq + i0 * k, a_scales + i0, Bq + j0 * k,
-                       b_scales + j0, C + i0 * ldc + j0, ldc);
-  });
-}
-
-void quantized_gemm_i16(size_t m, size_t n, size_t k, const int16_t* Aq,
-                        const double* a_scales, const int16_t* Bq,
-                        const double* b_scales, double* C, size_t ldc) {
-  if (k > kQuantizedGemmInt16MaxDepth)
-    throw std::invalid_argument(
-        "quantized_gemm_i16: k = " + std::to_string(k) + " exceeds the exact-" +
-        "double bound kQuantizedGemmInt16MaxDepth = " +
-        std::to_string(kQuantizedGemmInt16MaxDepth));
-  const KernelBackend* backend = &active_backend();
-  quantized_gemm_tiles(m, n, [&](size_t i0, size_t j0, size_t mb, size_t nb) {
-    backend->gemm_int16(mb, nb, k, Aq + i0 * k, a_scales + i0, Bq + j0 * k,
-                        b_scales + j0, C + i0 * ldc + j0, ldc);
-  });
-}
+template void quantize_rows_fast<int8_t>(const double*, size_t, size_t, int8_t*, double*);
+template void quantize_rows_fast<int16_t>(const double*, size_t, size_t, int16_t*,
+                                          double*);
+template void quantize_rows_precise<int8_t>(const double*, size_t, size_t,
+                                            QuantizedMatrix<int8_t>&);
+template void quantize_rows_precise<int16_t>(const double*, size_t, size_t,
+                                             QuantizedMatrix<int16_t>&);
+template void quantized_gemm<int8_t>(size_t, size_t, size_t, const int8_t*, const double*,
+                                     const int8_t*, const double*, double*, size_t);
+template void quantized_gemm<int16_t>(size_t, size_t, size_t, const int16_t*,
+                                      const double*, const int16_t*, const double*,
+                                      double*, size_t);
 
 namespace {
 
@@ -233,8 +208,8 @@ size_t quantized_gemm_depth(const Layer& layer) {
 void validate_quantizable(const Sequential& model, Precision precision,
                           const std::string& model_name) {
   if (!is_quantized(precision)) return;
-  const size_t bound = precision == Precision::kInt8 ? kQuantizedGemmMaxDepth
-                                                     : kQuantizedGemmInt16MaxDepth;
+  const size_t bound = precision == Precision::kInt8 ? kQuantizedDepthBound<int8_t>
+                                                     : kQuantizedDepthBound<int16_t>;
   for (size_t i = 0; i < model.layer_count(); ++i) {
     const Layer& layer = model.layer(i);
     const size_t depth = quantized_gemm_depth(layer);
@@ -252,49 +227,53 @@ void validate_quantizable(const Sequential& model, Precision precision,
   }
 }
 
-void QuantizedWeightCache::put(const void* key, const double* rows, size_t nrows,
-                               size_t ncols) {
-  quantize_rows_precise(rows, nrows, ncols, entries_[key]);
-}
-
-void QuantizedWeightCache::put_i16(const void* key, const double* rows, size_t nrows,
-                                   size_t ncols) {
-  quantize_rows_precise_i16(rows, nrows, ncols, entries16_[key]);
-}
-
-void QuantizedWeightCache::build(const Sequential& model, Precision precision) {
-  const auto add = [&](const void* key, const double* rows, size_t nrows,
-                       size_t ncols) {
+QuantizedWeightCache::QuantizedWeightCache(const Sequential& model, Precision precision)
+    : precision_(precision) {
+  if (!is_quantized(precision))
+    throw std::invalid_argument(
+        "QuantizedWeightCache: f64 needs no weight cache (use a null cache)");
+  const auto add = [&](const Layer& layer, const double* rows, size_t nrows, size_t ncols) {
+    Entry& entry = entries_[&layer];
     if (precision == Precision::kInt16)
-      put_i16(key, rows, nrows, ncols);
+      quantize_rows_precise(rows, nrows, ncols, entry.emplace<QuantizedMatrix<int16_t>>());
     else
-      put(key, rows, nrows, ncols);
+      quantize_rows_precise(rows, nrows, ncols, entry.emplace<QuantizedMatrix<int8_t>>());
   };
   for (size_t i = 0; i < model.layer_count(); ++i) {
     const Layer& layer = model.layer(i);
     if (const auto* dense = dynamic_cast<const Dense*>(&layer)) {
-      add(dense, dense->weight().data(), dense->out_features(), dense->in_features());
+      add(layer, dense->weight().data(), dense->out_features(), dense->in_features());
     } else if (const auto* conv = dynamic_cast<const Conv2D*>(&layer)) {
       const Conv2DConfig& c = conv->config();
-      add(conv, conv->weight().data(), c.out_channels,
+      add(layer, conv->weight().data(), c.out_channels,
           c.in_channels * c.kernel_h * c.kernel_w);
     } else if (const auto* res = dynamic_cast<const ResidualDense*>(&layer)) {
       const Dense& inner = res->inner();
       const Dense& outer = res->outer();
-      add(&inner, inner.weight().data(), inner.out_features(), inner.in_features());
-      add(&outer, outer.weight().data(), outer.out_features(), outer.in_features());
+      add(inner, inner.weight().data(), inner.out_features(), inner.in_features());
+      add(outer, outer.weight().data(), outer.out_features(), outer.in_features());
     }
   }
 }
 
-const QuantizedMatrix* QuantizedWeightCache::find(const void* key) const {
-  const auto it = entries_.find(key);
-  return it != entries_.end() ? &it->second : nullptr;
+template <typename Code>
+const QuantizedMatrix<Code>& QuantizedWeightCache::weights(const Layer& layer, size_t rows,
+                                                           size_t cols) const {
+  const QuantizedMatrix<Code>* entry = find<Code>(&layer);
+  if (entry != nullptr && entry->rows == rows && entry->cols == cols) return *entry;
+  const std::string what = std::string(precision_name(precision_)) + " weight cache: ";
+  if (entry == nullptr)
+    throw std::logic_error(what + "no entry for this " + layer.type() +
+                           " layer (the cache was built from another model)");
+  throw std::logic_error(what + "shape mismatch for this " + layer.type() + " layer (" +
+                         std::to_string(entry->rows) + "x" + std::to_string(entry->cols) +
+                         " cached, " + std::to_string(rows) + "x" + std::to_string(cols) +
+                         " expected)");
 }
 
-const QuantizedMatrix16* QuantizedWeightCache::find_i16(const void* key) const {
-  const auto it = entries16_.find(key);
-  return it != entries16_.end() ? &it->second : nullptr;
-}
+template const QuantizedMatrix<int8_t>& QuantizedWeightCache::weights<int8_t>(
+    const Layer&, size_t, size_t) const;
+template const QuantizedMatrix<int16_t>& QuantizedWeightCache::weights<int16_t>(
+    const Layer&, size_t, size_t) const;
 
 }  // namespace dlpic::nn

@@ -10,9 +10,10 @@
 /// operands (layer weights) go through the *precise* path once — a small
 /// scale search minimizing the round-trip error — while dynamic operands
 /// (activations, im2col columns) use the *fast* path, s = row_absmax / Q,
-/// a single pass per row. The GEMMs accumulate exact integer dot products
-/// (int32 for int8 codes, int64 for int16 codes) and dequantize with
-/// per-row LHS x per-row RHS scales:
+/// a single pass per row. Every function here is one template over the code
+/// type (int8_t or int16_t); only the backend kernels differ per width. The
+/// GEMMs accumulate exact integer dot products (int32 for int8 codes, int64
+/// for int16 codes) and dequantize with per-row LHS x per-row RHS scales:
 ///
 ///   C[i,j] = (a_scales[i] * b_scales[j]) * sum_p Aq[i,p] * Bq[j,p]
 ///
@@ -32,21 +33,24 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "nn/backend.hpp"
 
 namespace dlpic::nn {
 
+class Layer;
 class Sequential;
 
-/// Numeric precision an ExecutionContext (and hence every Dense/Conv2D
-/// forward it runs) executes at. kF64 is the full-precision reference; the
-/// quantized tiers route GEMMs through the integer kernels (inference
-/// only). The ladder: f64 (exact, 1x) > int16 (tight budget, ~1.5-2x GEMM)
-/// > int8 (looser budget, ~2-4x GEMM).
+/// Numeric precision of a QuantizedWeightCache, and so of every Dense/Conv2D
+/// forward on an ExecutionContext holding it (kF64: no cache). kF64 is the
+/// full-precision reference; the quantized tiers route GEMMs through the
+/// integer kernels (inference only). The ladder: f64 (exact, 1x) > int16
+/// (tight budget, ~1.5-2x GEMM) > int8 (looser budget, ~2-4x GEMM).
 enum class Precision : uint8_t {
   kF64 = 0,   ///< full-precision double GEMM (training + inference)
   kInt8 = 1,  ///< per-row dynamic int8 GEMM (inference only)
@@ -66,71 +70,61 @@ enum class Precision : uint8_t {
 /// anything else.
 [[nodiscard]] Precision precision_from_name(const std::string& name);
 
-/// A row-major int8 matrix with one dequantization scale per row:
+/// Largest code magnitude of a quantized tier: 127 for int8_t codes, 32767
+/// for int16_t codes. The type minimum is never produced.
+template <typename Code>
+inline constexpr long long kCodeLimit = std::numeric_limits<Code>::max();
+
+/// Largest GEMM reduction depth the tier with `Code` accepts: the int32
+/// accumulator bound for int8 codes, the exact-double bound for int16 codes
+/// (see nn/backend.hpp).
+template <typename Code>
+inline constexpr size_t kQuantizedDepthBound =
+    sizeof(Code) == 1 ? kQuantizedGemmMaxDepth : kQuantizedGemmInt16MaxDepth;
+
+/// A row-major code matrix with one dequantization scale per row:
 /// original[r][c] ~= scales[r] * q[r * cols + c].
+template <typename Code>
 struct QuantizedMatrix {
   size_t rows = 0;
   size_t cols = 0;
-  std::vector<int8_t> q;       ///< rows * cols values in [-127, 127]
+  std::vector<Code> q;         ///< rows * cols codes in [-kCodeLimit, kCodeLimit]
   std::vector<double> scales;  ///< one scale per row (0.0 for all-zero rows)
 };
 
-/// A row-major int16 matrix with one dequantization scale per row:
-/// original[r][c] ~= scales[r] * q[r * cols + c].
-struct QuantizedMatrix16 {
-  size_t rows = 0;
-  size_t cols = 0;
-  std::vector<int16_t> q;      ///< rows * cols values in [-32767, 32767]
-  std::vector<double> scales;  ///< one scale per row (0.0 for all-zero rows)
-};
-
-/// Fast per-row int8 quantization (one pass per row, scale = absmax / 127)
-/// into caller-provided storage: `q` holds rows*cols values, `scales` one
-/// entry per row. The runtime path for dynamic activations — callers stage
-/// `q` and `scales` in grow-only workspace scratch so steady state
-/// allocates nothing. An all-zero row quantizes to scale 0 with all-zero
-/// codes.
-void quantize_rows_fast(const double* src, size_t rows, size_t cols, int8_t* q,
+/// Fast per-row quantization (one pass per row, scale = absmax /
+/// kCodeLimit<Code>) into caller-provided storage: `q` holds rows*cols
+/// codes, `scales` one entry per row. The runtime path for activations and
+/// images — callers stage `q` and `scales` in grow-only workspace scratch
+/// so steady state allocates nothing. An all-zero row quantizes to scale 0
+/// with all-zero codes. Instantiated for int8_t and int16_t.
+template <typename Code>
+void quantize_rows_fast(const double* src, size_t rows, size_t cols, Code* q,
                         double* scales);
 
-/// Fast per-row int16 quantization (scale = absmax / 32767) — the int16
-/// tier's analogue of quantize_rows_fast, same storage contract.
-void quantize_rows_fast_i16(const double* src, size_t rows, size_t cols, int16_t* q,
-                            double* scales);
-
-/// Precise per-row int8 quantization: searches a small set of candidate
-/// scales (absmax / t for t near 127) and keeps the one minimizing the
-/// row's round-trip squared error. ~30x the cost of the fast path — meant
-/// for static weights quantized once at registration time.
+/// Precise per-row quantization: searches the candidate scales absmax / t
+/// for the 32 values of t just below and at kCodeLimit<Code> and keeps the
+/// one minimizing the row's round-trip squared error. ~30x the cost of the
+/// fast path — meant for static weights, quantized once when a
+/// QuantizedWeightCache is built.
+template <typename Code>
 void quantize_rows_precise(const double* src, size_t rows, size_t cols,
-                           QuantizedMatrix& out);
-
-/// Precise per-row int16 quantization (scale search near t = 32767). The
-/// refinement over the fast path is small at 15-bit resolution but free at
-/// registration time.
-void quantize_rows_precise_i16(const double* src, size_t rows, size_t cols,
-                               QuantizedMatrix16& out);
+                           QuantizedMatrix<Code>& out);
 
 /// C (m x n, row stride ldc, overwritten) = diag(a_scales) (Aq Bq^T)
 /// diag(b_scales): Aq is m x k row-major, Bq is n x k row-major (both
 /// k-contiguous, so no packing pass is needed), C[i,j] dequantizes the exact
-/// int32 dot product of Aq row i and Bq row j. Parallel over 2D output tiles
-/// with the backend captured on the calling thread (same dispatch shape as
-/// math::gemm); every tile is owned by one task and the sums are exact, so
-/// the result is bitwise invariant under the worker count AND the backend.
-/// Throws std::invalid_argument when k > kQuantizedGemmMaxDepth (int32
-/// accumulator overflow bound).
-void quantized_gemm(size_t m, size_t n, size_t k, const int8_t* Aq,
-                    const double* a_scales, const int8_t* Bq, const double* b_scales,
+/// integer dot product of Aq row i and Bq row j (int32 sums for int8 codes
+/// through KernelBackend::gemm_int8, int64 sums for int16 codes through
+/// gemm_int16). Parallel over 2D output tiles with the backend captured on
+/// the calling thread (same dispatch shape as math::gemm); every tile is
+/// owned by one task and the sums are exact, so the result is bitwise
+/// invariant under the worker count AND the backend. Throws
+/// std::invalid_argument when k > kQuantizedDepthBound<Code>.
+template <typename Code>
+void quantized_gemm(size_t m, size_t n, size_t k, const Code* Aq,
+                    const double* a_scales, const Code* Bq, const double* b_scales,
                     double* C, size_t ldc);
-
-/// Int16 variant of quantized_gemm: same layout, dispatch and bitwise
-/// contracts, exact int64 accumulation behind KernelBackend::gemm_int16.
-/// Throws std::invalid_argument when k > kQuantizedGemmInt16MaxDepth (the
-/// bound keeping the int64 sum exactly representable in a double).
-void quantized_gemm_i16(size_t m, size_t n, size_t k, const int16_t* Aq,
-                        const double* a_scales, const int16_t* Bq,
-                        const double* b_scales, double* C, size_t ldc);
 
 /// Throws std::invalid_argument when `model` cannot run at `precision`:
 /// a GEMM-bearing layer (dense / conv2d / residual_dense) whose reduction
@@ -142,45 +136,47 @@ void quantized_gemm_i16(size_t m, size_t n, size_t k, const int16_t* Aq,
 void validate_quantizable(const Sequential& model, Precision precision,
                           const std::string& model_name);
 
-/// Precise-path quantizations of a model's static weights, keyed by layer
-/// address — built once per model (ModelBundle does this at registration)
-/// and read lock-free by every batcher thread. Dense/Conv2D forwards
-/// consult the active context's cache; on a miss they fall back to
-/// fast-quantizing the weights per call, which is correct but slower and
-/// less accurate.
+/// Precise-path quantizations of one model's GEMM weights at one quantized
+/// precision, keyed by layer address (the `const Layer*`). Setting a cache
+/// on an ExecutionContext is what makes that context quantized: its
+/// precision() is the cache's, and every Dense/Conv2D forward on it takes
+/// its weight codes from here. Built once (the registry does this at add()) and read
+/// lock-free by any number of threads; immutable after construction.
 class QuantizedWeightCache {
  public:
-  /// Precise-quantizes one weight matrix to int8 under `key` (replacing any
-  /// previous entry). `key` is the owning layer's address.
-  void put(const void* key, const double* rows, size_t nrows, size_t ncols);
+  /// Precise-quantizes every GEMM weight matrix of `model` — each Dense,
+  /// each Conv2D filter matrix ([oc, ic*kh*kw], already k-contiguous), and
+  /// the dense pair inside each ResidualDense block — at `precision`'s code
+  /// width. Read-only on the model. Throws std::invalid_argument for kF64
+  /// (f64 inference is a context without a cache).
+  QuantizedWeightCache(const Sequential& model, Precision precision);
 
-  /// Precise-quantizes one weight matrix to int16 under `key`.
-  void put_i16(const void* key, const double* rows, size_t nrows, size_t ncols);
+  /// The precision (kInt8 or kInt16) every entry was built at.
+  [[nodiscard]] Precision precision() const { return precision_; }
 
-  /// Walks `model` and put()s every GEMM weight matrix — each Dense, each
-  /// Conv2D filter matrix ([oc, ic*kh*kw], already k-contiguous), and the
-  /// dense pair inside each ResidualDense block — keyed by layer address,
-  /// at the code width `precision` selects (kInt8 entries serve find(),
-  /// kInt16 entries serve find_i16()). Read-only on the model.
-  void build(const Sequential& model, Precision precision = Precision::kInt8);
-
-  /// The int8 entry for `key`, or nullptr. Safe to call concurrently with
-  /// other readers; not with put()/build()/clear().
-  [[nodiscard]] const QuantizedMatrix* find(const void* key) const;
-
-  /// The int16 entry for `key`, or nullptr. Same concurrency contract.
-  [[nodiscard]] const QuantizedMatrix16* find_i16(const void* key) const;
-
-  void clear() {
-    entries_.clear();
-    entries16_.clear();
+  /// The entry for the layer at `key`, or nullptr when the cache holds no
+  /// such layer or holds it at the other code width.
+  template <typename Code>
+  [[nodiscard]] const QuantizedMatrix<Code>* find(const void* key) const {
+    const auto it = entries_.find(key);
+    return it != entries_.end() ? std::get_if<QuantizedMatrix<Code>>(&it->second)
+                                : nullptr;
   }
-  [[nodiscard]] size_t size() const { return entries_.size() + entries16_.size(); }
-  [[nodiscard]] bool empty() const { return entries_.empty() && entries16_.empty(); }
+
+  /// The weight codes of `layer`, checked to be `rows` x `cols` — what a
+  /// quantized layer forward runs with. Throws std::logic_error naming the
+  /// layer type when the cache has no entry for `layer` at this width (it
+  /// was built from another model) or the entry has another shape.
+  template <typename Code>
+  [[nodiscard]] const QuantizedMatrix<Code>& weights(const Layer& layer, size_t rows,
+                                                     size_t cols) const;
+
+  [[nodiscard]] size_t size() const { return entries_.size(); }
 
  private:
-  std::unordered_map<const void*, QuantizedMatrix> entries_;
-  std::unordered_map<const void*, QuantizedMatrix16> entries16_;
+  using Entry = std::variant<QuantizedMatrix<int8_t>, QuantizedMatrix<int16_t>>;
+  Precision precision_;
+  std::unordered_map<const void*, Entry> entries_;
 };
 
 }  // namespace dlpic::nn

@@ -135,14 +135,11 @@ void DynamicBatcher::run_batch(ModelBundle& bundle) {
       std::memset(x.data() + b * input_dim, 0, (rows - b) * input_dim * sizeof(double));
     if (bundle.normalizer) bundle.normalizer->apply(x.data(), x.size());
 
-    // Per-bundle precision pick: point the context at this bundle's
-    // precision and (for quantized tiers) its precise quantized weight
-    // cache before the forward pass. Both are plain per-context fields —
-    // bundles of different precisions interleave freely on one worker.
-    ctx_.set_precision(bundle.config.precision);
-    ctx_.set_weight_cache(nn::is_quantized(bundle.config.precision)
-                              ? bundle.quantized_weights.get()
-                              : nullptr);
+    // Per-bundle precision pick: the bundle's weight cache (null for f64
+    // bundles) sets the context's precision. It is a plain per-context
+    // field, so bundles of different precisions interleave freely on one
+    // worker.
+    ctx_.set_quantized_weights(bundle.quantized_weights.get());
     {
       int64_t forward_ns = 0;
       for (Request& request : batch_) {

@@ -223,12 +223,27 @@ void prom_header(std::ostringstream& out, const std::string& name, const char* t
 }
 
 std::string json_escape(const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // drop control chars
-    out.push_back(c);
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (byte < 0x20) {
+      out += "\\u00";
+      out.push_back(kHex[byte >> 4]);
+      out.push_back(kHex[byte & 0xf]);
+    } else {
+      out.push_back(c);
+    }
   }
   return out;
 }

@@ -14,13 +14,6 @@ void ModelBundle::reset_stats() {
   if (metrics != nullptr) metrics->reset();
 }
 
-void ModelBundle::requantize_weights() {
-  if (!nn::is_quantized(config.precision) || model == nullptr) return;
-  auto fresh = std::make_unique<nn::QuantizedWeightCache>();
-  fresh->build(*model, config.precision);
-  quantized_weights = std::move(fresh);
-}
-
 size_t ModelRegistry::add(std::string name, nn::Sequential* model, size_t input_dim,
                           const ModelConfig& config,
                           const data::MinMaxNormalizer* normalizer) {
@@ -57,7 +50,9 @@ size_t ModelRegistry::add(std::string name, nn::Sequential* model, size_t input_
   // Quantize the static weights once, BEFORE publishing the bundle, so the
   // cache is immutable while batcher threads read it (no locking needed on
   // the serving path).
-  bundle->requantize_weights();
+  if (nn::is_quantized(config.precision))
+    bundle->quantized_weights =
+        std::make_unique<nn::QuantizedWeightCache>(*model, config.precision);
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (bundles_.size() >= kMaxModels)

@@ -72,7 +72,8 @@ struct ModelBundle {
   /// Precise per-row quantization of every Dense and Conv2D weight matrix
   /// at the bundle's precision, built at registration when
   /// config.precision is a quantized tier (so batcher threads read it
-  /// lock-free) and null otherwise.
+  /// lock-free) and null otherwise. The batcher sets it on its context as
+  /// is: null runs the f64 path.
   std::unique_ptr<nn::QuantizedWeightCache> quantized_weights;
 
   /// This model's serving counters + latency histograms, owned by the
@@ -87,12 +88,6 @@ struct ModelBundle {
   /// Zeroes every serving counter and histogram. Meant for restart cycles;
   /// quiesce serving traffic first for an exact reset.
   void reset_stats();
-
-  /// Rebuilds the quantized weight cache from the model's current weights —
-  /// call after hot-swapping weights of a quantized bundle. No-op for kF64
-  /// bundles. Not safe concurrently with serving traffic on this bundle;
-  /// quiesce first.
-  void requantize_weights();
 };
 
 /// Growable table of model bundles shared by every batcher thread of one

@@ -4,10 +4,6 @@
 #include <atomic>
 #include <vector>
 
-#ifdef DLPIC_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 #include "util/env.hpp"
 #include "util/thread_pool.hpp"
 
@@ -20,14 +16,6 @@ std::atomic<size_t> g_max_workers{kUnset};
 
 thread_local size_t t_serial_depth = 0;
 thread_local size_t t_thread_cap = 0;
-
-size_t hardware_workers() {
-#ifdef DLPIC_HAVE_OPENMP
-  return static_cast<size_t>(omp_get_max_threads());
-#else
-  return ThreadPool::global().size();
-#endif
-}
 
 }  // namespace
 
@@ -60,7 +48,7 @@ size_t parallel_workers() {
   // over the process-global setting.
   if (t_thread_cap > 0) return t_thread_cap;
   const size_t cap = max_workers();
-  return cap > 0 ? cap : hardware_workers();
+  return cap > 0 ? cap : ThreadPool::global().size();
 }
 
 size_t worker_partition_count(size_t n, size_t grain) {
@@ -85,14 +73,6 @@ void run_chunks(size_t begin, size_t end, size_t grain, ChunkFn fn, void* ctx) {
   // Over-decompose 4x for load balance, then hand chunks out dynamically.
   const size_t chunks = std::min(workers * 4, (n + grain - 1) / grain);
   const size_t step = (n + chunks - 1) / chunks;
-#ifdef DLPIC_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic, 1) num_threads(static_cast<int>(workers))
-  for (long long c = 0; c < static_cast<long long>(chunks); ++c) {
-    const size_t lo = begin + static_cast<size_t>(c) * step;
-    const size_t hi = std::min(end, lo + step);
-    if (lo < hi) fn(ctx, lo, hi);
-  }
-#else
   std::atomic<size_t> next{0};
   const auto drain = [&next, fn, ctx, begin, end, chunks, step] {
     for (size_t c = next.fetch_add(1); c < chunks; c = next.fetch_add(1)) {
@@ -109,7 +89,6 @@ void run_chunks(size_t begin, size_t end, size_t grain, ChunkFn fn, void* ctx) {
   }
   for (size_t t = 0; t < helpers; ++t) pool.submit(drain);
   pool.wait_idle();
-#endif
 }
 
 void run_worker_chunks(size_t begin, size_t end, size_t grain, WorkerChunkFn fn,
@@ -122,14 +101,6 @@ void run_worker_chunks(size_t begin, size_t end, size_t grain, WorkerChunkFn fn,
     return;
   }
   const size_t step = (n + chunks - 1) / chunks;
-#ifdef DLPIC_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic, 1) num_threads(static_cast<int>(chunks))
-  for (long long w = 0; w < static_cast<long long>(chunks); ++w) {
-    const size_t lo = begin + static_cast<size_t>(w) * step;
-    const size_t hi = std::min(end, lo + step);
-    if (lo < hi) fn(ctx, static_cast<size_t>(w), lo, hi);
-  }
-#else
   std::atomic<size_t> next{0};
   const auto drain = [&next, fn, ctx, begin, end, chunks, step] {
     for (size_t w = next.fetch_add(1); w < chunks; w = next.fetch_add(1)) {
@@ -146,20 +117,8 @@ void run_worker_chunks(size_t begin, size_t end, size_t grain, WorkerChunkFn fn,
   }
   for (size_t t = 0; t < helpers; ++t) pool.submit(drain);
   pool.wait_idle();
-#endif
 }
 
 }  // namespace detail
-
-void parallel_for(size_t begin, size_t end, const std::function<void(size_t)>& body,
-                  size_t grain) {
-  parallel_for<const std::function<void(size_t)>&>(begin, end, body, grain);
-}
-
-void parallel_for_chunks(size_t begin, size_t end,
-                         const std::function<void(size_t, size_t)>& body, size_t grain) {
-  parallel_for_chunks<const std::function<void(size_t, size_t)>&>(begin, end, body,
-                                                                  grain);
-}
 
 }  // namespace dlpic::util

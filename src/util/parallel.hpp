@@ -1,13 +1,12 @@
 #pragma once
 /// \file parallel.hpp
-/// parallel_for abstraction: OpenMP when compiled in, otherwise the internal
-/// thread pool, otherwise serial. Grain-size aware so tiny loops stay serial
-/// (the PIC hot loops at paper scale are ~64k iterations; NN GEMMs dominate).
+/// parallel_for abstraction over the internal thread pool (serial at width
+/// 1). Grain-size aware so tiny loops stay serial (the PIC hot loops at
+/// paper scale are ~64k iterations; NN GEMMs dominate).
 ///
-/// The primary entry points are templates: the loop body is a template
+/// The entry points are templates: the loop body is a template
 /// parameter, so dispatch costs one indirect call per *chunk* instead of a
-/// std::function construction per chunk (the type-erased overloads remain
-/// for callers that already hold a std::function). The partition width is
+/// std::function construction per chunk. The partition width is
 /// `parallel_workers()`: the DLPIC_THREADS environment variable or an
 /// explicit set_max_workers() call caps it, otherwise it follows the
 /// hardware. The partition (and therefore any reduction order built on
@@ -17,7 +16,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -214,12 +212,5 @@ double ordered_block_max(size_t n, double init, Body&& body) {
   for (size_t block = 0; block < blocks; ++block) m = std::max(m, parts[block]);
   return m;
 }
-
-/// Type-erased overloads kept for callers holding an actual std::function.
-void parallel_for(size_t begin, size_t end, const std::function<void(size_t)>& body,
-                  size_t grain = 1024);
-void parallel_for_chunks(size_t begin, size_t end,
-                         const std::function<void(size_t, size_t)>& body,
-                         size_t grain = 1024);
 
 }  // namespace dlpic::util

@@ -1,7 +1,6 @@
 #pragma once
 /// \file thread_pool.hpp
-/// Fixed-size worker pool backing dlpic::util::parallel_for when OpenMP is
-/// unavailable. Work items are small trivially-copyable closures stored
+/// Fixed-size worker pool backing dlpic::util::parallel_for. Work items are small trivially-copyable closures stored
 /// inline in a fixed ring of task slots — submit() performs no heap
 /// allocation, so steady-state parallel dispatch is allocation-free (the
 /// operator-new-counting test in tests/nn/test_execution_context.cpp covers

@@ -400,7 +400,6 @@ TEST(BackendParity, DenseBatchOneForwardBitwiseEqualsBatchedRow) {
       gemm_with(be, false, false, batch, out, in, 1.0, rc.A, Wt, 0.0, packed);
       be->add_bias_rows(batch, out, dense.bias().data(), packed.data());
       nn::ExecutionContext ctx(0, be);
-      ctx.set_precision(nn::Precision::kF64);
       for (size_t m = 1; m <= batch; ++m) {
         nn::Tensor head({m, in});
         std::copy(rc.A.begin(), rc.A.begin() + m * in, head.data());
@@ -482,8 +481,8 @@ TEST(BackendParity, Int16GemmBitwiseAcrossTileRemainders) {
         const auto Bf = random_vec(n * k, 76 + n, -2, 2);
         std::vector<int16_t> Aq(m * k), Bq(n * k);
         std::vector<double> sa(m), sb(n);
-        nn::quantize_rows_fast_i16(Af.data(), m, k, Aq.data(), sa.data());
-        nn::quantize_rows_fast_i16(Bf.data(), n, k, Bq.data(), sb.data());
+        nn::quantize_rows_fast(Af.data(), m, k, Aq.data(), sa.data());
+        nn::quantize_rows_fast(Bf.data(), n, k, Bq.data(), sb.data());
         for (size_t p = 0; p < k; ++p) Aq[p] = (p % 2 == 0) ? 32767 : -32767;
         std::vector<double> Cs(m * n), Cv(m * n);
         nn::scalar_backend().gemm_int16(m, n, k, Aq.data(), sa.data(), Bq.data(),

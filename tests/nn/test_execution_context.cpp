@@ -224,7 +224,6 @@ TEST(ZeroAllocation, FullTrainingStepSteadyState) {
   EXPECT_EQ(after - before, 0u) << "steady-state training steps allocated";
 }
 
-#ifndef DLPIC_HAVE_OPENMP
 // Touches every per-thread lazily-constructed buffer on every pool worker:
 // each task blocks until all N are claimed (so N distinct threads hold one),
 // then runs a tiny GEMM that constructs the thread's pack buffers.
@@ -355,6 +354,5 @@ TEST(ZeroAllocation, SpectralFieldSolveSteadyStateNonPow2) {
     }
   }
 }
-#endif
 
 }  // namespace

@@ -14,6 +14,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "math/rng.hpp"
@@ -40,7 +42,25 @@ std::vector<double> random_vec(size_t n, uint64_t seed, double lo = -1, double h
   return v;
 }
 
-double row_roundtrip_err(const double* x, const int8_t* q, double s, size_t cols) {
+/// Appends `layer` to `model` and returns it, so a test can build a weight
+/// cache around a single layer and still call the layer directly.
+template <typename L>
+L& add_layer(nn::Sequential& model, std::unique_ptr<L> layer) {
+  L& ref = *layer;
+  model.add(std::move(layer));
+  return ref;
+}
+
+/// A context running on `cache`'s quantized weights.
+nn::ExecutionContext quantized_context(const nn::QuantizedWeightCache& cache,
+                                       size_t worker_cap = 0) {
+  nn::ExecutionContext ctx(worker_cap);
+  ctx.set_quantized_weights(&cache);
+  return ctx;
+}
+
+template <typename Code>
+double row_roundtrip_err(const double* x, const Code* q, double s, size_t cols) {
   double err = 0.0;
   for (size_t c = 0; c < cols; ++c) {
     const double d = x[c] - s * static_cast<double>(q[c]);
@@ -90,7 +110,7 @@ TEST(QuantizePrecise, NeverWorseThanFastPath) {
   std::vector<int8_t> qf(rows * cols);
   std::vector<double> sf(rows);
   nn::quantize_rows_fast(src.data(), rows, cols, qf.data(), sf.data());
-  nn::QuantizedMatrix precise;
+  nn::QuantizedMatrix<int8_t> precise;
   nn::quantize_rows_precise(src.data(), rows, cols, precise);
   ASSERT_EQ(precise.rows, rows);
   ASSERT_EQ(precise.cols, cols);
@@ -191,13 +211,14 @@ TEST(QuantizedGemm, BitwiseAcrossBackendsAndWorkerCounts) {
 
 TEST(Int8Dense, BatchSizeAndWorkerCountInvariantBitwise) {
   math::Rng rng(31);
-  nn::Dense dense(61, 23, rng);
+  nn::Sequential model;
+  nn::Dense& dense = add_layer(model, std::make_unique<nn::Dense>(61, 23, rng));
+  const nn::QuantizedWeightCache cache(model, nn::Precision::kInt8);
   const auto xf = random_vec(8 * 61, 33, -1.5, 1.5);
 
   auto forward_rows = [&](size_t batch, size_t workers) {
     util::ScopedMaxWorkers width(workers);
-    nn::ExecutionContext ctx;
-    ctx.set_precision(nn::Precision::kInt8);
+    nn::ExecutionContext ctx = quantized_context(cache);
     nn::Tensor x({batch, size_t{61}});
     std::copy(xf.begin(), xf.begin() + batch * 61, x.data());
     return dense.forward(ctx, x, false).vec();
@@ -220,9 +241,10 @@ TEST(Int8Dense, BatchSizeAndWorkerCountInvariantBitwise) {
 
 TEST(Int8Dense, TrainingForwardThrows) {
   math::Rng rng(41);
-  nn::Dense dense(8, 4, rng);
-  nn::ExecutionContext ctx;
-  ctx.set_precision(nn::Precision::kInt8);
+  nn::Sequential model;
+  nn::Dense& dense = add_layer(model, std::make_unique<nn::Dense>(8, 4, rng));
+  const nn::QuantizedWeightCache cache(model, nn::Precision::kInt8);
+  nn::ExecutionContext ctx = quantized_context(cache);
   nn::Tensor x({2, 8});
   EXPECT_THROW(dense.forward(ctx, x, /*training=*/true), std::invalid_argument);
 }
@@ -238,20 +260,21 @@ TEST(QuantizedWeightCache, BuildsEveryDenseLayerAndSupportsLookup) {
   spec.depth = 2;
   spec.seed = 5;
   nn::Sequential mlp = nn::build_mlp(spec);
-  nn::QuantizedWeightCache cache;
-  cache.build(mlp);
+  const nn::QuantizedWeightCache cache(mlp, nn::Precision::kInt8);
+  EXPECT_EQ(cache.precision(), nn::Precision::kInt8);
   EXPECT_EQ(cache.size(), spec.depth + 1);  // hidden layers + linear head
   size_t found = 0;
   for (size_t i = 0; i < mlp.layer_count(); ++i)
     if (auto* dense = dynamic_cast<nn::Dense*>(&mlp.layer(i))) {
-      const nn::QuantizedMatrix* entry = cache.find(dense);
+      const nn::QuantizedMatrix<int8_t>* entry = cache.find<int8_t>(dense);
       ASSERT_NE(entry, nullptr);
       EXPECT_EQ(entry->rows, dense->out_features());
       EXPECT_EQ(entry->cols, dense->in_features());
+      EXPECT_EQ(cache.find<int16_t>(dense), nullptr);  // int8 build: no int16 entries
       ++found;
     }
   EXPECT_EQ(found, cache.size());
-  EXPECT_EQ(cache.find(&mlp), nullptr);
+  EXPECT_EQ(cache.find<int8_t>(&mlp), nullptr);
 
   // Residual blocks contribute their inner/outer dense pair.
   nn::ResMlpSpec rspec;
@@ -261,12 +284,62 @@ TEST(QuantizedWeightCache, BuildsEveryDenseLayerAndSupportsLookup) {
   rspec.blocks = 2;
   rspec.seed = 6;
   nn::Sequential resmlp = nn::build_resmlp(rspec);
-  nn::QuantizedWeightCache rcache;
-  rcache.build(resmlp);
+  const nn::QuantizedWeightCache rcache(resmlp, nn::Precision::kInt8);
   EXPECT_EQ(rcache.size(), 2 + 2 * rspec.blocks);
 
-  rcache.clear();
-  EXPECT_TRUE(rcache.empty());
+  // f64 runs without a cache; there is no f64 cache to build.
+  EXPECT_THROW(nn::QuantizedWeightCache(mlp, nn::Precision::kF64), std::invalid_argument);
+}
+
+TEST(QuantizedWeightCache, ContextPrecisionIsTheCachePrecision) {
+  nn::MlpSpec spec;
+  spec.input_dim = 8;
+  spec.output_dim = 4;
+  spec.hidden = 8;
+  spec.depth = 1;
+  spec.seed = 7;
+  nn::Sequential mlp = nn::build_mlp(spec);
+  const nn::QuantizedWeightCache cache8(mlp, nn::Precision::kInt8);
+  const nn::QuantizedWeightCache cache16(mlp, nn::Precision::kInt16);
+
+  nn::ExecutionContext ctx;
+  EXPECT_EQ(ctx.quantized_weights(), nullptr);
+  EXPECT_EQ(ctx.precision(), nn::Precision::kF64);
+  ctx.set_quantized_weights(&cache16);
+  EXPECT_EQ(ctx.precision(), nn::Precision::kInt16);
+  ctx.set_quantized_weights(&cache8);
+  EXPECT_EQ(ctx.precision(), nn::Precision::kInt8);
+  ctx.set_quantized_weights(nullptr);
+  EXPECT_EQ(ctx.precision(), nn::Precision::kF64);
+}
+
+TEST(QuantizedWeightCache, LayerMissingFromTheCacheThrowsNamingItsType) {
+  math::Rng rng(43);
+  nn::Sequential other;
+  other.add(std::make_unique<nn::Dense>(8, 4, rng));
+  nn::Dense dense(8, 4, rng);
+  nn::Conv2DConfig cfg;
+  nn::Conv2D conv(cfg, rng);
+  const nn::Tensor xd({2, 8});
+  const nn::Tensor xc({1, cfg.in_channels, 6, 6});
+  for (const nn::Precision precision : {nn::Precision::kInt8, nn::Precision::kInt16}) {
+    // Neither layer is in a cache built from another model, so neither has
+    // weight codes to run with.
+    const nn::QuantizedWeightCache cache(other, precision);
+    nn::ExecutionContext ctx = quantized_context(cache);
+    const auto expect_named_throw = [&](nn::Layer& layer, const nn::Tensor& x) {
+      try {
+        (void)layer.forward(ctx, x, false);
+        ADD_FAILURE() << "expected std::logic_error for " << layer.type();
+      } catch (const std::logic_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(layer.type()), std::string::npos) << what;
+        EXPECT_NE(what.find(nn::precision_name(precision)), std::string::npos) << what;
+      }
+    };
+    expect_named_throw(dense, xd);
+    expect_named_throw(conv, xc);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -310,13 +383,10 @@ TEST(Int8Accuracy, TrainedSurrogateWithinDocumentedBudget) {
   nn::Adam adam(1e-3);
   trainer.fit(model, adam, data);
 
-  nn::QuantizedWeightCache cache;
-  cache.build(model);
+  const nn::QuantizedWeightCache cache(model, nn::Precision::kInt8);
 
   nn::ExecutionContext f64_ctx;
-  nn::ExecutionContext int8_ctx;
-  int8_ctx.set_precision(nn::Precision::kInt8);
-  int8_ctx.set_weight_cache(&cache);
+  nn::ExecutionContext int8_ctx = quantized_context(cache);
 
   const size_t eval = 64;
   nn::Tensor xb({eval, in_dim});
@@ -340,16 +410,6 @@ TEST(Int8Accuracy, TrainedSurrogateWithinDocumentedBudget) {
   mae /= static_cast<double>(ref.size());
   EXPECT_LE(mae, 0.03 * rms) << "int8 MAE budget exceeded (rms=" << rms << ")";
   EXPECT_LE(max_err, 0.15 * rms) << "int8 max-error budget exceeded (rms=" << rms << ")";
-
-  // The fallback path (no weight cache: fast-quantized weights) must also
-  // land inside the same budget — it only loses the precise scale search.
-  nn::ExecutionContext fallback_ctx;
-  fallback_ctx.set_precision(nn::Precision::kInt8);
-  const nn::Tensor& fq = model.predict(fallback_ctx, xb);
-  double fmae = 0.0;
-  for (size_t i = 0; i < ref.size(); ++i) fmae += std::fabs(ref.data()[i] - fq.data()[i]);
-  fmae /= static_cast<double>(ref.size());
-  EXPECT_LE(fmae, 0.03 * rms);
 }
 
 // ---------------------------------------------------------------------------
@@ -358,9 +418,11 @@ TEST(Int8Accuracy, TrainedSurrogateWithinDocumentedBudget) {
 
 TEST(Int8Dense, SteadyStateForwardIsAllocationFree) {
   math::Rng rng(51);
-  nn::Dense dense(64, 32, rng);
-  nn::ExecutionContext ctx(/*worker_cap=*/1);  // inline: no pool-task churn
-  ctx.set_precision(nn::Precision::kInt8);
+  nn::Sequential model;
+  nn::Dense& dense = add_layer(model, std::make_unique<nn::Dense>(64, 32, rng));
+  const nn::QuantizedWeightCache cache(model, nn::Precision::kInt8);
+  // Inline (worker cap 1): no pool-task churn.
+  nn::ExecutionContext ctx = quantized_context(cache, /*worker_cap=*/1);
   nn::Tensor x({16, size_t{64}});
   for (size_t i = 0; i < x.size(); ++i) x[i] = rng.uniform(-1, 1);
   dense.forward(ctx, x, false);  // warm-up allocates the workspace slots
@@ -390,22 +452,13 @@ TEST(Precision, NamesRoundTripAndUnknownThrows) {
 // ---------------------------------------------------------------------------
 // Int16 per-row quantization.
 
-double row_roundtrip_err16(const double* x, const int16_t* q, double s, size_t cols) {
-  double err = 0.0;
-  for (size_t c = 0; c < cols; ++c) {
-    const double d = x[c] - s * static_cast<double>(q[c]);
-    err += d * d;
-  }
-  return err;
-}
-
 TEST(QuantizeFast16, PerRowScaleCodesAndRoundTrip) {
   const size_t rows = 5, cols = 67;
   auto src = random_vec(rows * cols, 61, -3.0, 3.0);
   for (size_t c = 0; c < cols; ++c) src[1 * cols + c] = 0.0;  // zero row
   std::vector<int16_t> q(rows * cols);
   std::vector<double> scales(rows);
-  nn::quantize_rows_fast_i16(src.data(), rows, cols, q.data(), scales.data());
+  nn::quantize_rows_fast(src.data(), rows, cols, q.data(), scales.data());
   for (size_t r = 0; r < rows; ++r) {
     double absmax = 0.0;
     for (size_t c = 0; c < cols; ++c)
@@ -432,15 +485,15 @@ TEST(QuantizePrecise16, NeverWorseThanFastPath) {
   const auto src = random_vec(rows * cols, 63, -2.0, 2.0);
   std::vector<int16_t> qf(rows * cols);
   std::vector<double> sf(rows);
-  nn::quantize_rows_fast_i16(src.data(), rows, cols, qf.data(), sf.data());
-  nn::QuantizedMatrix16 precise;
-  nn::quantize_rows_precise_i16(src.data(), rows, cols, precise);
+  nn::quantize_rows_fast(src.data(), rows, cols, qf.data(), sf.data());
+  nn::QuantizedMatrix<int16_t> precise;
+  nn::quantize_rows_precise(src.data(), rows, cols, precise);
   ASSERT_EQ(precise.rows, rows);
   ASSERT_EQ(precise.cols, cols);
   for (size_t r = 0; r < rows; ++r) {
     const double fast_err =
-        row_roundtrip_err16(src.data() + r * cols, qf.data() + r * cols, sf[r], cols);
-    const double precise_err = row_roundtrip_err16(
+        row_roundtrip_err(src.data() + r * cols, qf.data() + r * cols, sf[r], cols);
+    const double precise_err = row_roundtrip_err(
         src.data() + r * cols, precise.q.data() + r * cols, precise.scales[r], cols);
     EXPECT_LE(precise_err, fast_err + 1e-15) << "row " << r;
   }
@@ -463,7 +516,7 @@ TEST(QuantizedGemm16, AdversarialExtremesMatchInt64Reference) {
   }
   const std::vector<double> sa(m, 1.0), sb(n, 1.0);
   std::vector<double> C(m * n);
-  nn::quantized_gemm_i16(m, n, k, A.data(), sa.data(), B.data(), sb.data(), C.data(), n);
+  nn::quantized_gemm(m, n, k, A.data(), sa.data(), B.data(), sb.data(), C.data(), n);
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = 0; j < n; ++j) {
       int64_t ref = 0;
@@ -480,10 +533,10 @@ TEST(QuantizedGemm16, RejectsDepthBeyondExactDoubleBound) {
   std::vector<int16_t> A(k, 1), B(k, 1);
   const double sa = 1.0, sb = 1.0;
   double C = 0.0;
-  EXPECT_THROW(nn::quantized_gemm_i16(1, 1, k, A.data(), &sa, B.data(), &sb, &C, 1),
+  EXPECT_THROW(nn::quantized_gemm(1, 1, k, A.data(), &sa, B.data(), &sb, &C, 1),
                std::invalid_argument);
   EXPECT_NO_THROW(
-      nn::quantized_gemm_i16(1, 1, k - 1, A.data(), &sa, B.data(), &sb, &C, 1));
+      nn::quantized_gemm(1, 1, k - 1, A.data(), &sa, B.data(), &sb, &C, 1));
   EXPECT_EQ(C, static_cast<double>(nn::kQuantizedGemmInt16MaxDepth));
 }
 
@@ -496,7 +549,7 @@ std::vector<double> run_quantized_gemm16(const nn::KernelBackend* be, size_t wor
   util::ScopedMaxWorkers width(workers);
   nn::ScopedBackend scope(be);
   std::vector<double> C(m * n);
-  nn::quantized_gemm_i16(m, n, k, A.data(), sa.data(), B.data(), sb.data(), C.data(), n);
+  nn::quantized_gemm(m, n, k, A.data(), sa.data(), B.data(), sb.data(), C.data(), n);
   return C;
 }
 
@@ -507,8 +560,8 @@ TEST(QuantizedGemm16, BitwiseAcrossBackendsAndWorkerCounts) {
   const auto Bf = random_vec(n * k, 72, -2, 2);
   std::vector<int16_t> A(m * k), B(n * k);
   std::vector<double> sa(m), sb(n);
-  nn::quantize_rows_fast_i16(Af.data(), m, k, A.data(), sa.data());
-  nn::quantize_rows_fast_i16(Bf.data(), n, k, B.data(), sb.data());
+  nn::quantize_rows_fast(Af.data(), m, k, A.data(), sa.data());
+  nn::quantize_rows_fast(Bf.data(), n, k, B.data(), sb.data());
 
   std::vector<const nn::KernelBackend*> backends{&nn::scalar_backend()};
   if (const nn::KernelBackend* avx2 = nn::avx2_backend()) backends.push_back(avx2);
@@ -527,13 +580,14 @@ TEST(QuantizedGemm16, BitwiseAcrossBackendsAndWorkerCounts) {
 
 TEST(Int16Dense, BatchSizeAndWorkerCountInvariantBitwiseAndTrainingThrows) {
   math::Rng rng(73);
-  nn::Dense dense(61, 23, rng);
+  nn::Sequential model;
+  nn::Dense& dense = add_layer(model, std::make_unique<nn::Dense>(61, 23, rng));
+  const nn::QuantizedWeightCache cache(model, nn::Precision::kInt16);
   const auto xf = random_vec(8 * 61, 74, -1.5, 1.5);
 
   auto forward_rows = [&](size_t batch, size_t workers) {
     util::ScopedMaxWorkers width(workers);
-    nn::ExecutionContext ctx;
-    ctx.set_precision(nn::Precision::kInt16);
+    nn::ExecutionContext ctx = quantized_context(cache);
     nn::Tensor x({batch, size_t{61}});
     std::copy(xf.begin(), xf.begin() + batch * 61, x.data());
     return dense.forward(ctx, x, false).vec();
@@ -550,8 +604,7 @@ TEST(Int16Dense, BatchSizeAndWorkerCountInvariantBitwiseAndTrainingThrows) {
   }
   util::ThreadPool::global().resize(0);
 
-  nn::ExecutionContext ctx;
-  ctx.set_precision(nn::Precision::kInt16);
+  nn::ExecutionContext ctx = quantized_context(cache);
   nn::Tensor x({2, size_t{61}});
   EXPECT_THROW(dense.forward(ctx, x, /*training=*/true), std::invalid_argument);
 }
@@ -583,14 +636,11 @@ nn::Tensor conv_input(size_t n, size_t ch, size_t h, size_t w, uint64_t seed) {
 }
 
 std::vector<double> run_conv_quantized(nn::Conv2D& conv, const nn::Tensor& x,
-                                       nn::Precision precision,
-                                       const nn::KernelBackend* be, size_t workers,
-                                       const nn::QuantizedWeightCache* cache = nullptr) {
+                                       const nn::QuantizedWeightCache& cache,
+                                       const nn::KernelBackend* be, size_t workers) {
   util::ScopedMaxWorkers width(workers);
-  nn::ExecutionContext ctx;
-  ctx.set_precision(precision);
+  nn::ExecutionContext ctx = quantized_context(cache);
   ctx.set_backend(be);
-  ctx.set_weight_cache(cache);
   return conv.forward(ctx, x, false).vec();
 }
 
@@ -599,7 +649,8 @@ TEST(QuantizedConv, BitwiseAcrossBackendsWorkersAndBatchComposition) {
   cfg.in_channels = 3;
   cfg.out_channels = 5;
   math::Rng rng(83);
-  nn::Conv2D conv(cfg, rng);
+  nn::Sequential model;
+  nn::Conv2D& conv = add_layer(model, std::make_unique<nn::Conv2D>(cfg, rng));
   const size_t h = 9, w = 11;  // odd spatial dims: plane % tile != 0
   const nn::Tensor x = conv_input(6, cfg.in_channels, h, w, 84);
 
@@ -609,11 +660,11 @@ TEST(QuantizedConv, BitwiseAcrossBackendsWorkersAndBatchComposition) {
 
   util::ThreadPool::global().resize(4);
   for (const nn::Precision precision : {nn::Precision::kInt8, nn::Precision::kInt16}) {
-    const auto reference =
-        run_conv_quantized(conv, x, precision, &nn::scalar_backend(), 1);
+    const nn::QuantizedWeightCache cache(model, precision);
+    const auto reference = run_conv_quantized(conv, x, cache, &nn::scalar_backend(), 1);
     for (const nn::KernelBackend* be : backends)
       for (const size_t workers : {size_t{1}, size_t{2}, size_t{8}})
-        EXPECT_EQ(reference, run_conv_quantized(conv, x, precision, be, workers))
+        EXPECT_EQ(reference, run_conv_quantized(conv, x, cache, be, workers))
             << nn::precision_name(precision) << " " << be->name() << " width "
             << workers << " changed bits of the quantized conv forward";
     // Batch-composition invariance: each image served alone is bitwise the
@@ -623,7 +674,7 @@ TEST(QuantizedConv, BitwiseAcrossBackendsWorkersAndBatchComposition) {
     for (size_t b = 0; b < x.dim(0); ++b) {
       nn::Tensor one({size_t{1}, cfg.in_channels, h, w});
       std::copy(x.data() + b * image, x.data() + (b + 1) * image, one.data());
-      const auto solo = run_conv_quantized(conv, one, precision, nullptr, 2);
+      const auto solo = run_conv_quantized(conv, one, cache, nullptr, 2);
       ASSERT_EQ(solo.size(), oimage);
       for (size_t i = 0; i < oimage; ++i)
         ASSERT_EQ(solo[i], reference[b * oimage + i])
@@ -633,42 +684,35 @@ TEST(QuantizedConv, BitwiseAcrossBackendsWorkersAndBatchComposition) {
   util::ThreadPool::global().resize(0);
 }
 
-TEST(QuantizedConv, CachedWeightsAreUsedAndShapeChecked) {
+TEST(QuantizedConv, CachedWeightsAreShapeChecked) {
   nn::Conv2DConfig cfg;
   cfg.in_channels = 2;
   cfg.out_channels = 4;
   math::Rng rng(85);
-  nn::Conv2D conv(cfg, rng);
+  nn::Sequential model;
+  nn::Conv2D& conv = add_layer(model, std::make_unique<nn::Conv2D>(cfg, rng));
   const nn::Tensor x = conv_input(2, cfg.in_channels, 8, 8, 86);
+  const nn::QuantizedWeightCache cache(model, nn::Precision::kInt8);
+  nn::ExecutionContext ctx = quantized_context(cache);
+  EXPECT_NO_THROW(conv.forward(ctx, x, false));
 
-  // Precise cache vs fast fallback: both valid, generally different bits
-  // (the precise scale search picks different codes); the cache must
-  // actually be consulted.
-  nn::QuantizedWeightCache cache;
-  const size_t krows = cfg.in_channels * cfg.kernel_h * cfg.kernel_w;
-  cache.put(&conv, conv.weight().data(), cfg.out_channels, krows);
-  const auto cached =
-      run_conv_quantized(conv, x, nn::Precision::kInt8, nullptr, 1, &cache);
-  const auto fallback = run_conv_quantized(conv, x, nn::Precision::kInt8, nullptr, 1);
-  ASSERT_EQ(cached.size(), fallback.size());  // same shape either way
-
-  // A wrong-shape cache entry is a logic error, not silent corruption.
-  nn::QuantizedWeightCache bad;
-  bad.put(&conv, conv.weight().data(), 1, 1);
-  nn::ExecutionContext ctx;
-  ctx.set_precision(nn::Precision::kInt8);
-  ctx.set_weight_cache(&bad);
+  // The same layer address reshaped after the cache was built: its entry is
+  // now the wrong shape, a logic error rather than silent corruption.
+  nn::Conv2DConfig wider = cfg;
+  wider.out_channels = 5;
+  conv = nn::Conv2D(wider, rng);
   EXPECT_THROW(conv.forward(ctx, x, false), std::logic_error);
 }
 
 TEST(QuantizedConv, TrainingForwardThrows) {
   nn::Conv2DConfig cfg;
   math::Rng rng(87);
-  nn::Conv2D conv(cfg, rng);
+  nn::Sequential model;
+  nn::Conv2D& conv = add_layer(model, std::make_unique<nn::Conv2D>(cfg, rng));
   const nn::Tensor x = conv_input(1, cfg.in_channels, 6, 6, 88);
   for (const nn::Precision precision : {nn::Precision::kInt8, nn::Precision::kInt16}) {
-    nn::ExecutionContext ctx;
-    ctx.set_precision(precision);
+    const nn::QuantizedWeightCache cache(model, precision);
+    nn::ExecutionContext ctx = quantized_context(cache);
     EXPECT_THROW(conv.forward(ctx, x, /*training=*/true), std::invalid_argument);
   }
 }
@@ -678,11 +722,12 @@ TEST(QuantizedConv, SteadyStateForwardIsAllocationFree) {
   cfg.in_channels = 2;
   cfg.out_channels = 4;
   math::Rng rng(89);
-  nn::Conv2D conv(cfg, rng);
+  nn::Sequential model;
+  nn::Conv2D& conv = add_layer(model, std::make_unique<nn::Conv2D>(cfg, rng));
   const nn::Tensor x = conv_input(4, cfg.in_channels, 8, 8, 90);
   for (const nn::Precision precision : {nn::Precision::kInt8, nn::Precision::kInt16}) {
-    nn::ExecutionContext ctx(/*worker_cap=*/1);
-    ctx.set_precision(precision);
+    const nn::QuantizedWeightCache cache(model, precision);
+    nn::ExecutionContext ctx = quantized_context(cache, /*worker_cap=*/1);
     conv.forward(ctx, x, false);  // warm-up allocates the workspace slots
     const size_t before = ctx.workspace().bytes();
     for (int pass = 0; pass < 8; ++pass) conv.forward(ctx, x, false);
@@ -713,23 +758,22 @@ TEST(QuantizedWeightCache, BuildsEveryConvAndDenseLayerAtBothWidths) {
   }
   ASSERT_EQ(convs, 4u);  // two blocks of two 3x3 convolutions
 
-  nn::QuantizedWeightCache cache8;
-  cache8.build(cnn, nn::Precision::kInt8);
+  const nn::QuantizedWeightCache cache8(cnn, nn::Precision::kInt8);
   EXPECT_EQ(cache8.size(), convs + denses);
-  nn::QuantizedWeightCache cache16;
-  cache16.build(cnn, nn::Precision::kInt16);
+  const nn::QuantizedWeightCache cache16(cnn, nn::Precision::kInt16);
   EXPECT_EQ(cache16.size(), convs + denses);
+  EXPECT_EQ(cache16.precision(), nn::Precision::kInt16);
 
   for (size_t i = 0; i < cnn.layer_count(); ++i)
     if (auto* conv = dynamic_cast<nn::Conv2D*>(&cnn.layer(i))) {
       const size_t krows = conv->config().in_channels * conv->config().kernel_h *
                            conv->config().kernel_w;
-      const nn::QuantizedMatrix* e8 = cache8.find(conv);
+      const nn::QuantizedMatrix<int8_t>* e8 = cache8.find<int8_t>(conv);
       ASSERT_NE(e8, nullptr);
       EXPECT_EQ(e8->rows, conv->config().out_channels);
       EXPECT_EQ(e8->cols, krows);
-      EXPECT_EQ(cache8.find_i16(conv), nullptr);  // int8 build: no int16 entries
-      const nn::QuantizedMatrix16* e16 = cache16.find_i16(conv);
+      EXPECT_EQ(cache8.find<int16_t>(conv), nullptr);  // int8 build: no int16 entries
+      const nn::QuantizedMatrix<int16_t>* e16 = cache16.find<int16_t>(conv);
       ASSERT_NE(e16, nullptr);
       EXPECT_EQ(e16->rows, conv->config().out_channels);
       EXPECT_EQ(e16->cols, krows);
@@ -802,9 +846,8 @@ TEST(PrecisionLadder, Int16AtLeastAsAccurateAsInt8OnTrainedCnn) {
   nn::Adam adam(1e-3);
   trainer.fit(model, adam, data);
 
-  nn::QuantizedWeightCache cache8, cache16;
-  cache8.build(model, nn::Precision::kInt8);
-  cache16.build(model, nn::Precision::kInt16);
+  const nn::QuantizedWeightCache cache8(model, nn::Precision::kInt8);
+  const nn::QuantizedWeightCache cache16(model, nn::Precision::kInt16);
 
   const size_t eval = 32;
   nn::Tensor xb({eval, in_dim});
@@ -818,10 +861,8 @@ TEST(PrecisionLadder, Int16AtLeastAsAccurateAsInt8OnTrainedCnn) {
   rms = std::sqrt(rms / static_cast<double>(ref.size()));
   ASSERT_GT(rms, 0.0);
 
-  auto mae_at = [&](nn::Precision precision, const nn::QuantizedWeightCache* cache) {
-    nn::ExecutionContext ctx;
-    ctx.set_precision(precision);
-    ctx.set_weight_cache(cache);
+  auto mae_at = [&](const nn::QuantizedWeightCache& cache) {
+    nn::ExecutionContext ctx = quantized_context(cache);
     const nn::Tensor& out = model.predict(ctx, xb);
     double mae = 0.0;
     for (size_t i = 0; i < ref.size(); ++i)
@@ -829,8 +870,8 @@ TEST(PrecisionLadder, Int16AtLeastAsAccurateAsInt8OnTrainedCnn) {
     return mae / static_cast<double>(ref.size());
   };
 
-  const double mae8 = mae_at(nn::Precision::kInt8, &cache8);
-  const double mae16 = mae_at(nn::Precision::kInt16, &cache16);
+  const double mae8 = mae_at(cache8);
+  const double mae16 = mae_at(cache16);
   // The ladder: f64 (exact) >= int16 >= int8 in accuracy. int16 codes carry
   // 8 extra bits per element, so this holds with wide margin on any real
   // surrogate — a tie would mean the int16 tier is mis-wired.

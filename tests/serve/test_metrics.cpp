@@ -226,6 +226,11 @@ TEST(MetricsRegistryTest, PrometheusExpositionMatchesGolden) {
 TEST(MetricsRegistryTest, JsonSnapshotCarriesTheSameData) {
   MetricsRegistry registry;
   ModelMetrics* model = registry.add_model("psi\"q");  // name needs escaping
+  // The Prometheus golden test's name, and one holding a control character
+  // with no short escape: both must stay distinct from their printable
+  // characters alone.
+  registry.add_model("a\"b\\c\nd");
+  registry.add_model("e\x01g");
   registry.register_gauge("dlpic_live_workers", "", "", [] { return 2; });
 
   BatchAccounting delta;
@@ -239,6 +244,8 @@ TEST(MetricsRegistryTest, JsonSnapshotCarriesTheSameData) {
   EXPECT_NE(json.find("\"server\": {\"requests\": 2, \"served\": 2"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"name\": \"psi\\\"q\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\": \"a\\\"b\\\\c\\nd\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\": \"e\\u0001g\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"name\": \"dlpic_live_workers\", \"value\": 2"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"lane\": \"bulk\", \"served\": 2"), std::string::npos) << json;

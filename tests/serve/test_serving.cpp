@@ -478,13 +478,11 @@ TEST(InferenceServer, PerLanePrecisionServesInt8WithinBudgetAndBitwiseVsSerialIn
 
   // Serial int8 reference: same precise weight cache construction the
   // registry performs at add_model, on a fully serial context.
-  nn::QuantizedWeightCache cache;
-  cache.build(model);
+  const nn::QuantizedWeightCache cache(model, nn::Precision::kInt8);
   std::vector<std::vector<double>> expected_int8(kSamples);
   {
     nn::ExecutionContext ctx(/*worker_cap=*/1);
-    ctx.set_precision(nn::Precision::kInt8);
-    ctx.set_weight_cache(&cache);
+    ctx.set_quantized_weights(&cache);
     for (size_t i = 0; i < kSamples; ++i) {
       nn::Tensor x({1, kInputDim});
       std::copy(samples[i].begin(), samples[i].end(), x.data());
@@ -561,11 +559,9 @@ TEST(InferenceServer, ThreeLanePrecisionLadderOnConvModel) {
   // Serial quantized references: the same precise cache construction the
   // registry performs at add_model, on fully serial contexts.
   auto serial_quantized = [&](nn::Precision precision) {
-    nn::QuantizedWeightCache cache;
-    cache.build(model, precision);
+    const nn::QuantizedWeightCache cache(model, precision);
     nn::ExecutionContext ctx(/*worker_cap=*/1);
-    ctx.set_precision(precision);
-    ctx.set_weight_cache(&cache);
+    ctx.set_quantized_weights(&cache);
     std::vector<std::vector<double>> out(kSamples);
     for (size_t i = 0; i < kSamples; ++i) {
       nn::Tensor x({1, kInputDim});

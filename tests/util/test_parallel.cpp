@@ -105,9 +105,7 @@ TEST(ThreadPool, ResizeGlobalPoolChangesParallelWidth) {
   auto& pool = ThreadPool::global();
   const size_t original = pool.size();
   pool.resize(3);
-#ifndef DLPIC_HAVE_OPENMP
   EXPECT_EQ(parallel_workers(), 3u);
-#endif
   std::atomic<int> hits{0};
   parallel_for(0, 10000, [&](size_t) { hits.fetch_add(1); }, /*grain=*/64);
   EXPECT_EQ(hits.load(), 10000);
@@ -169,7 +167,6 @@ TEST(Parallel, WorkerPartitionCoversRangeWithStableIndices) {
   set_max_workers(prev);
 }
 
-#ifndef DLPIC_HAVE_OPENMP
 TEST(ThreadPool, EscapingTaskExceptionIsRethrownFromWaitIdle) {
   ThreadPool pool(2);
   pool.submit([] { throw std::runtime_error("task boom"); });
@@ -193,6 +190,5 @@ TEST(Parallel, BodyExceptionPropagatesToCaller) {
       std::runtime_error);
   set_max_workers(prev);
 }
-#endif
 
 }  // namespace
