@@ -1,7 +1,6 @@
 #include "math/linalg.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -153,16 +152,6 @@ void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha
   C.resize(m * n);
   gemm(trans_a, trans_b, m, n, k, alpha, A.data(), lda, B.data(), ldb, beta, C.data(), n);
 }
-
-void axpy(size_t n, double alpha, const double* x, double* y) {
-  nn::active_backend().axpy(n, alpha, x, y);
-}
-
-double dot(size_t n, const double* x, const double* y) {
-  return nn::active_backend().dot(n, x, y);
-}
-
-double nrm2(size_t n, const double* x) { return std::sqrt(dot(n, x, x)); }
 
 void transpose(size_t m, size_t n, const double* A, double* B) {
   constexpr size_t kTile = 32;

@@ -1,23 +1,14 @@
 #include "nn/backend.hpp"
 
-#include <cmath>
-#include <cstring>
 #include <string>
 
+#include "nn/backend_elementwise.hpp"
 #include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace dlpic::nn {
 
-// ---------------------------------------------------------------------------
-// Base-class elementwise kernels: the scalar reference implementations. The
-// scalar backend inherits them unchanged; the AVX2 backend overrides the
-// profitable ones and must mirror this exact operation order to stay bitwise
-// compatible (see backend.hpp).
-
-void KernelBackend::copy(size_t n, const double* x, double* y) const {
-  std::memcpy(y, x, n * sizeof(double));
-}
+KernelBackend::~KernelBackend() = default;
 
 namespace {
 
@@ -88,63 +79,51 @@ void KernelBackend::gemm_int16(size_t mb, size_t nb, size_t kb, const int16_t* A
   }
 }
 
-void KernelBackend::axpy(size_t n, double alpha, const double* x, double* y) const {
-  for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-double KernelBackend::dot(size_t n, const double* x, const double* y) const {
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) acc += x[i] * y[i];
-  return acc;
-}
+// The elementwise references: the shared bodies, compiled for the portable
+// target.
 
 void KernelBackend::add_bias_rows(size_t rows, size_t cols, const double* bias,
                                   double* out) const {
-  for (size_t r = 0; r < rows; ++r) {
-    double* row = out + r * cols;
-    for (size_t c = 0; c < cols; ++c) row[c] += bias[c];
-  }
-}
-
-double KernelBackend::squared_diff_sum(size_t n, const double* p, const double* t,
-                                       double* diff) const {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    diff[i] = p[i] - t[i];
-    s += diff[i] * diff[i];
-  }
-  return s;
+  elementwise::add_bias_rows(rows, cols, bias, out);
 }
 
 void KernelBackend::relu_forward(size_t n, const double* x, double* y) const {
-  for (size_t i = 0; i < n; ++i) y[i] = x[i] < 0.0 ? 0.0 : x[i];
+  elementwise::relu_forward(n, x, y);
 }
 
 void KernelBackend::relu_backward(size_t n, const double* y, const double* gout,
                                   double* gin) const {
-  for (size_t i = 0; i < n; ++i) gin[i] = y[i] <= 0.0 ? 0.0 : gout[i];
+  elementwise::relu_backward(n, y, gout, gin);
 }
 
 void KernelBackend::leaky_relu_forward(size_t n, double alpha, const double* x,
                                        double* xc, double* y) const {
-  for (size_t i = 0; i < n; ++i) {
-    xc[i] = x[i];
-    y[i] = x[i] < 0.0 ? alpha * x[i] : x[i];
-  }
+  elementwise::leaky_relu_forward(n, alpha, x, xc, y);
 }
 
 void KernelBackend::leaky_relu_backward(size_t n, double alpha, const double* x,
                                         const double* gout, double* gin) const {
-  for (size_t i = 0; i < n; ++i) gin[i] = x[i] <= 0.0 ? alpha * gout[i] : gout[i];
-}
-
-void KernelBackend::tanh_forward(size_t n, const double* x, double* y) const {
-  for (size_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
+  elementwise::leaky_relu_backward(n, alpha, x, gout, gin);
 }
 
 void KernelBackend::tanh_backward(size_t n, const double* y, const double* gout,
                                   double* gin) const {
-  for (size_t i = 0; i < n; ++i) gin[i] = gout[i] * (1.0 - y[i] * y[i]);
+  elementwise::tanh_backward(n, y, gout, gin);
+}
+
+void KernelBackend::sgd_update(size_t n, double lr, const double* g, double* w) const {
+  elementwise::sgd_update(n, lr, g, w);
+}
+
+void KernelBackend::sgd_momentum_update(size_t n, double lr, double momentum,
+                                        const double* g, double* vel, double* w) const {
+  elementwise::sgd_momentum_update(n, lr, momentum, g, vel, w);
+}
+
+void KernelBackend::adam_update(size_t n, double lr, double beta1, double beta2,
+                                double bc1, double bc2, double eps, const double* g,
+                                double* m, double* v, double* w) const {
+  elementwise::adam_update(n, lr, beta1, beta2, bc1, bc2, eps, g, m, v, w);
 }
 
 // Reference FFT stages. The AVX2 overrides mirror this exact operation
@@ -250,30 +229,6 @@ void KernelBackend::cplx_mul(size_t n, const double* a, const double* b,
     const double br = b[2 * i], bi = b[2 * i + 1];
     out[2 * i] = ar * br - ai * bi;
     out[2 * i + 1] = ar * bi + ai * br;
-  }
-}
-
-void KernelBackend::sgd_update(size_t n, double lr, const double* g, double* w) const {
-  for (size_t i = 0; i < n; ++i) w[i] -= lr * g[i];
-}
-
-void KernelBackend::sgd_momentum_update(size_t n, double lr, double momentum,
-                                        const double* g, double* vel, double* w) const {
-  for (size_t i = 0; i < n; ++i) {
-    vel[i] = momentum * vel[i] - lr * g[i];
-    w[i] += vel[i];
-  }
-}
-
-void KernelBackend::adam_update(size_t n, double lr, double beta1, double beta2,
-                                double bc1, double bc2, double eps, const double* g,
-                                double* m, double* v, double* w) const {
-  for (size_t i = 0; i < n; ++i) {
-    m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
-    v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
-    const double mhat = m[i] / bc1;
-    const double vhat = v[i] / bc2;
-    w[i] -= lr * mhat / (std::sqrt(vhat) + eps);
   }
 }
 

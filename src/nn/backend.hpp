@@ -1,12 +1,20 @@
 #pragma once
 /// \file backend.hpp
 /// Pluggable compute-kernel backend: one vtable of hot inner loops shared by
-/// the whole execution stack (math/linalg GEMM micro-kernel, the elementwise
-/// nn layer/optimizer/loss kernels, the PIC gather/deposit/leapfrog ranges
-/// and NGP phase-space binning). Three implementations ship: a portable scalar backend
-/// (backend_scalar.*), an AVX2+FMA backend (backend_avx2.*) and an AVX-512
-/// VNNI backend (backend_avx512.*) — the SIMD files are compiled with
-/// per-file target flags on x86-64 and selected at runtime via cpuid.
+/// the whole execution stack (math/linalg GEMM micro-kernels, the elementwise
+/// nn layer and optimizer kernels, the FFT passes, the PIC
+/// gather/deposit/leapfrog ranges and NGP phase-space binning). Three
+/// implementations ship, each overriding only what its instructions change:
+///  - ScalarBackend (backend_scalar.*): the portable f64 and int8 GEMM
+///    micro-kernels, PIC ranges and binning; every other kernel is the
+///    base-class reference.
+///  - Avx2Backend (backend_avx2.*): AVX2+FMA intrinsics for the GEMMs, FFT
+///    passes, PIC ranges and binning, and the shared elementwise bodies
+///    (backend_elementwise.hpp) compiled with its flags.
+///  - Avx512VnniBackend (backend_avx512.cpp): an Avx2Backend whose only
+///    override is the vpdpbusd int8 GEMM.
+/// The SIMD files are compiled with per-file target flags on x86-64 and
+/// selected at runtime via cpuid.
 ///
 /// Selection rules:
 ///  - default_backend() resolves once per process from the DLPIC_BACKEND
@@ -25,10 +33,10 @@
 /// Determinism contract: within one backend, results are bitwise invariant
 /// under the worker count (all reductions keep fixed k-/block-order and the
 /// elementwise kernels are pure maps). Switching backends may change bits in
-/// GEMM-backed results (the AVX2 micro-kernel uses FMA), while the routed
-/// elementwise, optimizer and PIC kernels mirror the scalar operation order
-/// exactly and stay bitwise identical across backends
-/// (tests/nn/test_backend_parity.cpp enforces both properties).
+/// GEMM-backed results (the AVX2 micro-kernel uses FMA), while the
+/// elementwise, optimizer, FFT, PIC and binning kernels run the scalar
+/// operations in the scalar order and stay bitwise identical across
+/// backends (tests/nn/test_backend_parity.cpp enforces both properties).
 ///
 /// This header deliberately depends on nothing but <cstddef>/<cstdint> so
 /// the lower layers (math, pic) can include it without cycles.
@@ -55,9 +63,12 @@ inline constexpr size_t kQuantizedGemmInt16MaxDepth = size_t(1) << 23;
 /// so dispatch cost is immeasurable against the loop bodies.
 class KernelBackend {
  public:
-  virtual ~KernelBackend() = default;
+  // Defined out of line, in the portable backend.cpp: an inline destructor
+  // would be emitted as a weak copy by every SIMD unit (util/inline.hpp).
+  virtual ~KernelBackend();
 
-  /// Stable identifier ("scalar", "avx2") — recorded in BENCH_*.json.
+  /// Stable identifier ("scalar", "avx2", "avx512") — recorded in
+  /// BENCH_*.json.
   [[nodiscard]] virtual const char* name() const = 0;
 
   // ------------------------------------------------------------- GEMM ----
@@ -129,21 +140,16 @@ class KernelBackend {
                           const double* a_scales, const int16_t* Bq,
                           const double* b_scales, double* C, size_t ldc) const;
 
-  // ----------------------------------------------- elementwise / BLAS-1 ----
-  /// y[i] = x[i].
-  virtual void copy(size_t n, const double* x, double* y) const;
-  /// y[i] += alpha * x[i].
-  virtual void axpy(size_t n, double alpha, const double* x, double* y) const;
-  /// Ascending-index dot product partial (serial; callers block-order it).
-  [[nodiscard]] virtual double dot(size_t n, const double* x, const double* y) const;
+  // -------------------------------------------------------- elementwise ----
+  // The nine elementwise kernels below are pure maps. Their bodies are
+  // written once (backend_elementwise.hpp); the base implementation is that
+  // body compiled for the portable target, and a SIMD backend overrides a
+  // kernel only to compile the same body with its own flags, so every
+  // backend returns the same bits.
+
   /// out[r*cols + c] += bias[c] for every row — the dense-layer bias add.
   virtual void add_bias_rows(size_t rows, size_t cols, const double* bias,
                              double* out) const;
-  /// diff[i] = p[i] - t[i]; returns sum of diff[i]^2 accumulated in
-  /// ascending-index order (the MSE loss body, fed fixed-size blocks by
-  /// util::ordered_block_sum so the grouping never depends on workers).
-  virtual double squared_diff_sum(size_t n, const double* p, const double* t,
-                                  double* diff) const;
 
   // ------------------------------------------------------- activations ----
   /// y[i] = max(x[i], 0) with the scalar's exact signed-zero behavior.
@@ -157,8 +163,6 @@ class KernelBackend {
   /// gin[i] = x[i] <= 0 ? alpha*gout[i] : gout[i].
   virtual void leaky_relu_backward(size_t n, double alpha, const double* x,
                                    const double* gout, double* gin) const;
-  /// y[i] = tanh(x[i]) — libm scalar in every backend (bitwise stable).
-  virtual void tanh_forward(size_t n, const double* x, double* y) const;
   /// gin[i] = gout[i] * (1 - y[i]*y[i]).
   virtual void tanh_backward(size_t n, const double* y, const double* gout,
                              double* gin) const;
@@ -275,11 +279,10 @@ const KernelBackend& scalar_backend();
 /// The AVX2+FMA backend, or nullptr when the build or the CPU lacks it.
 const KernelBackend* avx2_backend();
 
-/// The AVX-512 VNNI backend (vpdpbusd int8 GEMM, everything else delegated
-/// to the AVX2 backend), or nullptr when the build or the CPU lacks
-/// AVX512VNNI+BW+VL. Bitwise identical to avx2 on every kernel: the f64 and
-/// elementwise paths literally run the AVX2 code, and the int8 kernel is
-/// exact integer arithmetic.
+/// The AVX-512 VNNI backend, or nullptr when the build or the CPU lacks
+/// AVX512VNNI+BW+VL. It is the AVX2 backend with a vpdpbusd int8 GEMM, so
+/// every other kernel runs the AVX2 code, and the int8 kernel is exact
+/// integer arithmetic: its results are bitwise the AVX2 ones.
 const KernelBackend* avx512_backend();
 
 /// Process default resolved once from DLPIC_BACKEND (see file header).

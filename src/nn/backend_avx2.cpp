@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "nn/backend_elementwise.hpp"
 #include "nn/backend_scalar.hpp"
 
 namespace dlpic::nn {
@@ -461,523 +462,421 @@ void gemm_nt_rows(size_t nb, size_t kb, const double* a, const double* B, size_t
   for (; j < nb4; j += 4) gemm_nt_groups<MR, 1>(kb, a, B + j * ldb, ldb, C + j, ldc);
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // The backend.
 
-class Avx2Backend final : public ScalarBackend {
- public:
-  [[nodiscard]] const char* name() const override { return "avx2"; }
+const char* Avx2Backend::name() const { return "avx2"; }
 
-  // 8-column FMA micro-kernel over 4-row register sub-tiles (11 live ymm:
-  // 8 accumulators + 2 B vectors + 1 A broadcast). Remainders fall back to
-  // the plain accumulate loops.
-  void gemm_block(size_t mb, size_t nb, size_t kb, const double* Apanel,
-                  const double* Bpanel, double* C, size_t ldc) const override {
-    size_t i = 0;
-    for (; i + 4 <= mb; i += 4) {
-      const double* a0 = Apanel + (i + 0) * kb;
-      const double* a1 = Apanel + (i + 1) * kb;
-      const double* a2 = Apanel + (i + 2) * kb;
-      const double* a3 = Apanel + (i + 3) * kb;
-      size_t j = 0;
-      for (; j + 8 <= nb; j += 8) {
-        __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
-        __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
-        __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
-        __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
-        for (size_t p = 0; p < kb; ++p) {
-          const double* brow = Bpanel + p * nb + j;
-          const __m256d b0 = _mm256_loadu_pd(brow);
-          const __m256d b1 = _mm256_loadu_pd(brow + 4);
-          __m256d av = _mm256_set1_pd(a0[p]);
-          c00 = _mm256_fmadd_pd(av, b0, c00);
-          c01 = _mm256_fmadd_pd(av, b1, c01);
-          av = _mm256_set1_pd(a1[p]);
-          c10 = _mm256_fmadd_pd(av, b0, c10);
-          c11 = _mm256_fmadd_pd(av, b1, c11);
-          av = _mm256_set1_pd(a2[p]);
-          c20 = _mm256_fmadd_pd(av, b0, c20);
-          c21 = _mm256_fmadd_pd(av, b1, c21);
-          av = _mm256_set1_pd(a3[p]);
-          c30 = _mm256_fmadd_pd(av, b0, c30);
-          c31 = _mm256_fmadd_pd(av, b1, c31);
-        }
-        double* c0 = C + (i + 0) * ldc + j;
-        double* c1 = C + (i + 1) * ldc + j;
-        double* c2 = C + (i + 2) * ldc + j;
-        double* c3 = C + (i + 3) * ldc + j;
-        _mm256_storeu_pd(c0, _mm256_add_pd(_mm256_loadu_pd(c0), c00));
-        _mm256_storeu_pd(c0 + 4, _mm256_add_pd(_mm256_loadu_pd(c0 + 4), c01));
-        _mm256_storeu_pd(c1, _mm256_add_pd(_mm256_loadu_pd(c1), c10));
-        _mm256_storeu_pd(c1 + 4, _mm256_add_pd(_mm256_loadu_pd(c1 + 4), c11));
-        _mm256_storeu_pd(c2, _mm256_add_pd(_mm256_loadu_pd(c2), c20));
-        _mm256_storeu_pd(c2 + 4, _mm256_add_pd(_mm256_loadu_pd(c2 + 4), c21));
-        _mm256_storeu_pd(c3, _mm256_add_pd(_mm256_loadu_pd(c3), c30));
-        _mm256_storeu_pd(c3 + 4, _mm256_add_pd(_mm256_loadu_pd(c3 + 4), c31));
+// 8-column FMA micro-kernel over 4-row register sub-tiles (11 live ymm:
+// 8 accumulators + 2 B vectors + 1 A broadcast). Remainders fall back to
+// the plain accumulate loops.
+void Avx2Backend::gemm_block(size_t mb, size_t nb, size_t kb, const double* Apanel,
+                             const double* Bpanel, double* C, size_t ldc) const {
+  size_t i = 0;
+  for (; i + 4 <= mb; i += 4) {
+    const double* a0 = Apanel + (i + 0) * kb;
+    const double* a1 = Apanel + (i + 1) * kb;
+    const double* a2 = Apanel + (i + 2) * kb;
+    const double* a3 = Apanel + (i + 3) * kb;
+    size_t j = 0;
+    for (; j + 8 <= nb; j += 8) {
+      __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
+      __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
+      __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
+      __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
+      for (size_t p = 0; p < kb; ++p) {
+        const double* brow = Bpanel + p * nb + j;
+        const __m256d b0 = _mm256_loadu_pd(brow);
+        const __m256d b1 = _mm256_loadu_pd(brow + 4);
+        __m256d av = _mm256_set1_pd(a0[p]);
+        c00 = _mm256_fmadd_pd(av, b0, c00);
+        c01 = _mm256_fmadd_pd(av, b1, c01);
+        av = _mm256_set1_pd(a1[p]);
+        c10 = _mm256_fmadd_pd(av, b0, c10);
+        c11 = _mm256_fmadd_pd(av, b1, c11);
+        av = _mm256_set1_pd(a2[p]);
+        c20 = _mm256_fmadd_pd(av, b0, c20);
+        c21 = _mm256_fmadd_pd(av, b1, c21);
+        av = _mm256_set1_pd(a3[p]);
+        c30 = _mm256_fmadd_pd(av, b0, c30);
+        c31 = _mm256_fmadd_pd(av, b1, c31);
       }
-      for (; j + 4 <= nb; j += 4) {
-        __m256d c0 = _mm256_setzero_pd(), c1 = _mm256_setzero_pd();
-        __m256d c2 = _mm256_setzero_pd(), c3 = _mm256_setzero_pd();
-        for (size_t p = 0; p < kb; ++p) {
-          const __m256d b0 = _mm256_loadu_pd(Bpanel + p * nb + j);
-          c0 = _mm256_fmadd_pd(_mm256_set1_pd(a0[p]), b0, c0);
-          c1 = _mm256_fmadd_pd(_mm256_set1_pd(a1[p]), b0, c1);
-          c2 = _mm256_fmadd_pd(_mm256_set1_pd(a2[p]), b0, c2);
-          c3 = _mm256_fmadd_pd(_mm256_set1_pd(a3[p]), b0, c3);
-        }
-        double* r0 = C + (i + 0) * ldc + j;
-        double* r1 = C + (i + 1) * ldc + j;
-        double* r2 = C + (i + 2) * ldc + j;
-        double* r3 = C + (i + 3) * ldc + j;
-        _mm256_storeu_pd(r0, _mm256_add_pd(_mm256_loadu_pd(r0), c0));
-        _mm256_storeu_pd(r1, _mm256_add_pd(_mm256_loadu_pd(r1), c1));
-        _mm256_storeu_pd(r2, _mm256_add_pd(_mm256_loadu_pd(r2), c2));
-        _mm256_storeu_pd(r3, _mm256_add_pd(_mm256_loadu_pd(r3), c3));
-      }
-      for (; j < nb; ++j) {
-        for (size_t ii = i; ii < i + 4; ++ii) {
-          double acc = 0;
-          const double* a = Apanel + ii * kb;
-          for (size_t p = 0; p < kb; ++p) acc += a[p] * Bpanel[p * nb + j];
-          C[ii * ldc + j] += acc;
-        }
-      }
+      double* c0 = C + (i + 0) * ldc + j;
+      double* c1 = C + (i + 1) * ldc + j;
+      double* c2 = C + (i + 2) * ldc + j;
+      double* c3 = C + (i + 3) * ldc + j;
+      _mm256_storeu_pd(c0, _mm256_add_pd(_mm256_loadu_pd(c0), c00));
+      _mm256_storeu_pd(c0 + 4, _mm256_add_pd(_mm256_loadu_pd(c0 + 4), c01));
+      _mm256_storeu_pd(c1, _mm256_add_pd(_mm256_loadu_pd(c1), c10));
+      _mm256_storeu_pd(c1 + 4, _mm256_add_pd(_mm256_loadu_pd(c1 + 4), c11));
+      _mm256_storeu_pd(c2, _mm256_add_pd(_mm256_loadu_pd(c2), c20));
+      _mm256_storeu_pd(c2 + 4, _mm256_add_pd(_mm256_loadu_pd(c2 + 4), c21));
+      _mm256_storeu_pd(c3, _mm256_add_pd(_mm256_loadu_pd(c3), c30));
+      _mm256_storeu_pd(c3 + 4, _mm256_add_pd(_mm256_loadu_pd(c3 + 4), c31));
     }
-    for (; i < mb; ++i) {
-      const double* a = Apanel + i * kb;
-      size_t j = 0;
-      for (; j + 4 <= nb; j += 4) {
-        __m256d c0 = _mm256_setzero_pd();
-        for (size_t p = 0; p < kb; ++p)
-          c0 = _mm256_fmadd_pd(_mm256_set1_pd(a[p]), _mm256_loadu_pd(Bpanel + p * nb + j), c0);
-        double* r = C + i * ldc + j;
-        _mm256_storeu_pd(r, _mm256_add_pd(_mm256_loadu_pd(r), c0));
+    for (; j + 4 <= nb; j += 4) {
+      __m256d c0 = _mm256_setzero_pd(), c1 = _mm256_setzero_pd();
+      __m256d c2 = _mm256_setzero_pd(), c3 = _mm256_setzero_pd();
+      for (size_t p = 0; p < kb; ++p) {
+        const __m256d b0 = _mm256_loadu_pd(Bpanel + p * nb + j);
+        c0 = _mm256_fmadd_pd(_mm256_set1_pd(a0[p]), b0, c0);
+        c1 = _mm256_fmadd_pd(_mm256_set1_pd(a1[p]), b0, c1);
+        c2 = _mm256_fmadd_pd(_mm256_set1_pd(a2[p]), b0, c2);
+        c3 = _mm256_fmadd_pd(_mm256_set1_pd(a3[p]), b0, c3);
       }
-      for (; j < nb; ++j) {
+      double* r0 = C + (i + 0) * ldc + j;
+      double* r1 = C + (i + 1) * ldc + j;
+      double* r2 = C + (i + 2) * ldc + j;
+      double* r3 = C + (i + 3) * ldc + j;
+      _mm256_storeu_pd(r0, _mm256_add_pd(_mm256_loadu_pd(r0), c0));
+      _mm256_storeu_pd(r1, _mm256_add_pd(_mm256_loadu_pd(r1), c1));
+      _mm256_storeu_pd(r2, _mm256_add_pd(_mm256_loadu_pd(r2), c2));
+      _mm256_storeu_pd(r3, _mm256_add_pd(_mm256_loadu_pd(r3), c3));
+    }
+    for (; j < nb; ++j) {
+      for (size_t ii = i; ii < i + 4; ++ii) {
         double acc = 0;
+        const double* a = Apanel + ii * kb;
         for (size_t p = 0; p < kb; ++p) acc += a[p] * Bpanel[p * nb + j];
-        C[i * ldc + j] += acc;
+        C[ii * ldc + j] += acc;
       }
     }
   }
-
-  // Mirrors gemm_block above column for column: the first nb & ~3 columns
-  // take the fmadd lanes, the rest the plain mul-then-add tail.
-  void gemm_nt_block(size_t mr, size_t nb, size_t kb, const double* a, const double* B,
-                     size_t ldb, double* C, size_t ldc) const override {
-    switch (mr) {
-      case 1: gemm_nt_rows<1>(nb, kb, a, B, ldb, C, ldc); break;
-      case 2: gemm_nt_rows<2>(nb, kb, a, B, ldb, C, ldc); break;
-      case 3: gemm_nt_rows<3>(nb, kb, a, B, ldb, C, ldc); break;
-      default: gemm_nt_rows<4>(nb, kb, a, B, ldb, C, ldc); break;
+  for (; i < mb; ++i) {
+    const double* a = Apanel + i * kb;
+    size_t j = 0;
+    for (; j + 4 <= nb; j += 4) {
+      __m256d c0 = _mm256_setzero_pd();
+      for (size_t p = 0; p < kb; ++p)
+        c0 = _mm256_fmadd_pd(_mm256_set1_pd(a[p]), _mm256_loadu_pd(Bpanel + p * nb + j), c0);
+      double* r = C + i * ldc + j;
+      _mm256_storeu_pd(r, _mm256_add_pd(_mm256_loadu_pd(r), c0));
     }
-    const size_t j = nb & ~size_t{3};
-    KernelBackend::gemm_nt_block(mr, nb - j, kb, a, B + j * ldb, ldb, C + j, ldc);
-  }
-
-  // 4-row x 2-column register tile over 32-wide k steps (8 int32
-  // accumulators + 2 B vectors + 1 A vector live), mirroring the f64
-  // micro-kernel's 4-row structure. Per 32-step each int32 lane gains at
-  // most 4 * 127^2 = 64516, so lane overflow needs k > ~1M — far beyond the
-  // kQuantizedGemmMaxDepth bound callers enforce. Remainders use the shared
-  // single-dot helper; everything is exact integer arithmetic, so this
-  // kernel is bitwise identical to the scalar reference.
-  void gemm_int8(size_t mb, size_t nb, size_t kb, const int8_t* Aq,
-                 const double* a_scales, const int8_t* Bq, const double* b_scales,
-                 double* C, size_t ldc) const override {
-    size_t i = 0;
-    for (; i + 4 <= mb; i += 4) {
-      const int8_t* a0 = Aq + (i + 0) * kb;
-      const int8_t* a1 = Aq + (i + 1) * kb;
-      const int8_t* a2 = Aq + (i + 2) * kb;
-      const int8_t* a3 = Aq + (i + 3) * kb;
-      size_t j = 0;
-      for (; j + 2 <= nb; j += 2) {
-        const int8_t* b0 = Bq + (j + 0) * kb;
-        const int8_t* b1 = Bq + (j + 1) * kb;
-        __m256i c00 = _mm256_setzero_si256(), c01 = _mm256_setzero_si256();
-        __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
-        __m256i c20 = _mm256_setzero_si256(), c21 = _mm256_setzero_si256();
-        __m256i c30 = _mm256_setzero_si256(), c31 = _mm256_setzero_si256();
-        size_t p = 0;
-        for (; p + 32 <= kb; p += 32) {
-          const __m256i vb0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b0 + p));
-          const __m256i vb1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b1 + p));
-          __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a0 + p));
-          c00 = dot_i8_step(c00, va, vb0);
-          c01 = dot_i8_step(c01, va, vb1);
-          va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a1 + p));
-          c10 = dot_i8_step(c10, va, vb0);
-          c11 = dot_i8_step(c11, va, vb1);
-          va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a2 + p));
-          c20 = dot_i8_step(c20, va, vb0);
-          c21 = dot_i8_step(c21, va, vb1);
-          va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a3 + p));
-          c30 = dot_i8_step(c30, va, vb0);
-          c31 = dot_i8_step(c31, va, vb1);
-        }
-        int32_t s[4][2] = {{hsum_epi32(c00), hsum_epi32(c01)},
-                           {hsum_epi32(c10), hsum_epi32(c11)},
-                           {hsum_epi32(c20), hsum_epi32(c21)},
-                           {hsum_epi32(c30), hsum_epi32(c31)}};
-        for (; p < kb; ++p) {
-          const int32_t bb0 = b0[p], bb1 = b1[p];
-          s[0][0] += a0[p] * bb0; s[0][1] += a0[p] * bb1;
-          s[1][0] += a1[p] * bb0; s[1][1] += a1[p] * bb1;
-          s[2][0] += a2[p] * bb0; s[2][1] += a2[p] * bb1;
-          s[3][0] += a3[p] * bb0; s[3][1] += a3[p] * bb1;
-        }
-        for (size_t r = 0; r < 4; ++r) {
-          C[(i + r) * ldc + j + 0] =
-              (a_scales[i + r] * b_scales[j + 0]) * static_cast<double>(s[r][0]);
-          C[(i + r) * ldc + j + 1] =
-              (a_scales[i + r] * b_scales[j + 1]) * static_cast<double>(s[r][1]);
-        }
-      }
-      for (; j < nb; ++j) {
-        const int8_t* b = Bq + j * kb;
-        C[(i + 0) * ldc + j] =
-            (a_scales[i + 0] * b_scales[j]) * static_cast<double>(dot_i8_avx2(a0, b, kb));
-        C[(i + 1) * ldc + j] =
-            (a_scales[i + 1] * b_scales[j]) * static_cast<double>(dot_i8_avx2(a1, b, kb));
-        C[(i + 2) * ldc + j] =
-            (a_scales[i + 2] * b_scales[j]) * static_cast<double>(dot_i8_avx2(a2, b, kb));
-        C[(i + 3) * ldc + j] =
-            (a_scales[i + 3] * b_scales[j]) * static_cast<double>(dot_i8_avx2(a3, b, kb));
-      }
-    }
-    for (; i < mb; ++i) {
-      const int8_t* a = Aq + i * kb;
-      for (size_t j = 0; j < nb; ++j) {
-        C[i * ldc + j] = (a_scales[i] * b_scales[j]) *
-                         static_cast<double>(dot_i8_avx2(a, Bq + j * kb, kb));
-      }
+    for (; j < nb; ++j) {
+      double acc = 0;
+      for (size_t p = 0; p < kb; ++p) acc += a[p] * Bpanel[p * nb + j];
+      C[i * ldc + j] += acc;
     }
   }
+}
 
-  // 2-row x 2-column register tile over 16-wide k steps (4 int64
-  // accumulators + 2 B vectors + 1 A vector plus the madd/widen temporaries
-  // live). Everything is exact integer arithmetic, so this kernel is
-  // bitwise identical to the scalar reference in backend.cpp.
-  void gemm_int16(size_t mb, size_t nb, size_t kb, const int16_t* Aq,
-                  const double* a_scales, const int16_t* Bq, const double* b_scales,
-                  double* C, size_t ldc) const override {
-    size_t i = 0;
-    for (; i + 2 <= mb; i += 2) {
-      const int16_t* a0 = Aq + (i + 0) * kb;
-      const int16_t* a1 = Aq + (i + 1) * kb;
-      size_t j = 0;
-      for (; j + 2 <= nb; j += 2) {
-        const int16_t* b0 = Bq + (j + 0) * kb;
-        const int16_t* b1 = Bq + (j + 1) * kb;
-        __m256i c00 = _mm256_setzero_si256(), c01 = _mm256_setzero_si256();
-        __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
-        size_t p = 0;
-        for (; p + 16 <= kb; p += 16) {
-          const __m256i vb0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b0 + p));
-          const __m256i vb1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b1 + p));
-          __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a0 + p));
-          c00 = dot_i16_step(c00, va, vb0);
-          c01 = dot_i16_step(c01, va, vb1);
-          va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a1 + p));
-          c10 = dot_i16_step(c10, va, vb0);
-          c11 = dot_i16_step(c11, va, vb1);
-        }
-        int64_t s[2][2] = {{hsum_epi64(c00), hsum_epi64(c01)},
-                           {hsum_epi64(c10), hsum_epi64(c11)}};
-        for (; p < kb; ++p) {
-          const int64_t bb0 = b0[p], bb1 = b1[p];
-          s[0][0] += a0[p] * bb0; s[0][1] += a0[p] * bb1;
-          s[1][0] += a1[p] * bb0; s[1][1] += a1[p] * bb1;
-        }
-        for (size_t r = 0; r < 2; ++r) {
-          C[(i + r) * ldc + j + 0] =
-              (a_scales[i + r] * b_scales[j + 0]) * static_cast<double>(s[r][0]);
-          C[(i + r) * ldc + j + 1] =
-              (a_scales[i + r] * b_scales[j + 1]) * static_cast<double>(s[r][1]);
-        }
+// Mirrors gemm_block above column for column: the first nb & ~3 columns
+// take the fmadd lanes, the rest the plain mul-then-add tail.
+void Avx2Backend::gemm_nt_block(size_t mr, size_t nb, size_t kb, const double* a,
+                                const double* B, size_t ldb, double* C,
+                                size_t ldc) const {
+  switch (mr) {
+    case 1: gemm_nt_rows<1>(nb, kb, a, B, ldb, C, ldc); break;
+    case 2: gemm_nt_rows<2>(nb, kb, a, B, ldb, C, ldc); break;
+    case 3: gemm_nt_rows<3>(nb, kb, a, B, ldb, C, ldc); break;
+    default: gemm_nt_rows<4>(nb, kb, a, B, ldb, C, ldc); break;
+  }
+  const size_t j = nb & ~size_t{3};
+  KernelBackend::gemm_nt_block(mr, nb - j, kb, a, B + j * ldb, ldb, C + j, ldc);
+}
+
+// 4-row x 2-column register tile over 32-wide k steps (8 int32
+// accumulators + 2 B vectors + 1 A vector live), mirroring the f64
+// micro-kernel's 4-row structure. Per 32-step each int32 lane gains at
+// most 4 * 127^2 = 64516, so lane overflow needs k > ~1M — far beyond the
+// kQuantizedGemmMaxDepth bound callers enforce. Remainders use the shared
+// single-dot helper; everything is exact integer arithmetic, so this
+// kernel is bitwise identical to the scalar reference.
+void Avx2Backend::gemm_int8(size_t mb, size_t nb, size_t kb, const int8_t* Aq,
+                            const double* a_scales, const int8_t* Bq,
+                            const double* b_scales, double* C, size_t ldc) const {
+  size_t i = 0;
+  for (; i + 4 <= mb; i += 4) {
+    const int8_t* a0 = Aq + (i + 0) * kb;
+    const int8_t* a1 = Aq + (i + 1) * kb;
+    const int8_t* a2 = Aq + (i + 2) * kb;
+    const int8_t* a3 = Aq + (i + 3) * kb;
+    size_t j = 0;
+    for (; j + 2 <= nb; j += 2) {
+      const int8_t* b0 = Bq + (j + 0) * kb;
+      const int8_t* b1 = Bq + (j + 1) * kb;
+      __m256i c00 = _mm256_setzero_si256(), c01 = _mm256_setzero_si256();
+      __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
+      __m256i c20 = _mm256_setzero_si256(), c21 = _mm256_setzero_si256();
+      __m256i c30 = _mm256_setzero_si256(), c31 = _mm256_setzero_si256();
+      size_t p = 0;
+      for (; p + 32 <= kb; p += 32) {
+        const __m256i vb0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b0 + p));
+        const __m256i vb1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b1 + p));
+        __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a0 + p));
+        c00 = dot_i8_step(c00, va, vb0);
+        c01 = dot_i8_step(c01, va, vb1);
+        va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a1 + p));
+        c10 = dot_i8_step(c10, va, vb0);
+        c11 = dot_i8_step(c11, va, vb1);
+        va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a2 + p));
+        c20 = dot_i8_step(c20, va, vb0);
+        c21 = dot_i8_step(c21, va, vb1);
+        va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a3 + p));
+        c30 = dot_i8_step(c30, va, vb0);
+        c31 = dot_i8_step(c31, va, vb1);
       }
-      for (; j < nb; ++j) {
-        const int16_t* b = Bq + j * kb;
-        C[(i + 0) * ldc + j] =
-            (a_scales[i + 0] * b_scales[j]) * static_cast<double>(dot_i16_avx2(a0, b, kb));
-        C[(i + 1) * ldc + j] =
-            (a_scales[i + 1] * b_scales[j]) * static_cast<double>(dot_i16_avx2(a1, b, kb));
+      int32_t s[4][2] = {{hsum_epi32(c00), hsum_epi32(c01)},
+                         {hsum_epi32(c10), hsum_epi32(c11)},
+                         {hsum_epi32(c20), hsum_epi32(c21)},
+                         {hsum_epi32(c30), hsum_epi32(c31)}};
+      for (; p < kb; ++p) {
+        const int32_t bb0 = b0[p], bb1 = b1[p];
+        s[0][0] += a0[p] * bb0; s[0][1] += a0[p] * bb1;
+        s[1][0] += a1[p] * bb0; s[1][1] += a1[p] * bb1;
+        s[2][0] += a2[p] * bb0; s[2][1] += a2[p] * bb1;
+        s[3][0] += a3[p] * bb0; s[3][1] += a3[p] * bb1;
+      }
+      for (size_t r = 0; r < 4; ++r) {
+        C[(i + r) * ldc + j + 0] =
+            (a_scales[i + r] * b_scales[j + 0]) * static_cast<double>(s[r][0]);
+        C[(i + r) * ldc + j + 1] =
+            (a_scales[i + r] * b_scales[j + 1]) * static_cast<double>(s[r][1]);
       }
     }
-    for (; i < mb; ++i) {
-      const int16_t* a = Aq + i * kb;
-      for (size_t j = 0; j < nb; ++j) {
-        C[i * ldc + j] = (a_scales[i] * b_scales[j]) *
-                         static_cast<double>(dot_i16_avx2(a, Bq + j * kb, kb));
+    for (; j < nb; ++j) {
+      const int8_t* b = Bq + j * kb;
+      C[(i + 0) * ldc + j] =
+          (a_scales[i + 0] * b_scales[j]) * static_cast<double>(dot_i8_avx2(a0, b, kb));
+      C[(i + 1) * ldc + j] =
+          (a_scales[i + 1] * b_scales[j]) * static_cast<double>(dot_i8_avx2(a1, b, kb));
+      C[(i + 2) * ldc + j] =
+          (a_scales[i + 2] * b_scales[j]) * static_cast<double>(dot_i8_avx2(a2, b, kb));
+      C[(i + 3) * ldc + j] =
+          (a_scales[i + 3] * b_scales[j]) * static_cast<double>(dot_i8_avx2(a3, b, kb));
+    }
+  }
+  for (; i < mb; ++i) {
+    const int8_t* a = Aq + i * kb;
+    for (size_t j = 0; j < nb; ++j) {
+      C[i * ldc + j] = (a_scales[i] * b_scales[j]) *
+                       static_cast<double>(dot_i8_avx2(a, Bq + j * kb, kb));
+    }
+  }
+}
+
+// 2-row x 2-column register tile over 16-wide k steps (4 int64
+// accumulators + 2 B vectors + 1 A vector plus the madd/widen temporaries
+// live). Everything is exact integer arithmetic, so this kernel is
+// bitwise identical to the scalar reference in backend.cpp.
+void Avx2Backend::gemm_int16(size_t mb, size_t nb, size_t kb, const int16_t* Aq,
+                             const double* a_scales, const int16_t* Bq,
+                             const double* b_scales, double* C, size_t ldc) const {
+  size_t i = 0;
+  for (; i + 2 <= mb; i += 2) {
+    const int16_t* a0 = Aq + (i + 0) * kb;
+    const int16_t* a1 = Aq + (i + 1) * kb;
+    size_t j = 0;
+    for (; j + 2 <= nb; j += 2) {
+      const int16_t* b0 = Bq + (j + 0) * kb;
+      const int16_t* b1 = Bq + (j + 1) * kb;
+      __m256i c00 = _mm256_setzero_si256(), c01 = _mm256_setzero_si256();
+      __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
+      size_t p = 0;
+      for (; p + 16 <= kb; p += 16) {
+        const __m256i vb0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b0 + p));
+        const __m256i vb1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b1 + p));
+        __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a0 + p));
+        c00 = dot_i16_step(c00, va, vb0);
+        c01 = dot_i16_step(c01, va, vb1);
+        va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a1 + p));
+        c10 = dot_i16_step(c10, va, vb0);
+        c11 = dot_i16_step(c11, va, vb1);
+      }
+      int64_t s[2][2] = {{hsum_epi64(c00), hsum_epi64(c01)},
+                         {hsum_epi64(c10), hsum_epi64(c11)}};
+      for (; p < kb; ++p) {
+        const int64_t bb0 = b0[p], bb1 = b1[p];
+        s[0][0] += a0[p] * bb0; s[0][1] += a0[p] * bb1;
+        s[1][0] += a1[p] * bb0; s[1][1] += a1[p] * bb1;
+      }
+      for (size_t r = 0; r < 2; ++r) {
+        C[(i + r) * ldc + j + 0] =
+            (a_scales[i + r] * b_scales[j + 0]) * static_cast<double>(s[r][0]);
+        C[(i + r) * ldc + j + 1] =
+            (a_scales[i + r] * b_scales[j + 1]) * static_cast<double>(s[r][1]);
       }
     }
-  }
-
-  void axpy(size_t n, double alpha, const double* x, double* y) const override {
-    const __m256d va = _mm256_set1_pd(alpha);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-      _mm256_storeu_pd(
-          y + i, _mm256_add_pd(_mm256_loadu_pd(y + i),
-                               _mm256_mul_pd(va, _mm256_loadu_pd(x + i))));
-    for (; i < n; ++i) y[i] += alpha * x[i];
-  }
-
-  void add_bias_rows(size_t rows, size_t cols, const double* bias,
-                     double* out) const override {
-    for (size_t r = 0; r < rows; ++r) {
-      double* row = out + r * cols;
-      size_t c = 0;
-      for (; c + 4 <= cols; c += 4)
-        _mm256_storeu_pd(row + c, _mm256_add_pd(_mm256_loadu_pd(row + c),
-                                                _mm256_loadu_pd(bias + c)));
-      for (; c < cols; ++c) row[c] += bias[c];
+    for (; j < nb; ++j) {
+      const int16_t* b = Bq + j * kb;
+      C[(i + 0) * ldc + j] =
+          (a_scales[i + 0] * b_scales[j]) * static_cast<double>(dot_i16_avx2(a0, b, kb));
+      C[(i + 1) * ldc + j] =
+          (a_scales[i + 1] * b_scales[j]) * static_cast<double>(dot_i16_avx2(a1, b, kb));
     }
   }
-
-  void relu_forward(size_t n, const double* x, double* y) const override {
-    const __m256d zero = _mm256_setzero_pd();
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d xv = _mm256_loadu_pd(x + i);
-      const __m256d neg = _mm256_cmp_pd(xv, zero, _CMP_LT_OQ);
-      _mm256_storeu_pd(y + i, _mm256_andnot_pd(neg, xv));
-    }
-    for (; i < n; ++i) y[i] = x[i] < 0.0 ? 0.0 : x[i];
-  }
-
-  void relu_backward(size_t n, const double* y, const double* gout,
-                     double* gin) const override {
-    const __m256d zero = _mm256_setzero_pd();
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d mask = _mm256_cmp_pd(_mm256_loadu_pd(y + i), zero, _CMP_LE_OQ);
-      _mm256_storeu_pd(gin + i, _mm256_andnot_pd(mask, _mm256_loadu_pd(gout + i)));
-    }
-    for (; i < n; ++i) gin[i] = y[i] <= 0.0 ? 0.0 : gout[i];
-  }
-
-  void leaky_relu_forward(size_t n, double alpha, const double* x, double* xc,
-                          double* y) const override {
-    const __m256d zero = _mm256_setzero_pd();
-    const __m256d va = _mm256_set1_pd(alpha);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d xv = _mm256_loadu_pd(x + i);
-      _mm256_storeu_pd(xc + i, xv);
-      const __m256d neg = _mm256_cmp_pd(xv, zero, _CMP_LT_OQ);
-      _mm256_storeu_pd(y + i, _mm256_blendv_pd(xv, _mm256_mul_pd(va, xv), neg));
-    }
-    for (; i < n; ++i) {
-      xc[i] = x[i];
-      y[i] = x[i] < 0.0 ? alpha * x[i] : x[i];
+  for (; i < mb; ++i) {
+    const int16_t* a = Aq + i * kb;
+    for (size_t j = 0; j < nb; ++j) {
+      C[i * ldc + j] = (a_scales[i] * b_scales[j]) *
+                       static_cast<double>(dot_i16_avx2(a, Bq + j * kb, kb));
     }
   }
+}
 
-  void leaky_relu_backward(size_t n, double alpha, const double* x, const double* gout,
-                           double* gin) const override {
-    const __m256d zero = _mm256_setzero_pd();
-    const __m256d va = _mm256_set1_pd(alpha);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d mask = _mm256_cmp_pd(_mm256_loadu_pd(x + i), zero, _CMP_LE_OQ);
-      const __m256d gv = _mm256_loadu_pd(gout + i);
-      _mm256_storeu_pd(gin + i, _mm256_blendv_pd(gv, _mm256_mul_pd(va, gv), mask));
+// The nine elementwise kernels: the shared bodies, which this unit's flags
+// vectorize (4 doubles per instruction, no FMA, vsqrtpd/vdivpd for Adam).
+
+void Avx2Backend::add_bias_rows(size_t rows, size_t cols, const double* bias,
+                                double* out) const {
+  elementwise::add_bias_rows(rows, cols, bias, out);
+}
+
+void Avx2Backend::relu_forward(size_t n, const double* x, double* y) const {
+  elementwise::relu_forward(n, x, y);
+}
+
+void Avx2Backend::relu_backward(size_t n, const double* y, const double* gout,
+                                double* gin) const {
+  elementwise::relu_backward(n, y, gout, gin);
+}
+
+void Avx2Backend::leaky_relu_forward(size_t n, double alpha, const double* x, double* xc,
+                                     double* y) const {
+  elementwise::leaky_relu_forward(n, alpha, x, xc, y);
+}
+
+void Avx2Backend::leaky_relu_backward(size_t n, double alpha, const double* x,
+                                      const double* gout, double* gin) const {
+  elementwise::leaky_relu_backward(n, alpha, x, gout, gin);
+}
+
+void Avx2Backend::tanh_backward(size_t n, const double* y, const double* gout,
+                                double* gin) const {
+  elementwise::tanh_backward(n, y, gout, gin);
+}
+
+void Avx2Backend::sgd_update(size_t n, double lr, const double* g, double* w) const {
+  elementwise::sgd_update(n, lr, g, w);
+}
+
+void Avx2Backend::sgd_momentum_update(size_t n, double lr, double momentum,
+                                      const double* g, double* vel, double* w) const {
+  elementwise::sgd_momentum_update(n, lr, momentum, g, vel, w);
+}
+
+void Avx2Backend::adam_update(size_t n, double lr, double beta1, double beta2, double bc1,
+                              double bc2, double eps, const double* g, double* m,
+                              double* v, double* w) const {
+  elementwise::adam_update(n, lr, beta1, beta2, bc1, bc2, eps, g, m, v, w);
+}
+
+void Avx2Backend::fft_radix2_pass(size_t n, size_t len, const double* tw,
+                                  double* data) const {
+  const size_t half = len / 2;
+  if (len == 2) {
+    // One butterfly per vector: [ur ui vr vi] -> [ur+vr ui+vi ur-vr ui-vi],
+    // additions in the scalar reference's u-first order.
+    for (size_t i = 0; i < n; i += 2) {
+      double* p = data + 2 * i;
+      const __m256d a = _mm256_loadu_pd(p);
+      const __m256d b = _mm256_permute2f128_pd(a, a, 0x01);  // [vr vi ur ui]
+      const __m256d s = _mm256_add_pd(a, b);
+      const __m256d d = _mm256_sub_pd(a, b);
+      _mm256_storeu_pd(p, _mm256_permute2f128_pd(s, d, 0x20));
     }
-    for (; i < n; ++i) gin[i] = x[i] <= 0.0 ? alpha * gout[i] : gout[i];
+    return;
   }
-
-  void tanh_backward(size_t n, const double* y, const double* gout,
-                     double* gin) const override {
-    const __m256d one = _mm256_set1_pd(1.0);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d yv = _mm256_loadu_pd(y + i);
-      _mm256_storeu_pd(gin + i,
-                       _mm256_mul_pd(_mm256_loadu_pd(gout + i),
-                                     _mm256_sub_pd(one, _mm256_mul_pd(yv, yv))));
-    }
-    for (; i < n; ++i) gin[i] = gout[i] * (1.0 - y[i] * y[i]);
-  }
-
-  void sgd_update(size_t n, double lr, const double* g, double* w) const override {
-    const __m256d vlr = _mm256_set1_pd(lr);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-      _mm256_storeu_pd(
-          w + i, _mm256_sub_pd(_mm256_loadu_pd(w + i),
-                               _mm256_mul_pd(vlr, _mm256_loadu_pd(g + i))));
-    for (; i < n; ++i) w[i] -= lr * g[i];
-  }
-
-  void sgd_momentum_update(size_t n, double lr, double momentum, const double* g,
-                           double* vel, double* w) const override {
-    const __m256d vlr = _mm256_set1_pd(lr);
-    const __m256d vmom = _mm256_set1_pd(momentum);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d vn =
-          _mm256_sub_pd(_mm256_mul_pd(vmom, _mm256_loadu_pd(vel + i)),
-                        _mm256_mul_pd(vlr, _mm256_loadu_pd(g + i)));
-      _mm256_storeu_pd(vel + i, vn);
-      _mm256_storeu_pd(w + i, _mm256_add_pd(_mm256_loadu_pd(w + i), vn));
-    }
-    for (; i < n; ++i) {
-      vel[i] = momentum * vel[i] - lr * g[i];
-      w[i] += vel[i];
-    }
-  }
-
-  void adam_update(size_t n, double lr, double beta1, double beta2, double bc1,
-                   double bc2, double eps, const double* g, double* m, double* v,
-                   double* w) const override {
-    const __m256d vb1 = _mm256_set1_pd(beta1), vob1 = _mm256_set1_pd(1.0 - beta1);
-    const __m256d vb2 = _mm256_set1_pd(beta2), vob2 = _mm256_set1_pd(1.0 - beta2);
-    const __m256d vbc1 = _mm256_set1_pd(bc1), vbc2 = _mm256_set1_pd(bc2);
-    const __m256d vlr = _mm256_set1_pd(lr), veps = _mm256_set1_pd(eps);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d gv = _mm256_loadu_pd(g + i);
-      // Exact scalar order: (1-b2)*g*g associates as ((1-b2)*g)*g.
-      const __m256d mn = _mm256_add_pd(_mm256_mul_pd(vb1, _mm256_loadu_pd(m + i)),
-                                       _mm256_mul_pd(vob1, gv));
-      const __m256d vn = _mm256_add_pd(
-          _mm256_mul_pd(vb2, _mm256_loadu_pd(v + i)),
-          _mm256_mul_pd(_mm256_mul_pd(vob2, gv), gv));
-      _mm256_storeu_pd(m + i, mn);
-      _mm256_storeu_pd(v + i, vn);
-      const __m256d mhat = _mm256_div_pd(mn, vbc1);
-      const __m256d vhat = _mm256_div_pd(vn, vbc2);
-      const __m256d step = _mm256_div_pd(_mm256_mul_pd(vlr, mhat),
-                                         _mm256_add_pd(_mm256_sqrt_pd(vhat), veps));
-      _mm256_storeu_pd(w + i, _mm256_sub_pd(_mm256_loadu_pd(w + i), step));
-    }
-    for (; i < n; ++i) {
-      m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
-      v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
-      const double mhat = m[i] / bc1;
-      const double vhat = v[i] / bc2;
-      w[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+  for (size_t i = 0; i < n; i += len) {
+    double* ub = data + 2 * i;
+    double* vb = ub + len;  // v half starts half complexes (= len doubles) in
+    for (size_t k = 0; k < half; k += 2) {
+      const __m256d v = cmul2(_mm256_loadu_pd(vb + 2 * k), _mm256_loadu_pd(tw + 2 * k));
+      const __m256d u = _mm256_loadu_pd(ub + 2 * k);
+      _mm256_storeu_pd(ub + 2 * k, _mm256_add_pd(u, v));
+      _mm256_storeu_pd(vb + 2 * k, _mm256_sub_pd(u, v));
     }
   }
+}
 
-  void fft_radix2_pass(size_t n, size_t len, const double* tw,
-                       double* data) const override {
-    const size_t half = len / 2;
-    if (len == 2) {
-      // One butterfly per vector: [ur ui vr vi] -> [ur+vr ui+vi ur-vr ui-vi],
-      // additions in the scalar reference's u-first order.
-      for (size_t i = 0; i < n; i += 2) {
-        double* p = data + 2 * i;
-        const __m256d a = _mm256_loadu_pd(p);
-        const __m256d b = _mm256_permute2f128_pd(a, a, 0x01);  // [vr vi ur ui]
-        const __m256d s = _mm256_add_pd(a, b);
-        const __m256d d = _mm256_sub_pd(a, b);
-        _mm256_storeu_pd(p, _mm256_permute2f128_pd(s, d, 0x20));
-      }
-      return;
-    }
-    for (size_t i = 0; i < n; i += len) {
-      double* ub = data + 2 * i;
-      double* vb = ub + len;  // v half starts half complexes (= len doubles) in
-      for (size_t k = 0; k < half; k += 2) {
-        const __m256d v = cmul2(_mm256_loadu_pd(vb + 2 * k), _mm256_loadu_pd(tw + 2 * k));
-        const __m256d u = _mm256_loadu_pd(ub + 2 * k);
-        _mm256_storeu_pd(ub + 2 * k, _mm256_add_pd(u, v));
-        _mm256_storeu_pd(vb + 2 * k, _mm256_sub_pd(u, v));
-      }
+void Avx2Backend::fft_radix4_pass(size_t n, size_t len, const double* twA,
+                                  const double* twB, const double* twC,
+                                  double* data) const {
+  const size_t q = len / 4;
+  if (q < 2) {  // q == 1: the twA stage is the multiply-free len == 2 case.
+    KernelBackend::fft_radix4_pass(n, len, twA, twB, twC, data);
+    return;
+  }
+  for (size_t i = 0; i < n; i += len) {
+    double* base = data + 2 * i;
+    for (size_t k = 0; k < q; k += 2) {
+      double* p0 = base + 2 * k;
+      double* p1 = p0 + 2 * q;
+      double* p2 = p0 + 4 * q;
+      double* p3 = p0 + 6 * q;
+      const __m256d wa = _mm256_loadu_pd(twA + 2 * k);
+      const __m256d t1 = cmul2(_mm256_loadu_pd(p1), wa);
+      const __m256d t3 = cmul2(_mm256_loadu_pd(p3), wa);
+      const __m256d v0 = _mm256_loadu_pd(p0);
+      const __m256d v2 = _mm256_loadu_pd(p2);
+      const __m256d u0 = _mm256_add_pd(v0, t1);
+      const __m256d u1 = _mm256_sub_pd(v0, t1);
+      const __m256d u2 = _mm256_add_pd(v2, t3);
+      const __m256d u3 = _mm256_sub_pd(v2, t3);
+      const __m256d w2 = cmul2(u2, _mm256_loadu_pd(twB + 2 * k));
+      const __m256d w3 = cmul2(u3, _mm256_loadu_pd(twC + 2 * k));
+      _mm256_storeu_pd(p0, _mm256_add_pd(u0, w2));
+      _mm256_storeu_pd(p1, _mm256_add_pd(u1, w3));
+      _mm256_storeu_pd(p2, _mm256_sub_pd(u0, w2));
+      _mm256_storeu_pd(p3, _mm256_sub_pd(u1, w3));
     }
   }
+}
 
-  void fft_radix4_pass(size_t n, size_t len, const double* twA, const double* twB,
-                       const double* twC, double* data) const override {
-    const size_t q = len / 4;
-    if (q < 2) {  // q == 1: the twA stage is the multiply-free len == 2 case.
-      KernelBackend::fft_radix4_pass(n, len, twA, twB, twC, data);
-      return;
-    }
-    for (size_t i = 0; i < n; i += len) {
-      double* base = data + 2 * i;
-      for (size_t k = 0; k < q; k += 2) {
-        double* p0 = base + 2 * k;
-        double* p1 = p0 + 2 * q;
-        double* p2 = p0 + 4 * q;
-        double* p3 = p0 + 6 * q;
-        const __m256d wa = _mm256_loadu_pd(twA + 2 * k);
-        const __m256d t1 = cmul2(_mm256_loadu_pd(p1), wa);
-        const __m256d t3 = cmul2(_mm256_loadu_pd(p3), wa);
-        const __m256d v0 = _mm256_loadu_pd(p0);
-        const __m256d v2 = _mm256_loadu_pd(p2);
-        const __m256d u0 = _mm256_add_pd(v0, t1);
-        const __m256d u1 = _mm256_sub_pd(v0, t1);
-        const __m256d u2 = _mm256_add_pd(v2, t3);
-        const __m256d u3 = _mm256_sub_pd(v2, t3);
-        const __m256d w2 = cmul2(u2, _mm256_loadu_pd(twB + 2 * k));
-        const __m256d w3 = cmul2(u3, _mm256_loadu_pd(twC + 2 * k));
-        _mm256_storeu_pd(p0, _mm256_add_pd(u0, w2));
-        _mm256_storeu_pd(p1, _mm256_add_pd(u1, w3));
-        _mm256_storeu_pd(p2, _mm256_sub_pd(u0, w2));
-        _mm256_storeu_pd(p3, _mm256_sub_pd(u1, w3));
-      }
-    }
+void Avx2Backend::cplx_mul(size_t n, const double* a, const double* b,
+                           double* out) const {
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2)
+    _mm256_storeu_pd(out + 2 * i,
+                     cmul2(_mm256_loadu_pd(a + 2 * i), _mm256_loadu_pd(b + 2 * i)));
+  // Tail in explicit SSE3: a plain-C tail here gets SLP-vectorized into
+  // vfmaddsub231pd (the vectorizer's mul+addsub pattern fuses even under
+  // -ffp-contract=off), breaking bitwise parity with the scalar backend.
+  for (; i < n; ++i) {
+    const __m128d av = _mm_loadu_pd(a + 2 * i);
+    const __m128d br = _mm_loaddup_pd(b + 2 * i);
+    const __m128d bi = _mm_loaddup_pd(b + 2 * i + 1);
+    const __m128d aswap = _mm_shuffle_pd(av, av, 0x1);
+    _mm_storeu_pd(out + 2 * i,
+                  _mm_addsub_pd(_mm_mul_pd(av, br), _mm_mul_pd(aswap, bi)));
   }
+}
 
-  void cplx_mul(size_t n, const double* a, const double* b,
-                double* out) const override {
-    size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-      _mm256_storeu_pd(out + 2 * i,
-                       cmul2(_mm256_loadu_pd(a + 2 * i), _mm256_loadu_pd(b + 2 * i)));
-    // Tail in explicit SSE3: a plain-C tail here gets SLP-vectorized into
-    // vfmaddsub231pd (the vectorizer's mul+addsub pattern fuses even under
-    // -ffp-contract=off), breaking bitwise parity with the scalar backend.
-    for (; i < n; ++i) {
-      const __m128d av = _mm_loadu_pd(a + 2 * i);
-      const __m128d br = _mm_loaddup_pd(b + 2 * i);
-      const __m128d bi = _mm_loaddup_pd(b + 2 * i + 1);
-      const __m128d aswap = _mm_shuffle_pd(av, av, 0x1);
-      _mm_storeu_pd(out + 2 * i,
-                    _mm_addsub_pd(_mm_mul_pd(av, br), _mm_mul_pd(aswap, bi)));
-    }
+Avx2Backend::PicGatherFn Avx2Backend::pic_gather(int shape) const {
+  switch (shape) {
+    case 0: return &gather_range_avx2<NgpStencil, pic::Shape::NGP>;
+    case 1: return &gather_range_avx2<CicStencil, pic::Shape::CIC>;
+    default: return &gather_range_avx2<TscStencil, pic::Shape::TSC>;
   }
+}
 
-  [[nodiscard]] PicGatherFn pic_gather(int shape) const override {
-    switch (shape) {
-      case 0: return &gather_range_avx2<NgpStencil, pic::Shape::NGP>;
-      case 1: return &gather_range_avx2<CicStencil, pic::Shape::CIC>;
-      default: return &gather_range_avx2<TscStencil, pic::Shape::TSC>;
-    }
+Avx2Backend::PicStaggerFn Avx2Backend::pic_stagger(int shape) const {
+  switch (shape) {
+    case 0: return &stagger_range_avx2<NgpStencil, pic::Shape::NGP>;
+    case 1: return &stagger_range_avx2<CicStencil, pic::Shape::CIC>;
+    default: return &stagger_range_avx2<TscStencil, pic::Shape::TSC>;
   }
+}
 
-  [[nodiscard]] PicStaggerFn pic_stagger(int shape) const override {
-    switch (shape) {
-      case 0: return &stagger_range_avx2<NgpStencil, pic::Shape::NGP>;
-      case 1: return &stagger_range_avx2<CicStencil, pic::Shape::CIC>;
-      default: return &stagger_range_avx2<TscStencil, pic::Shape::TSC>;
-    }
+Avx2Backend::PicLeapfrogFn Avx2Backend::pic_leapfrog(int shape) const {
+  switch (shape) {
+    case 0: return &leapfrog_range_avx2<NgpStencil, pic::Shape::NGP>;
+    case 1: return &leapfrog_range_avx2<CicStencil, pic::Shape::CIC>;
+    default: return &leapfrog_range_avx2<TscStencil, pic::Shape::TSC>;
   }
+}
 
-  [[nodiscard]] PicLeapfrogFn pic_leapfrog(int shape) const override {
-    switch (shape) {
-      case 0: return &leapfrog_range_avx2<NgpStencil, pic::Shape::NGP>;
-      case 1: return &leapfrog_range_avx2<CicStencil, pic::Shape::CIC>;
-      default: return &leapfrog_range_avx2<TscStencil, pic::Shape::TSC>;
-    }
+Avx2Backend::PicDepositFn Avx2Backend::pic_deposit(int shape) const {
+  switch (shape) {
+    case 0: return &deposit_range_avx2<NgpStencil, pic::Shape::NGP>;
+    case 1: return &deposit_range_avx2<CicStencil, pic::Shape::CIC>;
+    default: return &deposit_range_avx2<TscStencil, pic::Shape::TSC>;
   }
+}
 
-  [[nodiscard]] PicDepositFn pic_deposit(int shape) const override {
-    switch (shape) {
-      case 0: return &deposit_range_avx2<NgpStencil, pic::Shape::NGP>;
-      case 1: return &deposit_range_avx2<CicStencil, pic::Shape::CIC>;
-      default: return &deposit_range_avx2<TscStencil, pic::Shape::TSC>;
-    }
-  }
-
-  [[nodiscard]] BinNgpFn bin_ngp() const override { return &bin_ngp_avx2; }
-};
-
-}  // namespace
+Avx2Backend::BinNgpFn Avx2Backend::bin_ngp() const { return &bin_ngp_avx2; }
 
 const KernelBackend* avx2_backend() {
   // The backend is compiled in; still require the running CPU to report

@@ -64,26 +64,12 @@ inline int32_t dot_i8_vnni(const int8_t* a, const int8_t* b, size_t k) {
 }
 
 // ---------------------------------------------------------------------------
-// The backend: gemm_int8 on vpdpbusd, everything else delegated verbatim to
-// the AVX2 backend (constructed with its reference; avx512_backend() only
-// hands the instance out when the AVX2 backend exists, which every
-// VNNI-capable CPU guarantees).
+// The backend: the AVX2 backend with gemm_int8 on vpdpbusd. Every other
+// kernel is inherited, so it runs the AVX2 code.
 
-class Avx512VnniBackend final : public KernelBackend {
+class Avx512VnniBackend final : public Avx2Backend {
  public:
-  explicit Avx512VnniBackend(const KernelBackend& base) : base_(base) {}
-
   [[nodiscard]] const char* name() const override { return "avx512"; }
-
-  void gemm_block(size_t mb, size_t nb, size_t kb, const double* Apanel,
-                  const double* Bpanel, double* C, size_t ldc) const override {
-    base_.gemm_block(mb, nb, kb, Apanel, Bpanel, C, ldc);
-  }
-
-  void gemm_nt_block(size_t mr, size_t nb, size_t kb, const double* a, const double* B,
-                     size_t ldb, double* C, size_t ldc) const override {
-    base_.gemm_nt_block(mr, nb, kb, a, B, ldb, C, ldc);
-  }
 
   // 4-row x 2-column register tile over 32-wide VNNI k steps (8 int32 ymm
   // accumulators + 2 B vectors + 1 A vector plus the abs/sign temporaries
@@ -174,95 +160,21 @@ class Avx512VnniBackend final : public KernelBackend {
       }
     }
   }
-
-  void gemm_int16(size_t mb, size_t nb, size_t kb, const int16_t* Aq,
-                  const double* a_scales, const int16_t* Bq, const double* b_scales,
-                  double* C, size_t ldc) const override {
-    base_.gemm_int16(mb, nb, kb, Aq, a_scales, Bq, b_scales, C, ldc);
-  }
-
-  void copy(size_t n, const double* x, double* y) const override {
-    base_.copy(n, x, y);
-  }
-  void axpy(size_t n, double alpha, const double* x, double* y) const override {
-    base_.axpy(n, alpha, x, y);
-  }
-  [[nodiscard]] double dot(size_t n, const double* x, const double* y) const override {
-    return base_.dot(n, x, y);
-  }
-  void add_bias_rows(size_t rows, size_t cols, const double* bias,
-                     double* out) const override {
-    base_.add_bias_rows(rows, cols, bias, out);
-  }
-  double squared_diff_sum(size_t n, const double* p, const double* t,
-                          double* diff) const override {
-    return base_.squared_diff_sum(n, p, t, diff);
-  }
-  void relu_forward(size_t n, const double* x, double* y) const override {
-    base_.relu_forward(n, x, y);
-  }
-  void relu_backward(size_t n, const double* y, const double* gout,
-                     double* gin) const override {
-    base_.relu_backward(n, y, gout, gin);
-  }
-  void leaky_relu_forward(size_t n, double alpha, const double* x, double* xc,
-                          double* y) const override {
-    base_.leaky_relu_forward(n, alpha, x, xc, y);
-  }
-  void leaky_relu_backward(size_t n, double alpha, const double* x, const double* gout,
-                           double* gin) const override {
-    base_.leaky_relu_backward(n, alpha, x, gout, gin);
-  }
-  void tanh_forward(size_t n, const double* x, double* y) const override {
-    base_.tanh_forward(n, x, y);
-  }
-  void tanh_backward(size_t n, const double* y, const double* gout,
-                     double* gin) const override {
-    base_.tanh_backward(n, y, gout, gin);
-  }
-  void sgd_update(size_t n, double lr, const double* g, double* w) const override {
-    base_.sgd_update(n, lr, g, w);
-  }
-  void sgd_momentum_update(size_t n, double lr, double momentum, const double* g,
-                           double* vel, double* w) const override {
-    base_.sgd_momentum_update(n, lr, momentum, g, vel, w);
-  }
-  void adam_update(size_t n, double lr, double beta1, double beta2, double bc1,
-                   double bc2, double eps, const double* g, double* m, double* v,
-                   double* w) const override {
-    base_.adam_update(n, lr, beta1, beta2, bc1, bc2, eps, g, m, v, w);
-  }
-  [[nodiscard]] PicGatherFn pic_gather(int shape) const override {
-    return base_.pic_gather(shape);
-  }
-  [[nodiscard]] PicStaggerFn pic_stagger(int shape) const override {
-    return base_.pic_stagger(shape);
-  }
-  [[nodiscard]] PicLeapfrogFn pic_leapfrog(int shape) const override {
-    return base_.pic_leapfrog(shape);
-  }
-  [[nodiscard]] PicDepositFn pic_deposit(int shape) const override {
-    return base_.pic_deposit(shape);
-  }
-  [[nodiscard]] BinNgpFn bin_ngp() const override { return base_.bin_ngp(); }
-
- private:
-  const KernelBackend& base_;
 };
 
 }  // namespace
 
 const KernelBackend* avx512_backend() {
   // The backend is compiled in; still require the running CPU to report the
-  // VNNI feature set before handing it out. The AVX2 base must exist too
-  // (every AVX512VL CPU has AVX2+FMA, but the check keeps the dependency
+  // VNNI feature set, and the AVX2+FMA of its base class, before handing it
+  // out (every AVX512VL CPU has AVX2+FMA, but the check keeps the dependency
   // explicit).
   static const bool supported = __builtin_cpu_supports("avx512vnni") &&
                                 __builtin_cpu_supports("avx512bw") &&
                                 __builtin_cpu_supports("avx512vl") &&
                                 avx2_backend() != nullptr;
   if (!supported) return nullptr;
-  static const Avx512VnniBackend backend(*avx2_backend());
+  static const Avx512VnniBackend backend;
   return &backend;
 }
 

@@ -2,9 +2,10 @@
 /// \file backend_scalar.hpp
 /// The portable scalar KernelBackend plus the shape-templated PIC range
 /// kernels it is built from. The range templates live here (not in the .cpp)
-/// so the AVX2 backend reuses them verbatim for loop tails and for shapes it
-/// does not vectorize — which is what keeps the two backends bitwise
-/// identical on the PIC path.
+/// so the AVX2 backend reuses them verbatim for loop tails — which is what
+/// keeps the two backends bitwise identical on the PIC path. They, and the
+/// pic helpers they call, are always inlined (util/inline.hpp), so the SIMD
+/// units that call them define no copy of them.
 ///
 /// Only backend implementation files include this header; everything else
 /// goes through the KernelBackend interface in backend.hpp.
@@ -14,28 +15,31 @@
 #include "nn/backend.hpp"
 #include "pic/grid.hpp"
 #include "pic/shape_kernels.hpp"
+#include "util/inline.hpp"
 
 namespace dlpic::nn {
 
 namespace backend_detail {
 
 template <pic::Shape S>
-void gather_range(const double* E, const double* x, double* out, size_t lo, size_t hi,
-                  double inv_dx, long ncells) {
+DLPIC_ALWAYS_INLINE void gather_range(const double* E, const double* x, double* out,
+                                      size_t lo, size_t hi, double inv_dx, long ncells) {
   for (size_t p = lo; p < hi; ++p)
     out[p] = pic::gather_at<S>(E, x[p] * inv_dx, ncells);
 }
 
 template <pic::Shape S>
-void stagger_range(const double* E, const double* x, double* v, size_t lo, size_t hi,
-                   double inv_dx, long ncells, double qm_half_dt) {
+DLPIC_ALWAYS_INLINE void stagger_range(const double* E, const double* x, double* v,
+                                       size_t lo, size_t hi, double inv_dx, long ncells,
+                                       double qm_half_dt) {
   for (size_t p = lo; p < hi; ++p)
     v[p] += qm_half_dt * pic::gather_at<S>(E, x[p] * inv_dx, ncells);
 }
 
 template <pic::Shape S>
-void leapfrog_range(const double* E, double* x, double* v, size_t lo, size_t hi,
-                    double inv_dx, long ncells, double qm_dt, double dt, double length) {
+DLPIC_ALWAYS_INLINE void leapfrog_range(const double* E, double* x, double* v, size_t lo,
+                                        size_t hi, double inv_dx, long ncells, double qm_dt,
+                                        double dt, double length) {
   for (size_t p = lo; p < hi; ++p) {
     const double Ep = pic::gather_at<S>(E, x[p] * inv_dx, ncells);
     v[p] += qm_dt * Ep;
@@ -44,8 +48,8 @@ void leapfrog_range(const double* E, double* x, double* v, size_t lo, size_t hi,
 }
 
 template <pic::Shape S>
-void deposit_range(double* buf, const double* x, size_t lo, size_t hi, double inv_dx,
-                   long ncells, double value) {
+DLPIC_ALWAYS_INLINE void deposit_range(double* buf, const double* x, size_t lo, size_t hi,
+                                       double inv_dx, long ncells, double value) {
   for (size_t p = lo; p < hi; ++p)
     pic::scatter_at<S>(buf, x[p] * inv_dx, ncells, value);
 }
@@ -59,11 +63,10 @@ size_t bin_ngp_range(const KernelBackend::PhaseSpaceGrid& g, const double* x,
 
 }  // namespace backend_detail
 
-/// Portable reference backend: blocked 4x4 register-tile GEMM micro-kernel
-/// and the scalar elementwise/PIC kernels inherited from KernelBackend.
-/// Non-final: the AVX2 backend derives from it so non-vectorized kernels
-/// (tanh forward, dot, the MSE body) fall through to the scalar reference.
-class ScalarBackend : public KernelBackend {
+/// Portable reference backend: the blocked 4x4 register-tile f64 GEMM and
+/// the int8 GEMM micro-kernels, the PIC ranges and NGP binning. Every other
+/// kernel is the KernelBackend reference it inherits.
+class ScalarBackend final : public KernelBackend {
  public:
   [[nodiscard]] const char* name() const override { return "scalar"; }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/backend.hpp"
 #include "util/parallel.hpp"
 
 namespace dlpic::nn {
@@ -29,10 +28,16 @@ double MSELoss::forward(const Tensor& pred, const Tensor& target) {
   const double* p = pred.data();
   const double* t = target.data();
   // Fixed-block ordered reduction: bitwise identical for every worker count
-  // (the backend body only ever sees the fixed kOrderedReduceBlock ranges).
-  const KernelBackend* be = &active_backend();
+  // (the body only ever sees the fixed kOrderedReduceBlock ranges). The sum
+  // must stay in ascending index order, so no backend could vectorize it:
+  // it is a plain loop.
   const double acc = util::ordered_block_sum(diff_.size(), [=](size_t lo, size_t hi) {
-    return be->squared_diff_sum(hi - lo, p + lo, t + lo, d + lo);
+    double s = 0.0;
+    for (size_t i = lo; i < hi; ++i) {
+      d[i] = p[i] - t[i];
+      s += d[i] * d[i];
+    }
+    return s;
   });
   return acc / static_cast<double>(diff_.size());
 }

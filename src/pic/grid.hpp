@@ -12,12 +12,14 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/inline.hpp"
+
 namespace dlpic::pic {
 
 /// Maps a position into the periodic box [0, length). A position already in
 /// the box is returned unchanged (fmod would return it exactly), so only
 /// others pay for fmod; NaN and +-inf take the fmod path and come back NaN.
-inline double wrap_periodic(double x, double length) {
+DLPIC_ALWAYS_INLINE double wrap_periodic(double x, double length) {
   if (x >= 0.0 && x < length) return x;
   double y = std::fmod(x, length);
   if (y < 0.0) y += length;

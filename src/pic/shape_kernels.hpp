@@ -20,6 +20,7 @@
 
 #include "pic/grid.hpp"
 #include "pic/shape.hpp"
+#include "util/inline.hpp"
 
 namespace dlpic::pic {
 
@@ -27,7 +28,7 @@ namespace shape_detail {
 
 /// Periodic wrap for node indices within one box of the valid range
 /// (i in [-n, 2n)); avoids the integer modulo of Grid1D::wrap_node.
-inline size_t wrap_near(long i, long n) {
+DLPIC_ALWAYS_INLINE size_t wrap_near(long i, long n) {
   if (i < 0) return static_cast<size_t>(i + n);
   if (i >= n) return static_cast<size_t>(i - n);
   return static_cast<size_t>(i);
@@ -44,7 +45,7 @@ struct ShapeKernel;
 template <>
 struct ShapeKernel<Shape::NGP> {
   static constexpr size_t support = 1;
-  static void stencil(double xi, long n, size_t* node, double* w) {
+  DLPIC_ALWAYS_INLINE static void stencil(double xi, long n, size_t* node, double* w) {
     const long i = static_cast<long>(std::floor(xi + 0.5));
     node[0] = shape_detail::wrap_near(i, n);
     w[0] = 1.0;
@@ -54,7 +55,7 @@ struct ShapeKernel<Shape::NGP> {
 template <>
 struct ShapeKernel<Shape::CIC> {
   static constexpr size_t support = 2;
-  static void stencil(double xi, long n, size_t* node, double* w) {
+  DLPIC_ALWAYS_INLINE static void stencil(double xi, long n, size_t* node, double* w) {
     const long i = static_cast<long>(std::floor(xi));
     const double frac = xi - static_cast<double>(i);
     node[0] = shape_detail::wrap_near(i, n);
@@ -67,7 +68,7 @@ struct ShapeKernel<Shape::CIC> {
 template <>
 struct ShapeKernel<Shape::TSC> {
   static constexpr size_t support = 3;
-  static void stencil(double xi, long n, size_t* node, double* w) {
+  DLPIC_ALWAYS_INLINE static void stencil(double xi, long n, size_t* node, double* w) {
     const long i = static_cast<long>(std::floor(xi + 0.5));
     const double d = xi - static_cast<double>(i);  // in [-0.5, 0.5]
     node[0] = shape_detail::wrap_near(i - 1, n);
@@ -81,7 +82,7 @@ struct ShapeKernel<Shape::TSC> {
 
 /// Inlined gather of field `E` (n nodes) at cell-unit position `xi`.
 template <Shape S>
-inline double gather_at(const double* E, double xi, long n) {
+DLPIC_ALWAYS_INLINE double gather_at(const double* E, double xi, long n) {
   size_t node[ShapeKernel<S>::support];
   double w[ShapeKernel<S>::support];
   ShapeKernel<S>::stencil(xi, n, node, w);
@@ -92,7 +93,7 @@ inline double gather_at(const double* E, double xi, long n) {
 
 /// Inlined scatter of `value` into accumulator `buf` at cell-unit `xi`.
 template <Shape S>
-inline void scatter_at(double* buf, double xi, long n, double value) {
+DLPIC_ALWAYS_INLINE void scatter_at(double* buf, double xi, long n, double value) {
   size_t node[ShapeKernel<S>::support];
   double w[ShapeKernel<S>::support];
   ShapeKernel<S>::stencil(xi, n, node, w);

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "math/linalg.hpp"
@@ -83,17 +82,6 @@ TEST(Gemm, ZeroAlphaLeavesBetaScaledC) {
 TEST(Gemm, InconsistentSizesThrow) {
   std::vector<double> A(5), B(5), C;
   EXPECT_THROW(gemm(false, false, 4, 4, 4, 1.0, A, B, 0.0, C), std::invalid_argument);
-}
-
-TEST(Blas1, AxpyDotNrm2) {
-  std::vector<double> x = {1, 2, 3};
-  std::vector<double> y = {4, 5, 6};
-  axpy(3, 2.0, x.data(), y.data());
-  EXPECT_DOUBLE_EQ(y[0], 6);
-  EXPECT_DOUBLE_EQ(y[1], 9);
-  EXPECT_DOUBLE_EQ(y[2], 12);
-  EXPECT_DOUBLE_EQ(dot(3, x.data(), x.data()), 14.0);
-  EXPECT_NEAR(nrm2(3, x.data()), std::sqrt(14.0), 1e-14);
 }
 
 TEST(Transpose, RoundTripIsIdentity) {

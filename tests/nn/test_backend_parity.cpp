@@ -81,9 +81,9 @@ TEST(BackendSelection, Avx512NamedAndDelegatesF64Kernels) {
   SKIP_WITHOUT_AVX512();
   SKIP_WITHOUT_AVX2();
   EXPECT_STREQ(avx512->name(), "avx512");
-  // The VNNI backend overrides only gemm_int8: every f64 kernel delegates
-  // to the AVX2 backend, so results are BITWISE the AVX2 results (same
-  // code runs), not merely close.
+  // The VNNI backend overrides only gemm_int8: every f64 kernel is the AVX2
+  // backend's, so results are BITWISE the AVX2 results (same code runs),
+  // not merely close.
   const size_t n = 517;
   const auto x = random_vec(n, 151, -2, 2);
   std::vector<double> a(n), b(n);
@@ -95,7 +95,49 @@ TEST(BackendSelection, Avx512NamedAndDelegatesF64Kernels) {
   avx2->sgd_update(n, 1e-2, x.data(), a.data());
   avx512->sgd_update(n, 1e-2, x.data(), b.data());
   EXPECT_EQ(a, b);
-  EXPECT_EQ(avx2->dot(n, x.data(), x.data()), avx512->dot(n, x.data(), x.data()));
+
+  // The PIC and binning kernels are the AVX2 functions themselves.
+  for (int shape = 0; shape < 3; ++shape) {
+    EXPECT_EQ(avx512->pic_gather(shape), avx2->pic_gather(shape)) << "shape " << shape;
+    EXPECT_EQ(avx512->pic_stagger(shape), avx2->pic_stagger(shape)) << "shape " << shape;
+    EXPECT_EQ(avx512->pic_leapfrog(shape), avx2->pic_leapfrog(shape)) << "shape " << shape;
+    EXPECT_EQ(avx512->pic_deposit(shape), avx2->pic_deposit(shape)) << "shape " << shape;
+  }
+  EXPECT_EQ(avx512->bin_ngp(), avx2->bin_ngp());
+
+  // The FFT passes and the skinny NT GEMM give the AVX2 bits.
+  for (const size_t len : {size_t{2}, size_t{8}}) {
+    const auto tw = random_vec(len, 152 + len);
+    auto u = random_vec(2 * 64, 153 + len), w = u;
+    avx2->fft_radix2_pass(64, len, tw.data(), u.data());
+    avx512->fft_radix2_pass(64, len, tw.data(), w.data());
+    EXPECT_EQ(u, w) << "radix-2 pass len=" << len;
+  }
+  for (const size_t len : {size_t{4}, size_t{16}}) {
+    const size_t q = len / 4;
+    const auto twA = random_vec(2 * q, 154 + len);
+    const auto twB = random_vec(2 * q, 155 + len);
+    const auto twC = random_vec(2 * q, 156 + len);
+    auto u = random_vec(2 * 64, 157 + len), w = u;
+    avx2->fft_radix4_pass(64, len, twA.data(), twB.data(), twC.data(), u.data());
+    avx512->fft_radix4_pass(64, len, twA.data(), twB.data(), twC.data(), w.data());
+    EXPECT_EQ(u, w) << "radix-4 pass len=" << len;
+  }
+  const auto xc = random_vec(2 * n, 158);
+  const auto yc = random_vec(2 * n, 159);
+  a.assign(2 * n, 0.0);
+  b.assign(2 * n, 0.0);
+  avx2->cplx_mul(n, xc.data(), yc.data(), a.data());
+  avx512->cplx_mul(n, xc.data(), yc.data(), b.data());
+  EXPECT_EQ(a, b);
+  const size_t mr = 3, nb = 13, kb = 37;
+  const auto arows = random_vec(mr * kb, 160);
+  const auto B = random_vec(nb * kb, 161);
+  a = random_vec(mr * nb, 162);
+  b = a;
+  avx2->gemm_nt_block(mr, nb, kb, arows.data(), B.data(), kb, a.data(), nb);
+  avx512->gemm_nt_block(mr, nb, kb, arows.data(), B.data(), kb, b.data(), nb);
+  EXPECT_EQ(a, b);
 }
 
 TEST(BackendSelection, ScopedBackendOverridesAndRestores) {
@@ -156,6 +198,13 @@ std::vector<const nn::KernelBackend*> available_backends() {
   std::vector<const nn::KernelBackend*> backends{&nn::scalar_backend()};
   if (const nn::KernelBackend* be = nn::avx2_backend()) backends.push_back(be);
   if (const nn::KernelBackend* be = nn::avx512_backend()) backends.push_back(be);
+  return backends;
+}
+
+// The SIMD backends this host and build provide: avx2, then avx512.
+std::vector<const nn::KernelBackend*> vector_backends() {
+  std::vector<const nn::KernelBackend*> backends = available_backends();
+  backends.erase(backends.begin());  // scalar
   return backends;
 }
 
@@ -551,37 +600,31 @@ TEST(BackendParity, ActivationsBitwise) {
   const auto go = random_vec(n, 32, -2, 2);
   std::vector<double> a(n), b(n), xca(n), xcb(n);
 
-  scalar.relu_forward(n, x.data(), a.data());
-  avx2->relu_forward(n, x.data(), b.data());
-  EXPECT_EQ(a, b);
-  scalar.relu_backward(n, x.data(), go.data(), a.data());
-  avx2->relu_backward(n, x.data(), go.data(), b.data());
-  EXPECT_EQ(a, b);
-  scalar.leaky_relu_forward(n, 0.01, x.data(), xca.data(), a.data());
-  avx2->leaky_relu_forward(n, 0.01, x.data(), xcb.data(), b.data());
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(xca, xcb);
-  scalar.leaky_relu_backward(n, 0.01, x.data(), go.data(), a.data());
-  avx2->leaky_relu_backward(n, 0.01, x.data(), go.data(), b.data());
-  EXPECT_EQ(a, b);
-  scalar.tanh_forward(n, x.data(), a.data());
-  avx2->tanh_forward(n, x.data(), b.data());
-  EXPECT_EQ(a, b);  // same libm path in both backends
-  scalar.tanh_backward(n, x.data(), go.data(), a.data());
-  avx2->tanh_backward(n, x.data(), go.data(), b.data());
-  EXPECT_EQ(a, b);
+  for (const nn::KernelBackend* vec : vector_backends()) {
+    SCOPED_TRACE(vec->name());
+    scalar.relu_forward(n, x.data(), a.data());
+    vec->relu_forward(n, x.data(), b.data());
+    EXPECT_EQ(a, b);
+    scalar.relu_backward(n, x.data(), go.data(), a.data());
+    vec->relu_backward(n, x.data(), go.data(), b.data());
+    EXPECT_EQ(a, b);
+    scalar.leaky_relu_forward(n, 0.01, x.data(), xca.data(), a.data());
+    vec->leaky_relu_forward(n, 0.01, x.data(), xcb.data(), b.data());
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(xca, xcb);
+    scalar.leaky_relu_backward(n, 0.01, x.data(), go.data(), a.data());
+    vec->leaky_relu_backward(n, 0.01, x.data(), go.data(), b.data());
+    EXPECT_EQ(a, b);
+    scalar.tanh_backward(n, x.data(), go.data(), a.data());
+    vec->tanh_backward(n, x.data(), go.data(), b.data());
+    EXPECT_EQ(a, b);
 
-  a = go;
-  b = go;
-  scalar.axpy(n, 1.7, x.data(), a.data());
-  avx2->axpy(n, 1.7, x.data(), b.data());
-  EXPECT_EQ(a, b);
-
-  a = go;
-  b = go;
-  scalar.add_bias_rows(17, 61, x.data(), a.data());  // 17*61 = 1037
-  avx2->add_bias_rows(17, 61, x.data(), b.data());
-  EXPECT_EQ(a, b);
+    a = go;
+    b = go;
+    scalar.add_bias_rows(17, 61, x.data(), a.data());  // 17*61 = 1037
+    vec->add_bias_rows(17, 61, x.data(), b.data());
+    EXPECT_EQ(a, b);
+  }
 }
 
 TEST(BackendParity, OptimizerUpdatesBitwise) {
@@ -590,30 +633,33 @@ TEST(BackendParity, OptimizerUpdatesBitwise) {
   const size_t n = 517;
   const auto g = random_vec(n, 41);
 
-  auto ws = random_vec(n, 42), wv = ws;
-  scalar.sgd_update(n, 1e-2, g.data(), ws.data());
-  avx2->sgd_update(n, 1e-2, g.data(), wv.data());
-  EXPECT_EQ(ws, wv);
+  for (const nn::KernelBackend* vec : vector_backends()) {
+    SCOPED_TRACE(vec->name());
+    auto ws = random_vec(n, 42), wv = ws;
+    scalar.sgd_update(n, 1e-2, g.data(), ws.data());
+    vec->sgd_update(n, 1e-2, g.data(), wv.data());
+    EXPECT_EQ(ws, wv);
 
-  auto vels = random_vec(n, 43), velv = vels;
-  scalar.sgd_momentum_update(n, 1e-2, 0.9, g.data(), vels.data(), ws.data());
-  avx2->sgd_momentum_update(n, 1e-2, 0.9, g.data(), velv.data(), wv.data());
-  EXPECT_EQ(ws, wv);
-  EXPECT_EQ(vels, velv);
+    auto vels = random_vec(n, 43), velv = vels;
+    scalar.sgd_momentum_update(n, 1e-2, 0.9, g.data(), vels.data(), ws.data());
+    vec->sgd_momentum_update(n, 1e-2, 0.9, g.data(), velv.data(), wv.data());
+    EXPECT_EQ(ws, wv);
+    EXPECT_EQ(vels, velv);
 
-  auto ms = random_vec(n, 44, 0, 1), mv = ms;
-  auto vs = random_vec(n, 45, 0, 1), vv = vs;
-  for (int step = 1; step <= 3; ++step) {
-    const double bc1 = 1.0 - std::pow(0.9, step);
-    const double bc2 = 1.0 - std::pow(0.999, step);
-    scalar.adam_update(n, 1e-3, 0.9, 0.999, bc1, bc2, 1e-8, g.data(), ms.data(),
-                       vs.data(), ws.data());
-    avx2->adam_update(n, 1e-3, 0.9, 0.999, bc1, bc2, 1e-8, g.data(), mv.data(),
-                      vv.data(), wv.data());
+    auto ms = random_vec(n, 44, 0, 1), mv = ms;
+    auto vs = random_vec(n, 45, 0, 1), vv = vs;
+    for (int step = 1; step <= 3; ++step) {
+      const double bc1 = 1.0 - std::pow(0.9, step);
+      const double bc2 = 1.0 - std::pow(0.999, step);
+      scalar.adam_update(n, 1e-3, 0.9, 0.999, bc1, bc2, 1e-8, g.data(), ms.data(),
+                         vs.data(), ws.data());
+      vec->adam_update(n, 1e-3, 0.9, 0.999, bc1, bc2, 1e-8, g.data(), mv.data(),
+                       vv.data(), wv.data());
+    }
+    EXPECT_EQ(ws, wv);
+    EXPECT_EQ(ms, mv);
+    EXPECT_EQ(vs, vv);
   }
-  EXPECT_EQ(ws, wv);
-  EXPECT_EQ(ms, mv);
-  EXPECT_EQ(vs, vv);
 }
 
 // ---------------------------------------------------------------------------
@@ -625,37 +671,41 @@ TEST(BackendParity, OptimizerUpdatesBitwise) {
 TEST(BackendParity, FftButterflyPassesBitwise) {
   SKIP_WITHOUT_AVX2();
   const nn::KernelBackend& scalar = nn::scalar_backend();
-  // The pass kernels only demand unit-stride interleaved data and a twiddle
-  // table per span — any complex values expose order-of-operations drift, so
-  // random "twiddles" are a stronger probe than actual roots of unity.
-  for (const size_t len : {size_t{2}, size_t{4}, size_t{8}, size_t{32}}) {
-    const size_t n = 128;  // several spans per pass
-    const auto tw = random_vec(len, 201 + len);  // len/2 complex entries
-    auto a = random_vec(2 * n, 202 + len);
-    auto b = a;
-    scalar.fft_radix2_pass(n, len, tw.data(), a.data());
-    avx2->fft_radix2_pass(n, len, tw.data(), b.data());
-    EXPECT_EQ(a, b) << "radix-2 pass len=" << len;
+  for (const nn::KernelBackend* vec : vector_backends()) {
+    SCOPED_TRACE(vec->name());
+    // The pass kernels only demand unit-stride interleaved data and a
+    // twiddle table per span — any complex values expose order-of-operations
+    // drift, so random "twiddles" are a stronger probe than actual roots of
+    // unity.
+    for (const size_t len : {size_t{2}, size_t{4}, size_t{8}, size_t{32}}) {
+      const size_t n = 128;  // several spans per pass
+      const auto tw = random_vec(len, 201 + len);  // len/2 complex entries
+      auto a = random_vec(2 * n, 202 + len);
+      auto b = a;
+      scalar.fft_radix2_pass(n, len, tw.data(), a.data());
+      vec->fft_radix2_pass(n, len, tw.data(), b.data());
+      EXPECT_EQ(a, b) << "radix-2 pass len=" << len;
+    }
+    for (const size_t len : {size_t{4}, size_t{8}, size_t{16}, size_t{64}}) {
+      const size_t n = 256;
+      const size_t q = len / 4;
+      const auto twA = random_vec(2 * q, 211 + len);
+      const auto twB = random_vec(2 * q, 212 + len);
+      const auto twC = random_vec(2 * q, 213 + len);
+      auto a = random_vec(2 * n, 214 + len);
+      auto b = a;
+      scalar.fft_radix4_pass(n, len, twA.data(), twB.data(), twC.data(), a.data());
+      vec->fft_radix4_pass(n, len, twA.data(), twB.data(), twC.data(), b.data());
+      EXPECT_EQ(a, b) << "radix-4 pass len=" << len;
+    }
+    const size_t n = 517;  // odd: exercises the cplx_mul vector tail
+    const auto x = random_vec(2 * n, 221);
+    const auto y = random_vec(2 * n, 222);
+    std::vector<double> a(2 * n), b(2 * n);
+    scalar.cplx_mul(n, x.data(), y.data(), a.data());
+    vec->cplx_mul(n, x.data(), y.data(), b.data());
+    EXPECT_EQ(a, b);
   }
-  for (const size_t len : {size_t{4}, size_t{8}, size_t{16}, size_t{64}}) {
-    const size_t n = 256;
-    const size_t q = len / 4;
-    const auto twA = random_vec(2 * q, 211 + len);
-    const auto twB = random_vec(2 * q, 212 + len);
-    const auto twC = random_vec(2 * q, 213 + len);
-    auto a = random_vec(2 * n, 214 + len);
-    auto b = a;
-    scalar.fft_radix4_pass(n, len, twA.data(), twB.data(), twC.data(), a.data());
-    avx2->fft_radix4_pass(n, len, twA.data(), twB.data(), twC.data(), b.data());
-    EXPECT_EQ(a, b) << "radix-4 pass len=" << len;
-  }
-  const size_t n = 517;  // odd: exercises the cplx_mul vector tail
-  const auto x = random_vec(2 * n, 221);
-  const auto y = random_vec(2 * n, 222);
-  std::vector<double> a(2 * n), b(2 * n);
-  scalar.cplx_mul(n, x.data(), y.data(), a.data());
-  avx2->cplx_mul(n, x.data(), y.data(), b.data());
-  EXPECT_EQ(a, b);
 }
 
 TEST(BackendParity, FftPlanTransformsBitwise) {
@@ -770,8 +820,6 @@ TEST(BackendParity, PicGatherLeapfrogDepositBitwisePerShape) {
   std::vector<double> E_edge = E;
   for (const size_t node : {61, 62, 63, 0, 1}) E_edge[node] = 0.0;
   const double dt = 0.2;
-  std::vector<const nn::KernelBackend*> vector_backends{avx2};
-  if (const nn::KernelBackend* avx512 = nn::avx512_backend()) vector_backends.push_back(avx512);
   for (const auto shape : {pic::Shape::NGP, pic::Shape::CIC, pic::Shape::TSC}) {
     auto run = [&](const nn::KernelBackend* be) {
       nn::ScopedBackend scope(be);
@@ -791,7 +839,7 @@ TEST(BackendParity, PicGatherLeapfrogDepositBitwisePerShape) {
       EXPECT_GE(xp, 0.0);
       EXPECT_LT(xp, grid.length());
     }
-    for (const nn::KernelBackend* be : vector_backends) {
+    for (const nn::KernelBackend* be : vector_backends()) {
       const auto vec = run(be);
       const std::string what = std::string(be->name()) + " " + pic::shape_name(shape);
       EXPECT_TRUE(same_bits(std::get<0>(scalar), std::get<0>(vec))) << "x after 1 step, " << what;
