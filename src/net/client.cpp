@@ -74,21 +74,24 @@ std::vector<double> Client::submit(const std::string& model,
 }
 
 void Client::reader_loop() {
+  // Replies are decoded in place from the receive buffer: a server that
+  // coalesces a batch's replies costs one recv here, not two per reply.
+  RecvBuffer input(socket_);
   while (true) {
-    uint8_t header_bytes[kFrameHeaderBytes];
     try {
-      if (!socket_.recv_all(header_bytes, kFrameHeaderBytes)) {
+      const uint8_t* header_bytes = input.next(kFrameHeaderBytes);
+      if (header_bytes == nullptr) {
         fail_all_pending("Client: server closed the connection");
         return;
       }
       const FrameHeader header = decode_frame_header(header_bytes, limits_);
-      std::vector<uint8_t> body(header.body_len);
-      if (header.body_len > 0 && !socket_.recv_all(body.data(), body.size())) {
+      const size_t body_len = static_cast<size_t>(header.body_len);
+      const uint8_t* body = nullptr;
+      if (body_len > 0 && (body = input.next(body_len)) == nullptr) {
         fail_all_pending("Client: connection closed mid-frame");
         return;
       }
-      const NetResponse response =
-          decode_response(body.data(), body.size(), limits_);
+      const NetResponse response = decode_response(body, body_len, limits_);
       responses_received_.fetch_add(1, std::memory_order_relaxed);
 
       std::promise<NetResponse> promise;

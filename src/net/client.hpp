@@ -3,9 +3,10 @@
 /// Client side of the dlpic wire protocol: one connection, pipelined
 /// requests, promise-per-request delivery. submit_async() assigns a request
 /// id, sends the frame and returns a future; a background reader thread
-/// decodes response frames (through the same bounded FrameReader the server
-/// uses — the client trusts the server no more than the server trusts the
-/// client) and resolves the matching promise. On disconnect or a decode
+/// decodes response frames in place from a RecvBuffer (through the same
+/// bounded FrameReader the server uses — the client trusts the server no
+/// more than the server trusts the client) and resolves the matching
+/// promise. On disconnect or a decode
 /// failure every outstanding promise is failed with the reason, so no
 /// caller is ever left blocked on a future that cannot resolve.
 

@@ -22,6 +22,10 @@ uint64_t salvage_request_id(const uint8_t* body, size_t size) {
   return id;
 }
 
+/// A coalesced send takes no further reply once it holds this many bytes,
+/// which bounds the writer's reused buffer to this plus one frame.
+constexpr size_t kMaxCoalescedBytes = 64 * 1024;
+
 }  // namespace
 
 NetServer::NetServer(Router& router, const Address& address,
@@ -121,15 +125,18 @@ void NetServer::reap_finished_locked() {
 }
 
 void NetServer::reader_loop(Connection& connection) {
+  // Frames are decoded in place from the receive buffer, so a client that
+  // pipelines costs one recv per buffer-full, not two per request.
+  RecvBuffer input(connection.socket);
   bool desynced = false;
   while (!connection.closing.load(std::memory_order_relaxed) && !desynced) {
-    uint8_t header_bytes[kFrameHeaderBytes];
+    const uint8_t* header_bytes = nullptr;
     try {
-      if (!connection.socket.recv_all(header_bytes, kFrameHeaderBytes))
-        break;  // clean EOF between frames: client hung up
+      header_bytes = input.next(kFrameHeaderBytes);
     } catch (const std::exception&) {
       break;  // truncated header / reset / injected net.read fault
     }
+    if (header_bytes == nullptr) break;  // clean EOF between frames: client hung up
 
     FrameHeader header;
     try {
@@ -145,24 +152,27 @@ void NetServer::reader_loop(Connection& connection) {
       continue;
     }
 
-    std::vector<uint8_t> body(header.body_len);  // bounded by decode above
-    if (header.body_len > 0) {
+    // body_len is bounded by the header decode above.
+    const size_t body_len = static_cast<size_t>(header.body_len);
+    const uint8_t* body = nullptr;
+    if (body_len > 0) {
       try {
-        if (!connection.socket.recv_all(body.data(), body.size())) break;
+        body = input.next(body_len);
       } catch (const std::exception&) {
         break;  // truncated body: nothing sensible to answer
       }
+      if (body == nullptr) break;
     }
 
     NetRequest request;
     try {
-      request = decode_request(body.data(), body.size(), config_.limits);
+      request = decode_request(body, body_len, config_.limits);
     } catch (const ProtocolError& e) {
       // Framing was intact (header validated, body fully received), so the
       // connection keeps serving after the error reply.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       enqueue_ready(connection,
-                    error_response(salvage_request_id(body.data(), body.size()),
+                    error_response(salvage_request_id(body, body_len),
                                    Status::kProtocolError, e.what()));
       continue;
     }
@@ -215,7 +225,43 @@ void NetServer::enqueue_ready(Connection& connection, NetResponse response) {
 }
 
 void NetServer::writer_loop(Connection& connection) {
+  // The reply of one pending entry. A future blocks until the router's
+  // replicas resolve it — with a value, DeadlineExpired, or a shutdown drain
+  // error — so no promise is ever lost, even when the socket is gone.
+  auto resolve = [&](Connection::Pending& pending) -> NetResponse {
+    if (pending.ready) return std::move(pending.response);
+    // Shared, so the state (and a failure's exception object) outlives the
+    // read of its message: future::get() drops the state before the handler
+    // runs, and the batcher may then free the exception under a reference
+    // count ThreadSanitizer cannot see.
+    const std::shared_future<std::vector<double>> result = pending.future.share();
+    NetResponse response;
+    try {
+      response.request_id = pending.request_id;
+      response.status = Status::kOk;
+      response.payload = result.get();
+    } catch (const std::exception& e) {
+      app_errors_.fetch_add(1, std::memory_order_relaxed);
+      response = error_response(pending.request_id, Status::kAppError, e.what());
+    }
+    return response;
+  };
+  // Takes the head entry if it is resolved already: an error reply, or a
+  // future that is ready without waiting.
+  auto take_resolved = [&](Connection::Pending& out) -> bool {
+    std::lock_guard<std::mutex> lock(connection.mutex);
+    if (connection.pending.empty()) return false;
+    Connection::Pending& head = connection.pending.front();
+    if (!head.ready &&
+        head.future.wait_for(std::chrono::seconds(0)) != std::future_status::ready)
+      return false;
+    out = std::move(head);
+    connection.pending.pop_front();
+    return true;
+  };
+
   bool send_broken = false;
+  std::vector<uint8_t> frames;  // one send's replies back to back, reused
   while (true) {
     Connection::Pending pending;
     {
@@ -234,29 +280,25 @@ void NetServer::writer_loop(Connection& connection) {
       connection.pending.pop_front();
     }
 
-    NetResponse response;
-    if (pending.ready) {
-      response = std::move(pending.response);
-    } else {
-      // FIFO resolve: block on this request's future. The router's replicas
-      // always resolve it — with a value, DeadlineExpired, or a shutdown
-      // drain error — so no promise is ever lost, even when the socket is
-      // already gone.
-      try {
-        response.request_id = pending.request_id;
-        response.status = Status::kOk;
-        response.payload = pending.future.get();
-      } catch (const std::exception& e) {
-        app_errors_.fetch_add(1, std::memory_order_relaxed);
-        response = error_response(pending.request_id, Status::kAppError, e.what());
-      }
-    }
-
+    // FIFO resolve: the head reply may block on its future.
+    NetResponse response = resolve(pending);
     if (send_broken) continue;  // still draining futures, peer is gone
-    try {
+
+    // Coalesce: every reply behind the head that is resolved already joins
+    // the same send. Nothing waits to be coalesced, so a lone reply goes out
+    // at once.
+    frames.clear();
+    size_t replies = 0;
+    while (true) {
       const std::vector<uint8_t> frame = encode_response(response);
-      connection.socket.send_all(frame.data(), frame.size());
-      responses_sent_.fetch_add(1, std::memory_order_relaxed);
+      frames.insert(frames.end(), frame.begin(), frame.end());
+      ++replies;
+      if (frames.size() >= kMaxCoalescedBytes || !take_resolved(pending)) break;
+      response = resolve(pending);
+    }
+    try {
+      connection.socket.send_all(frames.data(), frames.size());
+      responses_sent_.fetch_add(replies, std::memory_order_relaxed);
     } catch (const std::exception&) {
       // Peer hung up mid-reply or an injected net.write fault fired. Wake
       // the reader (it may be blocked in recv) and keep draining pending

@@ -6,10 +6,12 @@
 /// shards them across InferenceServer replicas).
 ///
 /// Connection model: one accept-loop thread plus one handler pair per
-/// connection — a reader thread that decodes frames and submits to the
-/// router, and a writer thread that resolves the submitted futures in FIFO
-/// order and streams response frames back. Responses carry the request id,
-/// so a client may pipeline any number of requests on one connection.
+/// connection — a reader thread that decodes frames in place from a
+/// RecvBuffer and submits to the router, and a writer thread that resolves
+/// the submitted futures in FIFO order and streams response frames back,
+/// sending every reply that is already resolved behind the head one in the
+/// same write. Responses carry the request id, so a client may pipeline
+/// any number of requests on one connection.
 ///
 /// Hardening contract: every byte from the network flows through the
 /// bounded FrameReader. A frame-header violation (garbage magic, version

@@ -104,27 +104,6 @@ void Socket::send_all(const void* data, size_t n) {
   }
 }
 
-bool Socket::recv_all(void* data, size_t n) {
-  util::fault_point(util::FaultSite::kNetRead);
-  uint8_t* p = static_cast<uint8_t*>(data);
-  size_t received = 0;
-  while (received < n) {
-    const ssize_t rc = ::recv(fd_, p + received, n - received, 0);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      throw SocketError(errno_string("recv"));
-    }
-    if (rc == 0) {
-      if (received == 0) return false;  // clean EOF between messages
-      throw SocketError("connection closed mid-message (" +
-                        std::to_string(received) + " of " + std::to_string(n) +
-                        " bytes received)");
-    }
-    received += static_cast<size_t>(rc);
-  }
-  return true;
-}
-
 void Socket::shutdown_write() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
 }
@@ -138,6 +117,55 @@ void Socket::close() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+RecvBuffer::RecvBuffer(Socket& socket)
+    : socket_(socket), buffer_(std::make_unique_for_overwrite<uint8_t[]>(kCapacity)) {}
+
+const uint8_t* RecvBuffer::next(size_t n) {
+  util::fault_point(util::FaultSite::kNetRead);
+  large_.reset();
+  size_t have = end_ - begin_;  // bytes of this read already received
+  uint8_t* out = nullptr;
+  size_t room = 0;  // bytes `out` can take, so one recv never overruns it
+  if (n > kCapacity) {
+    // Too large to buffer: hand over what is buffered, then receive the
+    // rest straight into place, and nothing beyond it.
+    large_ = std::make_unique_for_overwrite<uint8_t[]>(n);
+    std::memcpy(large_.get(), buffer_.get() + begin_, have);
+    begin_ = end_ = 0;
+    out = large_.get();
+    room = n;
+  } else {
+    if (begin_ + n > kCapacity) {
+      // Too little room after the unconsumed bytes: move them to the front.
+      std::memmove(buffer_.get(), buffer_.get() + begin_, have);
+      begin_ = 0;
+      end_ = have;
+    }
+    out = buffer_.get() + begin_;
+    room = kCapacity - begin_;
+  }
+  while (have < n) {
+    const ssize_t rc = ::recv(socket_.fd(), out + have, room - have, 0);
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      throw SocketError(errno_string("recv"));
+    }
+    if (rc == 0) {
+      if (have == 0) return nullptr;  // clean EOF between messages
+      throw SocketError("connection closed mid-message (" + std::to_string(have) +
+                        " of " + std::to_string(n) + " bytes received)");
+    }
+    have += static_cast<size_t>(rc);
+  }
+  if (large_) return out;
+  end_ = begin_ + have;
+  begin_ += n;
+  // Fully consumed: the next receive starts at the front. The bytes handed
+  // out stay in place until then.
+  if (begin_ == end_) begin_ = end_ = 0;
+  return out;
 }
 
 Listener::Listener(const Address& address) : address_(address) {

@@ -1,13 +1,15 @@
 #pragma once
 /// \file socket.hpp
 /// Thin RAII wrappers over POSIX stream sockets (TCP and unix-domain) used
-/// by the serving front end. Blocking I/O with whole-message send_all /
-/// recv_all helpers; the chaos seam's net.accept / net.read / net.write
-/// fault sites fire at these boundaries so the protocol and router layers
-/// can be soaked against connection loss (see util/fault_injection.hpp).
+/// by the serving front end. Blocking I/O: whole-message send_all, and
+/// buffered reads through RecvBuffer. The chaos seam's net.accept /
+/// net.read / net.write fault sites fire at these boundaries so the
+/// protocol and router layers can be soaked against connection loss (see
+/// util/fault_injection.hpp).
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -66,12 +68,6 @@ class Socket {
   /// SocketError on a broken connection; fault site net.write fires first.
   void send_all(const void* data, size_t n);
 
-  /// Reads exactly `n` bytes. Returns false on clean EOF *before the first
-  /// byte* (peer closed between messages); throws SocketError on EOF or
-  /// error mid-message (a truncated frame is a protocol violation, not a
-  /// clean close). Fault site net.read fires first.
-  bool recv_all(void* data, size_t n);
-
   /// Half-closes the write side (peer sees EOF after draining).
   void shutdown_write();
 
@@ -89,6 +85,35 @@ class Socket {
 
  private:
   int fd_ = -1;
+};
+
+/// Buffered reads from one connected Socket. One recv() takes in as much of
+/// the stream as the buffer holds, so a peer that pipelines messages costs
+/// one syscall per buffer-full, not one per header and one per body. Owned
+/// by the connection's single reader thread; the Socket must outlive it.
+class RecvBuffer {
+ public:
+  /// Bytes buffered. The buffer is allocated uninitialised, so only bytes
+  /// actually received become resident.
+  static constexpr size_t kCapacity = 64 * 1024;
+
+  explicit RecvBuffer(Socket& socket);
+
+  /// The next `n` bytes of the stream, contiguous and valid until the next
+  /// call. Returns nullptr on clean EOF before the first of the `n` bytes
+  /// (peer closed between messages); throws SocketError on EOF or error
+  /// after it (a truncated frame is a protocol violation, not a clean
+  /// close). Fault site net.read fires first, once per call. A read larger
+  /// than kCapacity is received straight into an allocation of exactly `n`
+  /// bytes, so the caller must bound `n` first.
+  const uint8_t* next(size_t n);
+
+ private:
+  Socket& socket_;
+  std::unique_ptr<uint8_t[]> buffer_;
+  size_t begin_ = 0;  // first unconsumed byte
+  size_t end_ = 0;    // one past the last received byte
+  std::unique_ptr<uint8_t[]> large_;  // the last read larger than kCapacity
 };
 
 /// RAII listening socket with an interruptible accept: stop() wakes a

@@ -407,6 +407,11 @@ inline void gemm_nt_groups(size_t kb, const double* a, const double* B, size_t l
   s.finish(kb, a, C, ldc);
 }
 
+/// std::min with internal linkage: at -O0 std::min itself would be a weak
+/// std:: copy compiled with -mavx2 (util/inline.hpp). It keeps std::min's
+/// signature, so optimized builds compile it to the same code.
+constexpr const size_t& min_size(const size_t& a, const size_t& b) { return b < a ? b : a; }
+
 /// Sparse k-blocks: the stream walks the listed groups only, and prefetches
 /// the listed offsets of the first `next_rows` B rows after its own, which
 /// the next stream reads.
@@ -452,10 +457,10 @@ void gemm_nt_rows(size_t nb, size_t kb, const double* a, const double* B, size_t
   if (sparse) {
     for (; j + 8 <= nb4; j += 8)
       gemm_nt_listed<MR, 2>(kb, a, list, count, B + j * ldb, ldb,
-                            std::min<size_t>(8, nb4 - j - 8), C + j, ldc);
+                            min_size(8, nb4 - j - 8), C + j, ldc);
     for (; j < nb4; j += 4)
       gemm_nt_listed<MR, 1>(kb, a, list, count, B + j * ldb, ldb,
-                            std::min<size_t>(4, nb4 - j - 4), C + j, ldc);
+                            min_size(4, nb4 - j - 4), C + j, ldc);
     return;
   }
   for (; j + 8 <= nb4; j += 8) gemm_nt_groups<MR, 2>(kb, a, B + j * ldb, ldb, C + j, ldc);

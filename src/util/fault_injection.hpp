@@ -53,7 +53,7 @@ enum class FaultSite : size_t {
   kNetAccept,           ///< "net.accept": net::Listener::accept (a failed
                         ///< accept; the server's accept loop logs and keeps
                         ///< listening)
-  kNetRead,             ///< "net.read": net::Socket::recv_all entry (the
+  kNetRead,             ///< "net.read": net::RecvBuffer::next entry (the
                         ///< connection drops; peers fail pending requests)
   kNetWrite,            ///< "net.write": net::Socket::send_all entry (ditto)
   kCount

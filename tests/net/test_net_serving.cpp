@@ -2,7 +2,8 @@
 /// End-to-end socket serving: mixed-model / mixed-lane requests through
 /// net::Client -> NetServer -> Router -> InferenceServer replicas are
 /// bitwise identical to in-process InferenceServer::submit on the same
-/// models; relative wire deadlines expire as kAppError replies; a
+/// models, however the request stream is cut into writes; relative wire
+/// deadlines expire as kAppError replies; a
 /// 1000-random-corruption fuzz loop against a live server produces only
 /// clean protocol errors (zero crashes, the server keeps serving); and the
 /// malformed-protocol + injected net.accept/net.read/net.write chaos test
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -23,6 +25,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -88,6 +91,18 @@ RouterConfig small_config(size_t replicas) {
   config.server.worker_threads = 1;
   config.server.context_worker_cap = 0;
   return config;
+}
+
+/// Reads the next reply frame off a raw connection; nullopt on a clean
+/// close between frames.
+std::optional<NetResponse> next_reply(net::RecvBuffer& input) {
+  const uint8_t* header = input.next(net::kFrameHeaderBytes);
+  if (header == nullptr) return std::nullopt;
+  const size_t body_len =
+      static_cast<size_t>(net::decode_frame_header(header, {}).body_len);
+  const uint8_t* body = body_len > 0 ? input.next(body_len) : nullptr;
+  if (body_len > 0 && body == nullptr) throw net::SocketError("closed before the reply body");
+  return net::decode_response(body, body_len, {});
 }
 
 void arm_faults(std::initializer_list<std::pair<FaultSite, double>> sites) {
@@ -229,14 +244,11 @@ TEST(NetServing, MalformedBodyGetsProtocolErrorReplyAndConnectionSurvives) {
 
   // The reply names the salvaged request id and the connection stays open:
   // a correct request on the SAME socket still serves.
-  uint8_t header[net::kFrameHeaderBytes];
-  ASSERT_TRUE(raw.recv_all(header, sizeof(header)));
-  const net::FrameHeader h = net::decode_frame_header(header, {});
-  std::vector<uint8_t> body(h.body_len);
-  ASSERT_TRUE(raw.recv_all(body.data(), body.size()));
-  const NetResponse reply = net::decode_response(body.data(), body.size(), {});
-  EXPECT_EQ(reply.status, Status::kProtocolError);
-  EXPECT_EQ(reply.request_id, 77u);
+  net::RecvBuffer input(raw);
+  const std::optional<NetResponse> reply = next_reply(input);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->status, Status::kProtocolError);
+  EXPECT_EQ(reply->request_id, 77u);
 
   net::NetRequest good;
   good.request_id = 78;
@@ -244,13 +256,159 @@ TEST(NetServing, MalformedBodyGetsProtocolErrorReplyAndConnectionSurvives) {
   good.payload = sample;
   const auto good_frame = net::encode_request(good);
   raw.send_all(good_frame.data(), good_frame.size());
-  ASSERT_TRUE(raw.recv_all(header, sizeof(header)));
-  const net::FrameHeader h2 = net::decode_frame_header(header, {});
-  body.resize(h2.body_len);
-  ASSERT_TRUE(raw.recv_all(body.data(), body.size()));
-  const NetResponse ok = net::decode_response(body.data(), body.size(), {});
-  EXPECT_EQ(ok.status, Status::kOk) << ok.error;
-  EXPECT_EQ(ok.request_id, 78u);
+  const std::optional<NetResponse> ok = next_reply(input);
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->status, Status::kOk) << ok->error;
+  EXPECT_EQ(ok->request_id, 78u);
+}
+
+TEST(RecvBuffer, HandsOutExactReadsAndSeesEofOnlyBetweenThem) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  net::Socket writer(fds[0]), reader(fds[1]);
+  net::RecvBuffer input(reader);
+
+  // A short read, one larger than the buffer (received straight into place
+  // after the bytes already buffered), and a short read after it.
+  std::vector<uint8_t> stream(4 + net::RecvBuffer::kCapacity + 100 + 3);
+  for (size_t i = 0; i < stream.size(); ++i) stream[i] = static_cast<uint8_t>(i * 7 + 1);
+  writer.send_all(stream.data(), stream.size());
+  writer.shutdown_write();
+  size_t offset = 0;
+  for (const size_t n : {size_t{4}, net::RecvBuffer::kCapacity + 100, size_t{3}}) {
+    const uint8_t* p = input.next(n);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(std::memcmp(p, stream.data() + offset, n), 0) << "read of " << n;
+    offset += n;
+  }
+  EXPECT_EQ(input.next(1), nullptr) << "EOF between reads is a clean close";
+
+  // EOF inside a read is not.
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  net::Socket writer2(fds[0]), reader2(fds[1]);
+  net::RecvBuffer input2(reader2);
+  writer2.send_all(stream.data(), 2);
+  writer2.shutdown_write();
+  EXPECT_THROW((void)input2.next(net::kFrameHeaderBytes), net::SocketError);
+}
+
+// The server decodes frames in place from a per-connection receive buffer.
+// However the request stream is cut into writes (inside a header, inside a
+// body, many frames in one write, a body larger than the buffer), every
+// frame is answered in order and bitwise equal to in-process submit.
+TEST(NetServing, FramesSurviveArbitraryChunking) {
+  constexpr size_t kWideDim = net::RecvBuffer::kCapacity / sizeof(double) + 64;
+  auto model = make_model(901);
+  nn::MlpSpec wide_spec;
+  wide_spec.input_dim = kWideDim;
+  wide_spec.output_dim = kOutputDim;
+  wide_spec.hidden = 4;
+  wide_spec.depth = 1;
+  wide_spec.seed = 902;
+  auto wide = nn::build_mlp(wide_spec);
+  const auto samples = make_samples(16, 23);
+  math::Rng rng(2323);
+  std::vector<double> wide_sample(kWideDim);
+  for (auto& v : wide_sample) v = rng.uniform(0.0, 10.0);
+
+  serve::ServerConfig ref_cfg;
+  ref_cfg.worker_threads = 1;
+  ref_cfg.context_worker_cap = 0;
+  serve::InferenceServer reference(ref_cfg);
+  const size_t id_m = reference.add_model("m", model, kInputDim, ref_cfg.model_defaults());
+  const size_t id_wide =
+      reference.add_model("wide", wide, kWideDim, ref_cfg.model_defaults());
+  std::vector<std::vector<double>> expected;
+  for (const auto& sample : samples) {
+    serve::SubmitOptions options;
+    options.model_id = id_m;
+    expected.push_back(reference.submit(sample, options).get());
+  }
+  serve::SubmitOptions wide_options;
+  wide_options.model_id = id_wide;
+  const std::vector<double> wide_expected = reference.submit(wide_sample, wide_options).get();
+  reference.shutdown();
+
+  Router router(small_config(1));
+  router.add_model("m", model, kInputDim);
+  router.add_model("wide", wide, kWideDim);
+  NetServer server(router, test_address("chunks"));
+
+  // K small frames with the wide one in the middle; request id i + 1 for
+  // frame i. `starts` holds each frame's offset in the stream.
+  constexpr size_t kFrames = 24, kWideAt = kFrames / 2;
+  std::vector<uint8_t> stream;
+  std::vector<size_t> starts;
+  for (size_t i = 0; i < kFrames; ++i) {
+    net::NetRequest request;
+    request.request_id = i + 1;
+    request.model = i == kWideAt ? "wide" : "m";
+    request.priority = static_cast<uint8_t>(i % 2);
+    request.payload = i == kWideAt ? wide_sample : samples[i % samples.size()];
+    const auto frame = net::encode_request(request);
+    starts.push_back(stream.size());
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  auto check_replies = [&](net::Socket& socket, const char* how) {
+    net::RecvBuffer input(socket);
+    for (size_t i = 0; i < kFrames; ++i) {
+      const std::optional<NetResponse> reply = next_reply(input);
+      ASSERT_TRUE(reply.has_value()) << how << ": closed before frame " << i;
+      ASSERT_EQ(reply->request_id, i + 1) << how;
+      ASSERT_EQ(reply->status, Status::kOk) << how << ": " << reply->error;
+      const auto& want = i == kWideAt ? wide_expected : expected[i % samples.size()];
+      ASSERT_EQ(reply->payload, want) << how << ", frame " << i;
+    }
+  };
+
+  {
+    // Cut once inside every header, then at random offsets.
+    std::vector<size_t> cuts;
+    for (const size_t start : starts)
+      cuts.push_back(start + 1 + static_cast<size_t>(rng.uniform(0.0, 14.999)));
+    for (size_t c = 0; c < 3 * kFrames; ++c)
+      cuts.push_back(1 + static_cast<size_t>(
+                             rng.uniform(0.0, static_cast<double>(stream.size()) - 1.001)));
+    cuts.push_back(stream.size());
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    net::Socket raw = net::Socket::connect(server.address());
+    size_t from = 0;
+    for (const size_t to : cuts) {
+      raw.send_all(stream.data() + from, to - from);
+      from = to;
+      // Let the server read each piece on its own.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    check_replies(raw, "chunked");
+  }
+  {
+    net::Socket raw = net::Socket::connect(server.address());
+    raw.send_all(stream.data(), stream.size());
+    check_replies(raw, "one write");
+  }
+  {
+    // A header announcing a body over max_frame_bytes is answered at once
+    // (the body is never awaited, let alone allocated) and the connection
+    // is closed.
+    net::FrameHeader header;
+    header.body_len = server.config().limits.max_frame_bytes + 1;
+    uint8_t bytes[net::kFrameHeaderBytes];
+    net::encode_frame_header(header, bytes);
+    net::Socket raw = net::Socket::connect(server.address());
+    raw.send_all(bytes, sizeof(bytes));
+    net::RecvBuffer input(raw);
+    const std::optional<NetResponse> reply = next_reply(input);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->status, Status::kProtocolError);
+    EXPECT_FALSE(next_reply(input).has_value()) << "the server must close after a bad header";
+  }
+
+  server.stop();
+  const net::NetServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests_decoded, 2 * kFrames);
+  EXPECT_EQ(stats.responses_sent, 2 * kFrames + 1);
+  EXPECT_EQ(stats.protocol_errors, 1u);
 }
 
 // The fuzz acceptance: 1000 random corruptions of a valid request frame,
@@ -303,15 +461,9 @@ TEST(NetServing, ThousandWireCorruptionsNeverKillTheServer) {
       // Read whatever comes back until EOF; any reply or a plain close is a
       // clean outcome. SocketError mid-read (server closed after replying
       // the header) is clean too — what is forbidden is a crash or hang.
-      uint8_t header[net::kFrameHeaderBytes];
+      net::RecvBuffer input(raw);
       bool got_reply = false;
-      while (raw.recv_all(header, sizeof(header))) {
-        const net::FrameHeader h = net::decode_frame_header(header, {});
-        std::vector<uint8_t> body(h.body_len);
-        if (h.body_len > 0 && !raw.recv_all(body.data(), body.size())) break;
-        (void)net::decode_response(body.data(), body.size(), {});
-        got_reply = true;
-      }
+      while (next_reply(input)) got_reply = true;
       (got_reply ? replies : closes) += 1;
     } catch (const net::SocketError&) {
       ++closes;

@@ -161,6 +161,82 @@ TEST(InferenceServer, MaxWaitFlushesPartialBatch) {
   EXPECT_GE(stats.batches, 1u);
 }
 
+/// The constructor starts the batcher before it registers the model, and a
+/// batcher takes its batching policy before it waits for a request. So the
+/// first batch after construction may be popped with the no-model policy
+/// (one request, no window). A restart starts the batcher with the model in
+/// place, for tests that need the first batch to fill.
+void restart_with_model_registered(InferenceServer& server) {
+  server.shutdown();
+  server.restart();
+}
+
+// The batcher fulfils each lane youngest-first, so a waiter that takes its
+// futures in FIFO order wakes once per batch: when the oldest row of a lane
+// is ready, every younger row of that lane is too.
+TEST(DynamicBatcher, OldestRowOfALaneIsFulfilledLast) {
+  auto model = make_model();
+  constexpr size_t kBatch = 8;
+  const auto samples = make_samples(kBatch, 4242);
+  const auto expected = serial_reference(model, samples);
+
+  ServerConfig cfg;
+  cfg.max_batch = kBatch;
+  cfg.max_wait_us = 5'000'000;  // the batch closes when full, not on time
+  cfg.worker_threads = 1;       // a second batcher would split the batch
+  InferenceServer server(model, kInputDim, cfg);
+  restart_with_model_registered(server);
+
+  std::vector<std::future<std::vector<double>>> futures;
+  for (const auto& s : samples) futures.push_back(server.submit(s));
+  const auto first = futures[0].get();
+  for (size_t i = 1; i < kBatch; ++i)
+    EXPECT_EQ(futures[i].wait_for(std::chrono::seconds(0)), std::future_status::ready)
+        << "row " << i << " was not ready when the oldest row was";
+  EXPECT_EQ(first, expected[0]);
+  for (size_t i = 1; i < kBatch; ++i) EXPECT_EQ(futures[i].get(), expected[i]) << "row " << i;
+  EXPECT_EQ(server.stats().batches, 1u);
+}
+
+// In a mixed-lane batch every interactive row is ready before the first
+// bulk row is, even when the bulk rows were collected first.
+TEST(DynamicBatcher, InteractiveRowsAreFulfilledBeforeBulkRows) {
+  auto model = make_model();
+  constexpr size_t kPerLane = 4;
+  const auto samples = make_samples(2 * kPerLane, 4343);
+  const auto expected = serial_reference(model, samples);
+
+  ServerConfig cfg;
+  cfg.max_batch = 2 * kPerLane;
+  cfg.max_wait_us = 5'000'000;
+  cfg.worker_threads = 1;
+  InferenceServer server(model, kInputDim, cfg);
+  restart_with_model_registered(server);
+
+  serve::SubmitOptions bulk, interactive;
+  bulk.priority = serve::Priority::kBulk;
+  interactive.priority = serve::Priority::kInteractive;
+  std::vector<std::future<std::vector<double>>> bulk_futures, interactive_futures;
+  for (size_t i = 0; i < kPerLane; ++i)
+    bulk_futures.push_back(server.submit(samples[i], bulk));
+  // Give the batcher time to take the bulk rows into its batch first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (size_t i = 0; i < kPerLane; ++i)
+    interactive_futures.push_back(server.submit(samples[kPerLane + i], interactive));
+
+  // Youngest-first makes the last bulk row the first one set.
+  const auto youngest_bulk = bulk_futures.back().get();
+  for (size_t i = 0; i < kPerLane; ++i)
+    EXPECT_EQ(interactive_futures[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "interactive row " << i << " was not ready when a bulk row was";
+  EXPECT_EQ(youngest_bulk, expected[kPerLane - 1]);
+  for (size_t i = 0; i + 1 < kPerLane; ++i) EXPECT_EQ(bulk_futures[i].get(), expected[i]);
+  for (size_t i = 0; i < kPerLane; ++i)
+    EXPECT_EQ(interactive_futures[i].get(), expected[kPerLane + i]);
+  EXPECT_EQ(server.stats().batches, 1u);
+}
+
 TEST(InferenceServer, SubmitValidatesInputSize) {
   auto model = make_model();
   InferenceServer server(model, kInputDim);
