@@ -379,6 +379,22 @@ BENCHMARK(bench_dense_forward_skinny)  // {in, out, batch, occupancy %}
         ->Args({4096, 1024, 1, 3})
         ->Args({4096, 1024, 1, 16})
         ->UseRealTime();
+// {in, out, batch, occupancy %, backend (1 = avx2, 2 = avx512)}: serve_ci's
+// batch-12 layer shapes, the sparse first layer and a dense hidden layer,
+// on each vector backend (rows for a backend the host lacks are skipped).
+// At 4 to 16 rows the avx512 backend runs its own skinny kernel; CI gates
+// the avx2:avx512 time ratio of each pair.
+[[maybe_unused]] benchmark::internal::Benchmark* const kDenseForwardSkinnyBackends =
+    benchmark::RegisterBenchmark("bench_dense_forward_skinny/backend",
+                                 [](benchmark::State& s) {
+                                   benchjson::BackendGuard backend(s, 4);
+                                   if (backend.run(s)) dense_forward_skinny(s, 1);
+                                 })
+        ->Args({1024, 128, 12, 16, 1})
+        ->Args({1024, 128, 12, 16, 2})
+        ->Args({128, 128, 12, 100, 1})
+        ->Args({128, 128, 12, 100, 2})
+        ->UseRealTime();
 BENCHMARK(bench_dense_backward)->Arg(128)->Arg(1024);
 BENCHMARK(bench_conv_forward)->Arg(16)->Arg(32);
 BENCHMARK(bench_mlp_inference_ci);

@@ -18,9 +18,10 @@ namespace {
 constexpr size_t kBlockM = 64;
 constexpr size_t kBlockN = 64;
 constexpr size_t kBlockK = 256;
-// Row count of the micro-kernels' register tile, and of the skinny NT
-// kernel's row groups.
-constexpr size_t kTileRows = 4;
+// Most packed A rows one skinny NT call takes (the bound of
+// KernelBackend::gemm_nt_block): a backend that holds that many rows in
+// registers reads each B panel once per batch.
+constexpr size_t kNtRows = 16;
 // Largest m for which a transposed-B product reads B in place. The measured
 // crossover with the packed path, on a dense-input 1024 x 1024 forward: in
 // place wins at 16 and 32 rows, ties at 48 and loses at 64. On the Conv2D
@@ -86,18 +87,18 @@ void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha
     // Skinny NT (a small-batch dense forward): op(B)'s columns are B's rows,
     // contiguous in k, so read them in place instead of gathering a
     // transposed panel at stride ldb. Each (column tile, k-block) of B stays
-    // hot in cache while every 4-row group of A passes over it. Same column
-    // tiles, k-blocks and alpha-scaled A rows as below, so the result is
-    // bitwise the packed one.
+    // hot in cache while every group of up to kNtRows A rows passes over it.
+    // Same column tiles, k-blocks and alpha-scaled A rows as below, so the
+    // result is bitwise the packed one.
     util::parallel_for_chunks(0, n_blocks, [&](size_t tile_lo, size_t tile_hi) {
-      double Arows[kTileRows * kBlockK];
+      double Arows[kNtRows * kBlockK];
       for (size_t t = tile_lo; t < tile_hi; ++t) {
         const size_t j0 = t * kBlockN;
         const size_t nb = std::min(kBlockN, n - j0);
         for (size_t p0 = 0; p0 < k; p0 += kBlockK) {
           const size_t kb = std::min(kBlockK, k - p0);
-          for (size_t i0 = 0; i0 < m; i0 += kTileRows) {
-            const size_t mr = std::min(kTileRows, m - i0);
+          for (size_t i0 = 0; i0 < m; i0 += kNtRows) {
+            const size_t mr = std::min(kNtRows, m - i0);
             pack_block(trans_a, A, lda, i0, p0, mr, kb, Arows);
             if (alpha != 1.0)
               for (size_t q = 0; q < mr * kb; ++q) Arows[q] *= alpha;

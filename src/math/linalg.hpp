@@ -20,7 +20,7 @@ namespace dlpic::math {
 /// Two kernel paths, chosen from the shape alone. When trans_b is set and
 /// m <= 32 (a small-batch dense forward, such as the DL-PIC field solve or
 /// a served batch), B's rows are read in place through
-/// KernelBackend::gemm_nt_block, in groups of up to 4 A rows; otherwise B
+/// KernelBackend::gemm_nt_block, in groups of up to 16 A rows; otherwise B
 /// is packed into panels for gemm_block. Both walk the same column tiles
 /// and k-blocks with the same per-element operation order, so the result is
 /// bitwise identical either way, on every backend, worker count and batch

@@ -24,15 +24,10 @@ void Client::close() {
 }
 
 std::future<NetResponse> Client::submit_async(const std::string& model,
-                                              std::vector<double> input,
+                                              std::span<const double> input,
                                               uint8_t priority,
                                               int64_t deadline_us) {
-  NetRequest request;
-  request.request_id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  request.model = model;
-  request.priority = priority;
-  request.deadline_us = deadline_us;
-  request.payload = std::move(input);
+  const uint64_t request_id = next_id_.fetch_add(1, std::memory_order_relaxed);
 
   // Register the promise BEFORE sending: the response could arrive (and be
   // dispatched by the reader) before a post-send registration happened. The
@@ -44,10 +39,11 @@ std::future<NetResponse> Client::submit_async(const std::string& model,
     std::lock_guard<std::mutex> lock(pending_mutex_);
     if (!connected_.load(std::memory_order_relaxed))
       throw SocketError("Client: not connected");
-    future = pending_[request.request_id].get_future();
+    future = pending_[request_id].get_future();
   }
 
-  const std::vector<uint8_t> frame = encode_request(request);
+  const std::vector<uint8_t> frame =
+      encode_request(request_id, model, priority, deadline_us, input);
   try {
     std::lock_guard<std::mutex> lock(send_mutex_);
     socket_.send_all(frame.data(), frame.size());
@@ -64,10 +60,9 @@ std::future<NetResponse> Client::submit_async(const std::string& model,
 }
 
 std::vector<double> Client::submit(const std::string& model,
-                                   std::vector<double> input, uint8_t priority,
+                                   std::span<const double> input, uint8_t priority,
                                    int64_t deadline_us) {
-  NetResponse response =
-      submit_async(model, std::move(input), priority, deadline_us).get();
+  NetResponse response = submit_async(model, input, priority, deadline_us).get();
   if (response.status != Status::kOk)
     throw RemoteError(response.status, response.error);
   return std::move(response.payload);

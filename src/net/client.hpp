@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,15 +54,16 @@ class Client {
   /// is the relative deadline in microseconds granted from server receipt
   /// (< 0 = none). The future resolves with the decoded NetResponse (any
   /// status), or throws SocketError when the connection died first. Throws
-  /// SocketError immediately when already disconnected.
+  /// SocketError immediately when already disconnected. `input` is read
+  /// only during the call: it is encoded straight into the request frame.
   std::future<NetResponse> submit_async(
-      const std::string& model, std::vector<double> input,
+      const std::string& model, std::span<const double> input,
       uint8_t priority = 1, int64_t deadline_us = -1);
 
   /// Synchronous round trip: returns the result row on kOk, throws
   /// RemoteError on kAppError/kProtocolError replies, SocketError on a dead
   /// connection.
-  std::vector<double> submit(const std::string& model, std::vector<double> input,
+  std::vector<double> submit(const std::string& model, std::span<const double> input,
                              uint8_t priority = 1, int64_t deadline_us = -1);
 
   /// Closes the connection and joins the reader; outstanding futures fail

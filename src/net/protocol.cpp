@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <utility>
 
 namespace dlpic::net {
 
@@ -10,11 +11,14 @@ static_assert(std::endian::native == std::endian::little,
 
 // ------------------------------------------------------------ FrameWriter ---
 
+FrameWriter::FrameWriter(size_t body_bytes) {
+  bytes_.reserve(kFrameHeaderBytes + body_bytes);
+  bytes_.resize(kFrameHeaderBytes);
+}
+
 void FrameWriter::append(const void* data, size_t n) {
-  if (n == 0) return;
-  const size_t old = body_.size();
-  body_.resize(old + n);
-  std::memcpy(body_.data() + old, data, n);
+  const auto* p = static_cast<const uint8_t*>(data);
+  bytes_.insert(bytes_.end(), p, p + n);
 }
 
 void FrameWriter::put_u8(uint8_t v) { append(&v, 1); }
@@ -23,23 +27,21 @@ void FrameWriter::put_u64(uint64_t v) { append(&v, 8); }
 void FrameWriter::put_i64(int64_t v) { append(&v, 8); }
 void FrameWriter::put_f64(double v) { append(&v, 8); }
 
-void FrameWriter::put_string(const std::string& s) {
+void FrameWriter::put_string(std::string_view s) {
   put_u64(s.size());
   append(s.data(), s.size());
 }
 
-void FrameWriter::put_f64_vector(const std::vector<double>& v) {
+void FrameWriter::put_f64_vector(std::span<const double> v) {
   put_u64(v.size());
   append(v.data(), v.size() * 8);
 }
 
-std::vector<uint8_t> FrameWriter::frame() const {
+std::vector<uint8_t> FrameWriter::frame() && {
   FrameHeader header;
-  header.body_len = body_.size();
-  std::vector<uint8_t> out(kFrameHeaderBytes + body_.size());
-  encode_frame_header(header, out.data());
-  std::memcpy(out.data() + kFrameHeaderBytes, body_.data(), body_.size());
-  return out;
+  header.body_len = bytes_.size() - kFrameHeaderBytes;
+  encode_frame_header(header, bytes_.data());
+  return std::move(bytes_);
 }
 
 // ------------------------------------------------------------ FrameReader ---
@@ -154,15 +156,22 @@ FrameHeader decode_frame_header(const uint8_t data[kFrameHeaderBytes],
 
 // ---------------------------------------------------------------- messages ---
 
-std::vector<uint8_t> encode_request(const NetRequest& request) {
-  FrameWriter w;
+std::vector<uint8_t> encode_request(uint64_t request_id, std::string_view model,
+                                    uint8_t priority, int64_t deadline_us,
+                                    std::span<const double> payload) {
+  FrameWriter w(1 + 8 + 8 + model.size() + 1 + 8 + 8 + payload.size_bytes());
   w.put_u8(kRequestMessage);
-  w.put_u64(request.request_id);
-  w.put_string(request.model);
-  w.put_u8(request.priority);
-  w.put_i64(request.deadline_us);
-  w.put_f64_vector(request.payload);
-  return w.frame();
+  w.put_u64(request_id);
+  w.put_string(model);
+  w.put_u8(priority);
+  w.put_i64(deadline_us);
+  w.put_f64_vector(payload);
+  return std::move(w).frame();
+}
+
+std::vector<uint8_t> encode_request(const NetRequest& request) {
+  return encode_request(request.request_id, request.model, request.priority,
+                        request.deadline_us, request.payload);
 }
 
 NetRequest decode_request(const uint8_t* body, size_t size, const FrameLimits& limits) {
@@ -183,7 +192,9 @@ NetRequest decode_request(const uint8_t* body, size_t size, const FrameLimits& l
 }
 
 std::vector<uint8_t> encode_response(const NetResponse& response) {
-  FrameWriter w;
+  FrameWriter w(1 + 8 + 1 + 8 +
+                (response.status == Status::kOk ? response.payload.size() * 8
+                                                : response.error.size()));
   w.put_u8(kResponseMessage);
   w.put_u64(response.request_id);
   w.put_u8(static_cast<uint8_t>(response.status));
@@ -192,7 +203,7 @@ std::vector<uint8_t> encode_response(const NetResponse& response) {
   } else {
     w.put_string(response.error);
   }
-  return w.frame();
+  return std::move(w).frame();
 }
 
 NetResponse decode_response(const uint8_t* body, size_t size, const FrameLimits& limits) {

@@ -27,8 +27,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dlpic::net {
@@ -74,27 +76,35 @@ class ProtocolError : public std::runtime_error {
   explicit ProtocolError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Serializes one frame body into a growable byte buffer (little-endian,
-/// mirroring util::BinaryWriter's field encodings).
+/// Serializes one frame into a single byte buffer (little-endian, mirroring
+/// util::BinaryWriter's field encodings): room for the header, then the
+/// body, each field appended without a zero-fill pass.
 class FrameWriter {
  public:
+  /// Reserves the header plus `body_bytes` up front, so a writer given its
+  /// message's size allocates once and writes every byte once.
+  explicit FrameWriter(size_t body_bytes = 0);
+
   void put_u8(uint8_t v);
   void put_u32(uint32_t v);
   void put_u64(uint64_t v);
   void put_i64(int64_t v);
   void put_f64(double v);
-  void put_string(const std::string& s);               // u64 length + bytes
-  void put_f64_vector(const std::vector<double>& v);   // u64 count + data
+  void put_string(std::string_view s);              // u64 length + bytes
+  void put_f64_vector(std::span<const double> v);   // u64 count + data
 
   /// The accumulated body bytes.
-  [[nodiscard]] const std::vector<uint8_t>& body() const { return body_; }
+  [[nodiscard]] std::span<const uint8_t> body() const {
+    return std::span<const uint8_t>(bytes_).subspan(kFrameHeaderBytes);
+  }
 
-  /// Full wire frame: header (magic, version, body length) + body.
-  [[nodiscard]] std::vector<uint8_t> frame() const;
+  /// Full wire frame: the header (magic, version, body length) written in
+  /// place before the body, handed over without a copy.
+  [[nodiscard]] std::vector<uint8_t> frame() &&;
 
  private:
   void append(const void* data, size_t n);
-  std::vector<uint8_t> body_;
+  std::vector<uint8_t> bytes_;  // kFrameHeaderBytes of header, then the body
 };
 
 /// Bounds-checked reader over one received frame body — the hardened
@@ -166,6 +176,12 @@ struct NetResponse {
   std::vector<double> payload;  ///< set when status == kOk
   std::string error;            ///< set when status != kOk
 };
+
+/// Encodes a full request frame (header + body), the payload copied once,
+/// straight from the caller's memory into the frame.
+std::vector<uint8_t> encode_request(uint64_t request_id, std::string_view model,
+                                    uint8_t priority, int64_t deadline_us,
+                                    std::span<const double> payload);
 
 /// Encodes a full request frame (header + body).
 std::vector<uint8_t> encode_request(const NetRequest& request);

@@ -47,16 +47,21 @@ void gemm_nt_rows_ref(size_t nb, size_t kb, const double* a, const double* B, si
 }  // namespace
 
 // Reference skinny NT kernel: the scalar gemm_block's arithmetic with B read
-// in place (this TU is compiled with -ffp-contract=off alongside the SIMD
-// backends, so the mul-then-add never fuses).
+// in place, in groups of up to 4 rows (this TU is compiled with
+// -ffp-contract=off alongside the SIMD backends, so the mul-then-add never
+// fuses).
 void KernelBackend::gemm_nt_block(size_t mr, size_t nb, size_t kb, const double* a,
                                   const double* B, size_t ldb, double* C,
                                   size_t ldc) const {
-  switch (mr) {
-    case 1: gemm_nt_rows_ref<1>(nb, kb, a, B, ldb, C, ldc); break;
-    case 2: gemm_nt_rows_ref<2>(nb, kb, a, B, ldb, C, ldc); break;
-    case 3: gemm_nt_rows_ref<3>(nb, kb, a, B, ldb, C, ldc); break;
-    default: gemm_nt_rows_ref<4>(nb, kb, a, B, ldb, C, ldc); break;
+  for (size_t i = 0; i < mr; i += 4) {
+    const double* ai = a + i * kb;
+    double* Ci = C + i * ldc;
+    switch (mr - i) {
+      case 1: gemm_nt_rows_ref<1>(nb, kb, ai, B, ldb, Ci, ldc); break;
+      case 2: gemm_nt_rows_ref<2>(nb, kb, ai, B, ldb, Ci, ldc); break;
+      case 3: gemm_nt_rows_ref<3>(nb, kb, ai, B, ldb, Ci, ldc); break;
+      default: gemm_nt_rows_ref<4>(nb, kb, ai, B, ldb, Ci, ldc); break;
+    }
   }
 }
 

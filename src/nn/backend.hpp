@@ -11,8 +11,9 @@
 ///  - Avx2Backend (backend_avx2.*): AVX2+FMA intrinsics for the GEMMs, FFT
 ///    passes, PIC ranges and binning, and the shared elementwise bodies
 ///    (backend_elementwise.hpp) compiled with its flags.
-///  - Avx512VnniBackend (backend_avx512.cpp): an Avx2Backend whose only
-///    override is the vpdpbusd int8 GEMM.
+///  - Avx512VnniBackend (backend_avx512.cpp): an Avx2Backend that
+///    overrides the skinny f64 GEMM (zmm, 4 to 16 rows) and the int8 GEMM
+///    (vpdpbusd).
 /// The SIMD files are compiled with per-file target flags on x86-64 and
 /// selected at runtime via cpuid.
 ///
@@ -80,23 +81,26 @@ class KernelBackend {
   virtual void gemm_block(size_t mb, size_t nb, size_t kb, const double* Apanel,
                           const double* Bpanel, double* C, size_t ldc) const = 0;
 
-  /// Skinny transposed-B panel over mr <= 4 rows:
+  /// Skinny transposed-B panel over mr <= 16 rows:
   ///   C[i*ldc + j] += sum_p a[i*kb + p] * B[j*ldb + p]
   /// for i < mr, j < nb, p < kb. `a` holds mr packed A rows (alpha
   /// pre-applied, as for gemm_block); B's rows are read in place, contiguous
   /// in k, so a small-batch dense forward never copies or transposes its
   /// weights. Bitwise contract: every output is exactly what gemm_block
   /// computes over the same kb x nb panel of op(B) — a fresh accumulator,
-  /// ascending p, the backend's column grouping (the AVX2 kernel: fmadd
-  /// over groups of 4 columns from j = 0, a plain mul-then-add tail), then
-  /// C += acc. That order depends on neither mr nor the row's place in
-  /// gemm_block's register tile, so math::gemm may pick either kernel for
-  /// any row count without changing a bit. The base implementation is the
+  /// ascending p, the backend's column grouping (the AVX2 and avx512
+  /// kernels: fmadd over groups of 4 columns from j = 0, a plain
+  /// mul-then-add tail), then C += acc. That order depends on neither mr
+  /// nor the row's place in gemm_block's register tile, so math::gemm may
+  /// pick either kernel for any row count, and group the rows as it likes,
+  /// without changing a bit. The scalar and AVX2 kernels walk the rows in
+  /// groups of 4; the avx512 kernel holds 4 to 16 rows in registers and
+  /// reads each B panel once per call. The base implementation is the
   /// scalar reference (mul-then-add for every column).
-  /// An implementation may skip a 4-wide k group whose entries are ±0 in
-  /// every one of the mr rows (never one holding a NaN) and leave its B
-  /// entries unread; a row that is zero in a group another row needs runs
-  /// its fmadd(±0) terms like the packed path. For finite B, a ±0 term
+  /// An implementation may skip a k group of 4 or 8 whose entries are ±0
+  /// in every one of the rows it serves at once (never one holding a NaN)
+  /// and leave its B entries unread; a row that is zero in a group another
+  /// row needs runs its fmadd(±0) terms like the packed path. For finite B, a ±0 term
   /// leaves the accumulator equal as a real number, so the result is still
   /// bitwise the unskipped one, except that a zero output may differ in
   /// sign when its C entry is −0 on entry (math::gemm with beta = 0, hence
@@ -106,12 +110,15 @@ class KernelBackend {
   /// weights are checked finite; the B of a Conv2D weight gradient (the
   /// im2col of the activations) and weights that change in training are
   /// not.
-  /// The AVX2 kernel tests each group once per call: when fewer than half
-  /// of the kb / 4 groups are nonzero in some row (a sparse histogram
-  /// input), every stream of B rows walks that list of groups and
+  /// The AVX2 kernel tests each group once per 4-row group: when fewer
+  /// than half of the kb / 4 groups are nonzero in some row (a sparse
+  /// histogram input), every stream of B rows walks that list of groups and
   /// prefetches the next stream's lines at the listed offsets; denser
-  /// blocks re-test each group per stream. Both skip the same groups, so
-  /// the choice changes no bit.
+  /// blocks re-test each group per stream. The avx512 kernel lists the
+  /// 4-groups nonzero in any of its rows once per call, packs those rows'
+  /// values per group, and every stream walks the list (prefetching the
+  /// next stream's lines when fewer than half are listed). Skipping changes
+  /// no bit, so which groups a kernel skips is its own choice.
   virtual void gemm_nt_block(size_t mr, size_t nb, size_t kb, const double* a,
                              const double* B, size_t ldb, double* C, size_t ldc) const;
 
@@ -280,9 +287,11 @@ const KernelBackend& scalar_backend();
 const KernelBackend* avx2_backend();
 
 /// The AVX-512 VNNI backend, or nullptr when the build or the CPU lacks
-/// AVX512VNNI+BW+VL. It is the AVX2 backend with a vpdpbusd int8 GEMM, so
-/// every other kernel runs the AVX2 code, and the int8 kernel is exact
-/// integer arithmetic: its results are bitwise the AVX2 ones.
+/// AVX512VNNI+BW+VL. It is the AVX2 backend with a zmm skinny f64 GEMM and
+/// a vpdpbusd int8 GEMM, so every other kernel runs the AVX2 code; the
+/// skinny kernel keeps the AVX2 kernel's per-output sequence and the int8
+/// kernel is exact integer arithmetic, so its results are bitwise the AVX2
+/// ones.
 const KernelBackend* avx512_backend();
 
 /// Process default resolved once from DLPIC_BACKEND (see file header).

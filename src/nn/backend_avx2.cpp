@@ -568,15 +568,20 @@ void Avx2Backend::gemm_block(size_t mb, size_t nb, size_t kb, const double* Apan
 }
 
 // Mirrors gemm_block above column for column: the first nb & ~3 columns
-// take the fmadd lanes, the rest the plain mul-then-add tail.
+// take the fmadd lanes, in groups of up to 4 rows, the rest the plain
+// mul-then-add tail.
 void Avx2Backend::gemm_nt_block(size_t mr, size_t nb, size_t kb, const double* a,
                                 const double* B, size_t ldb, double* C,
                                 size_t ldc) const {
-  switch (mr) {
-    case 1: gemm_nt_rows<1>(nb, kb, a, B, ldb, C, ldc); break;
-    case 2: gemm_nt_rows<2>(nb, kb, a, B, ldb, C, ldc); break;
-    case 3: gemm_nt_rows<3>(nb, kb, a, B, ldb, C, ldc); break;
-    default: gemm_nt_rows<4>(nb, kb, a, B, ldb, C, ldc); break;
+  for (size_t i = 0; i < mr; i += 4) {
+    const double* ai = a + i * kb;
+    double* Ci = C + i * ldc;
+    switch (mr - i) {
+      case 1: gemm_nt_rows<1>(nb, kb, ai, B, ldb, Ci, ldc); break;
+      case 2: gemm_nt_rows<2>(nb, kb, ai, B, ldb, Ci, ldc); break;
+      case 3: gemm_nt_rows<3>(nb, kb, ai, B, ldb, Ci, ldc); break;
+      default: gemm_nt_rows<4>(nb, kb, ai, B, ldb, Ci, ldc); break;
+    }
   }
   const size_t j = nb & ~size_t{3};
   KernelBackend::gemm_nt_block(mr, nb - j, kb, a, B + j * ldb, ldb, C + j, ldc);

@@ -6,6 +6,9 @@
 #include <immintrin.h>
 
 #include <cstddef>
+#include <cstdint>
+
+#include "util/inline.hpp"
 
 namespace dlpic::nn {
 
@@ -64,12 +67,187 @@ inline int32_t dot_i8_vnni(const int8_t* a, const int8_t* b, size_t k) {
 }
 
 // ---------------------------------------------------------------------------
-// The backend: the AVX2 backend with gemm_int8 on vpdpbusd. Every other
-// kernel is inherited, so it runs the AVX2 code.
+// Skinny NT GEMM on zmm: 8 output columns per accumulator, up to 16 rows in
+// registers, so each B panel is read once per batch of rows.
+
+/// The 4 k values at offset p of 8 B row streams, transposed in registers:
+/// col[q] holds the 8 streams' values at k offset p + q, stream r in lane r.
+DLPIC_ALWAYS_INLINE void transpose_4x8(const double* const b[8], size_t p, __m512d col[4]) {
+  // The all-lane maskz forms compile to the plain instructions; GCC 12's
+  // unmasked wrappers pass an undefined vector that -Wmaybe-uninitialized
+  // flags.
+  __m512d z[4];  // z[r] = [stream r | stream r + 4]
+  for (int r = 0; r < 4; ++r)
+    z[r] = _mm512_maskz_insertf64x4(0xFF, _mm512_zextpd256_pd512(_mm256_loadu_pd(b[r] + p)),
+                                    _mm256_loadu_pd(b[r + 4] + p), 1);
+  // Per 128-bit lane: t0 = {r0[0] r1[0] | r0[2] r1[2] | r4[0] r5[0] | r4[2] r5[2]}.
+  const __m512d t0 = _mm512_maskz_unpacklo_pd(0xFF, z[0], z[1]);
+  const __m512d t1 = _mm512_maskz_unpackhi_pd(0xFF, z[0], z[1]);
+  const __m512d t2 = _mm512_maskz_unpacklo_pd(0xFF, z[2], z[3]);
+  const __m512d t3 = _mm512_maskz_unpackhi_pd(0xFF, z[2], z[3]);
+  const __m512i even = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+  const __m512i odd = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+  col[0] = _mm512_permutex2var_pd(t0, even, t2);
+  col[1] = _mm512_permutex2var_pd(t1, even, t3);
+  col[2] = _mm512_permutex2var_pd(t0, odd, t2);
+  col[3] = _mm512_permutex2var_pd(t1, odd, t3);
+}
+
+/// Deepest k-block the zmm kernel takes (math::gemm's k-blocks are 256
+/// deep); a deeper panel runs on the AVX2 kernel, which gives the same bits.
+constexpr size_t kZmmMaxDepth = 256;
+
+/// The 4-groups of k that are nonzero (or NaN) in any of the MR rows, with
+/// the rows' values packed per group: group t, at k offset p[t], holds row
+/// i's 4 values at a[t * 4 * MR + 4 * i], so one pointer addresses every
+/// broadcast of a group. Groups that are ±0 in every row are left out.
+template <int MR>
+struct ListedGroups {
+  alignas(32) double a[kZmmMaxDepth * MR];
+  uint16_t p[kZmmMaxDepth / 4];
+  size_t count = 0;
+
+  DLPIC_ALWAYS_INLINE ListedGroups(size_t kb, const double* rows) {
+    const __m256d zero = _mm256_setzero_pd();
+    for (size_t g = 0; g + 4 <= kb; g += 4) {
+      double* dst = a + count * 4 * MR;
+      int nonzero = 0;
+      for (int i = 0; i < MR; ++i) {
+        const __m256d v = _mm256_loadu_pd(rows + i * kb + g);
+        nonzero |= _mm256_movemask_pd(_mm256_cmp_pd(v, zero, _CMP_NEQ_UQ));
+        _mm256_store_pd(dst + 4 * i, v);
+      }
+      p[count] = static_cast<uint16_t>(g);
+      count += nonzero != 0;
+    }
+  }
+};
+
+/// MR rows against G groups of 8 output columns (8*G row streams of B):
+/// per lane the sequence of the AVX2 kernel, c = fmadd(a[p], b, c) over
+/// ascending p from a fresh accumulator, then C += c. Each 4x8 tile of B is
+/// loaded and transposed once and feeds all MR rows.
+template <int MR, int G>
+struct ZmmStreams {
+  const double* b[8 * G];
+  __m512d c[MR][G];
+
+  DLPIC_ALWAYS_INLINE ZmmStreams(const double* B, size_t ldb) {
+    for (int r = 0; r < 8 * G; ++r) b[r] = B + static_cast<size_t>(r) * ldb;
+    for (int i = 0; i < MR; ++i)
+      for (int g = 0; g < G; ++g) c[i][g] = _mm512_setzero_pd();
+  }
+
+  /// The fmadd terms of the listed group `ag` (packed rows) at k offset p.
+  DLPIC_ALWAYS_INLINE void group(const double* ag, size_t p) {
+    __m512d col[G][4];
+    for (int g = 0; g < G; ++g) transpose_4x8(b + 8 * g, p, col[g]);
+    for (int q = 0; q < 4; ++q) {
+      for (int i = 0; i < MR; ++i) {
+        const __m512d av = _mm512_set1_pd(ag[4 * i + q]);
+        for (int g = 0; g < G; ++g) c[i][g] = _mm512_fmadd_pd(av, col[g][q], c[i][g]);
+      }
+    }
+  }
+
+  /// The k tail after the last whole group (never skipped; `a` holds the
+  /// rows at stride kb), then C += c.
+  DLPIC_ALWAYS_INLINE void finish(size_t kb, const double* a, double* C, size_t ldc) {
+    for (size_t p = kb & ~size_t{3}; p < kb; ++p) {
+      __m512d col[G];
+      for (int g = 0; g < G; ++g) {
+        const double* const* s = b + 8 * g;
+        col[g] = _mm512_setr_pd(s[0][p], s[1][p], s[2][p], s[3][p], s[4][p], s[5][p],
+                                s[6][p], s[7][p]);
+      }
+      for (int i = 0; i < MR; ++i) {
+        const __m512d av = _mm512_set1_pd(a[i * kb + p]);
+        for (int g = 0; g < G; ++g) c[i][g] = _mm512_fmadd_pd(av, col[g], c[i][g]);
+      }
+    }
+    for (int i = 0; i < MR; ++i) {
+      double* ci = C + i * ldc;
+      for (int g = 0; g < G; ++g)
+        _mm512_storeu_pd(ci + 8 * g, _mm512_add_pd(_mm512_loadu_pd(ci + 8 * g), c[i][g]));
+    }
+  }
+};
+
+/// One stream of 8*G columns over the listed groups. It prefetches the
+/// listed offsets of the first `next_rows` B rows after its own, which the
+/// next stream reads (none in a dense block, where the hardware prefetcher
+/// keeps up).
+template <int MR, int G>
+void zmm_nt_stream(size_t kb, const double* a, const ListedGroups<MR>& list,
+                   const double* B, size_t ldb, size_t next_rows, double* C, size_t ldc) {
+  ZmmStreams<MR, G> s(B, ldb);
+  const double* next = B + 8 * G * ldb;
+  for (size_t t = 0; t < list.count; ++t) {
+    const size_t p = list.p[t];
+    for (size_t r = 0; r < next_rows; ++r)
+      _mm_prefetch(reinterpret_cast<const char*>(next + r * ldb + p), _MM_HINT_T0);
+    s.group(list.a + t * 4 * MR, p);
+  }
+  s.finish(kb, a, C, ldc);
+}
+
+/// The first nb8 (a multiple of 8) columns for MR rows: 16 columns per
+/// stream while the 2*MR accumulators fit the registers beside their 8
+/// transposed B vectors, else 8, so every row count keeps at least 8
+/// fmadd chains in flight. A block with fewer than half of its groups
+/// listed (a sparse histogram input) prefetches each next stream's listed
+/// lines.
+template <int MR>
+void zmm_nt_rows(size_t nb8, size_t kb, const double* a, const double* B, size_t ldb,
+                 double* C, size_t ldc) {
+  constexpr size_t kWide = MR <= 8 ? 16 : 8;
+  const ListedGroups<MR> list(kb, a);
+  const size_t prefetch = 2 * list.count < kb / 4 ? kWide : 0;
+  size_t j = 0;
+  for (; j + kWide <= nb8; j += kWide) {
+    const size_t left = nb8 - j - kWide;
+    zmm_nt_stream<MR, kWide / 8>(kb, a, list, B + j * ldb, ldb,
+                                 left < prefetch ? left : prefetch, C + j, ldc);
+  }
+  for (; j < nb8; j += 8) zmm_nt_stream<MR, 1>(kb, a, list, B + j * ldb, ldb, 0, C + j, ldc);
+}
+
+// ---------------------------------------------------------------------------
+// The backend: the AVX2 backend with the skinny f64 GEMM on zmm for 4 to 16
+// rows and gemm_int8 on vpdpbusd. Every other kernel is inherited, so it
+// runs the AVX2 code.
 
 class Avx512VnniBackend final : public Avx2Backend {
  public:
   [[nodiscard]] const char* name() const override { return "avx512"; }
+
+  // Rows below 4 (a batch-1 forward) and panels deeper than kZmmMaxDepth
+  // stay on the AVX2 kernel, and so do the columns past the last 8-group
+  // (its 4-column fmadd group and mul-then-add tail), so every output keeps
+  // the AVX2 kernel's sequence.
+  void gemm_nt_block(size_t mr, size_t nb, size_t kb, const double* a, const double* B,
+                     size_t ldb, double* C, size_t ldc) const override {
+    const size_t nb8 = mr < 4 || kb > kZmmMaxDepth ? 0 : nb & ~size_t{7};
+    if (nb8 > 0) {
+      switch (mr) {
+        case 4: zmm_nt_rows<4>(nb8, kb, a, B, ldb, C, ldc); break;
+        case 5: zmm_nt_rows<5>(nb8, kb, a, B, ldb, C, ldc); break;
+        case 6: zmm_nt_rows<6>(nb8, kb, a, B, ldb, C, ldc); break;
+        case 7: zmm_nt_rows<7>(nb8, kb, a, B, ldb, C, ldc); break;
+        case 8: zmm_nt_rows<8>(nb8, kb, a, B, ldb, C, ldc); break;
+        case 9: zmm_nt_rows<9>(nb8, kb, a, B, ldb, C, ldc); break;
+        case 10: zmm_nt_rows<10>(nb8, kb, a, B, ldb, C, ldc); break;
+        case 11: zmm_nt_rows<11>(nb8, kb, a, B, ldb, C, ldc); break;
+        case 12: zmm_nt_rows<12>(nb8, kb, a, B, ldb, C, ldc); break;
+        case 13: zmm_nt_rows<13>(nb8, kb, a, B, ldb, C, ldc); break;
+        case 14: zmm_nt_rows<14>(nb8, kb, a, B, ldb, C, ldc); break;
+        case 15: zmm_nt_rows<15>(nb8, kb, a, B, ldb, C, ldc); break;
+        default: zmm_nt_rows<16>(nb8, kb, a, B, ldb, C, ldc); break;
+      }
+    }
+    if (nb8 < nb)
+      Avx2Backend::gemm_nt_block(mr, nb - nb8, kb, a, B + nb8 * ldb, ldb, C + nb8, ldc);
+  }
 
   // 4-row x 2-column register tile over 32-wide VNNI k steps (8 int32 ymm
   // accumulators + 2 B vectors + 1 A vector plus the abs/sign temporaries

@@ -245,18 +245,26 @@ Tensor& Conv2D::forward(ExecutionContext& ctx, const Tensor& input, bool trainin
       throw std::invalid_argument(
           std::string("Conv2D::forward: ") + precision_name(cache->precision()) +
           " precision is inference-only (train at kF64)");
-    // Inference-only: no backward will follow, so skip the input caching and
-    // read `input` directly.
     Tensor& out = ctx.workspace().tensor(this, kSlotOut, {n, cfg_.out_channels, oh, ow});
     if (cache->precision() == Precision::kInt8)
       forward_quantized<int8_t>(ctx, input, out, h, w, oh, ow);
     else
       forward_quantized<int16_t>(ctx, input, out, h, w, oh, ow);
+    ctx.workspace().tensor(this, kSlotInput, {});
     return out;
   }
 
-  Tensor& xc = ctx.workspace().tensor(this, kSlotInput, {n, cfg_.in_channels, h, w});
-  detail::parallel_copy(input.data(), xc.data(), input.size());
+  // Training caches the input for backward; inference reads it in place and
+  // leaves the slot empty (rank 0, storage kept), so a backward after it
+  // throws instead of reading an older batch.
+  const double* x = input.data();
+  if (training) {
+    Tensor& xc = ctx.workspace().tensor(this, kSlotInput, {n, cfg_.in_channels, h, w});
+    detail::parallel_copy(input.data(), xc.data(), input.size());
+    x = xc.data();
+  } else {
+    ctx.workspace().tensor(this, kSlotInput, {});
+  }
   Tensor& out = ctx.workspace().tensor(this, kSlotOut, {n, cfg_.out_channels, oh, ow});
 
   // Parallelize over images: each worker lowers its images into a private
@@ -270,7 +278,7 @@ Tensor& Conv2D::forward(ExecutionContext& ctx, const Tensor& input, bool trainin
     ScopedBackend worker_backend(be);
     double* mycols = cols.data() + worker * krows * plane;
     for (size_t b = lo; b < hi; ++b) {
-      im2col(xc.data() + b * cfg_.in_channels * h * w, cfg_.in_channels, h, w,
+      im2col(x + b * cfg_.in_channels * h * w, cfg_.in_channels, h, w,
              cfg_.kernel_h, cfg_.kernel_w, cfg_.stride, cfg_.pad, mycols);
       // out[b] = W (oc x krows) * cols (krows x plane).
       math::gemm(false, false, cfg_.out_channels, plane, krows, 1.0, weight_.data(), krows,
@@ -365,7 +373,7 @@ Tensor& Conv2D::backward(ExecutionContext& ctx, const Tensor& grad_output) {
   // no per-call members, so one model may serve many contexts).
   Tensor& xc = ctx.workspace().peek(this, kSlotInput);
   if (xc.rank() != 4 || xc.dim(1) != cfg_.in_channels)
-    throw std::runtime_error("Conv2D::backward before forward");
+    throw std::runtime_error("Conv2D::backward without a training forward");
   const size_t n = xc.dim(0), h = xc.dim(2), w = xc.dim(3);
   const auto [oh, ow] = out_dims(h, w);
   if (grad_output.rank() != 4 || grad_output.dim(0) != n ||

@@ -66,12 +66,21 @@ Tensor& Dense::forward(ExecutionContext& ctx, const Tensor& input, bool training
     else
       forward_quantized<int16_t>(ctx, input, out);
   } else {
-    Tensor& xc = ctx.workspace().tensor(this, kSlotInput, {batch, in_});
-    detail::parallel_copy(input.data(), xc.data(), input.size());
+    // Training caches the input for backward; inference reads it in place.
+    const double* x = input.data();
+    if (training) {
+      Tensor& xc = ctx.workspace().tensor(this, kSlotInput, {batch, in_});
+      detail::parallel_copy(input.data(), xc.data(), input.size());
+      x = xc.data();
+    }
     // out[b,o] = sum_i x[b,i] W[o,i]  ->  X (batch x in) * W^T (in x out).
-    math::gemm(false, true, batch, out_, in_, 1.0, xc.data(), in_, weight_.data(), in_,
-               0.0, out.data(), out_);
+    math::gemm(false, true, batch, out_, in_, 1.0, x, in_, weight_.data(), in_, 0.0,
+               out.data(), out_);
   }
+  // An inference forward leaves no input behind, so a backward after it
+  // throws instead of reading an older batch (the rank-0 shape keeps the
+  // storage: Tensor::resize never shrinks capacity).
+  if (!training) ctx.workspace().tensor(this, kSlotInput, {});
   const double* bias = bias_.data();
   util::parallel_for_chunks(
       0, batch,
@@ -104,7 +113,7 @@ Tensor& Dense::backward(ExecutionContext& ctx, const Tensor& grad_output) {
   // no per-call members, so one model may serve many contexts).
   Tensor& xc = ctx.workspace().peek(this, kSlotInput);
   if (xc.rank() != 2 || xc.dim(1) != in_)
-    throw std::runtime_error("Dense::backward before forward");
+    throw std::runtime_error("Dense::backward without a training forward");
   const size_t batch = xc.dim(0);
   if (grad_output.rank() != 2 || grad_output.dim(0) != batch || grad_output.dim(1) != out_)
     throw std::invalid_argument("Dense::backward: grad shape mismatch " +

@@ -72,7 +72,7 @@ class PicLoop {
     // sorted order is what the hot loops see.
     if (config_.sort_interval > 0 && steps_taken_ > 0 &&
         steps_taken_ % config_.sort_interval == 0)
-      sort_by_cell(grid_, electrons_);
+      sort_by_cell(grid_, electrons_, sort_scratch_);
     leapfrog_step(grid_, config_.shape, E_, electrons_, config_.dt);
     self().solve_field(E_);
     time_ += config_.dt;
@@ -133,6 +133,7 @@ class PicLoop {
   Derived& self() { return static_cast<Derived&>(*this); }
 
   std::vector<double> E_;
+  SortScratch sort_scratch_;  // the periodic sort's buffers, reused
   History history_;
   double time_ = 0.0;
   size_t steps_taken_ = 0;

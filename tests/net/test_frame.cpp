@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "math/rng.hpp"
@@ -63,6 +64,58 @@ TEST(Frame, RequestRoundTripIsExact) {
   ASSERT_EQ(decoded.payload.size(), request.payload.size());
   for (size_t i = 0; i < request.payload.size(); ++i)
     EXPECT_EQ(decoded.payload[i], request.payload[i]);  // bitwise incl. -0.0
+}
+
+// The bytes on the wire, spelled out field by field from the layout in
+// protocol.hpp: the frame writer fills one buffer, header first, and that
+// buffer is exactly the frame (reserved once, never regrown). The span
+// overload the client sends through writes the same bytes.
+TEST(Frame, EncodedBytesFollowTheDocumentedLayout) {
+  std::vector<uint8_t> body;
+  auto put = [&body](const void* p, size_t n) {
+    const auto* b = static_cast<const uint8_t*>(p);
+    body.insert(body.end(), b, b + n);
+  };
+  const NetRequest request = sample_request();
+  const uint8_t type = net::kRequestMessage;
+  const uint64_t name_len = request.model.size();
+  const uint64_t count = request.payload.size();
+  put(&type, 1);
+  put(&request.request_id, 8);
+  put(&name_len, 8);
+  put(request.model.data(), request.model.size());
+  put(&request.priority, 1);
+  put(&request.deadline_us, 8);
+  put(&count, 8);
+  put(request.payload.data(), 8 * request.payload.size());
+  std::vector<uint8_t> expected;
+  const uint32_t magic = net::kMagic, version = net::kProtocolVersion;
+  const uint64_t body_len = body.size();
+  for (const auto& [p, n] : {std::pair<const void*, size_t>{&magic, 4}, {&version, 4},
+                             {&body_len, 8}}) {
+    const auto* b = static_cast<const uint8_t*>(p);
+    expected.insert(expected.end(), b, b + n);
+  }
+  expected.insert(expected.end(), body.begin(), body.end());
+
+  const auto frame = encode_request(request);
+  EXPECT_EQ(frame, expected);
+  EXPECT_EQ(frame.capacity(), frame.size());
+  EXPECT_EQ(encode_request(request.request_id, request.model, request.priority,
+                           request.deadline_us, request.payload),
+            expected);
+
+  NetResponse err;
+  err.request_id = 8;
+  err.status = Status::kProtocolError;
+  err.error = "bad";
+  const auto reply = encode_response(err);
+  EXPECT_EQ(reply.capacity(), reply.size());
+  const std::vector<uint8_t> reply_body(reply.begin() + net::kFrameHeaderBytes, reply.end());
+  const std::vector<uint8_t> expected_reply = {
+      net::kResponseMessage, 8, 0, 0, 0, 0, 0, 0, 0,
+      static_cast<uint8_t>(Status::kProtocolError), 3, 0, 0, 0, 0, 0, 0, 0, 'b', 'a', 'd'};
+  EXPECT_EQ(reply_body, expected_reply);
 }
 
 TEST(Frame, ResponseRoundTripIsExact) {

@@ -239,7 +239,7 @@ TEST(NetServing, MalformedBodyGetsProtocolErrorReplyAndConnectionSurvives) {
   w.put_u8(net::kRequestMessage);
   w.put_u64(77);            // request id (recoverable from the prefix)
   w.put_u64(1ull << 60);    // hostile model-name length
-  const auto frame = w.frame();
+  const auto frame = std::move(w).frame();
   raw.send_all(frame.data(), frame.size());
 
   // The reply names the salvaged request id and the connection stays open:

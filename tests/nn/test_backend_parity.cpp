@@ -13,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "math/fft_plan.hpp"
@@ -81,9 +82,10 @@ TEST(BackendSelection, Avx512NamedAndDelegatesF64Kernels) {
   SKIP_WITHOUT_AVX512();
   SKIP_WITHOUT_AVX2();
   EXPECT_STREQ(avx512->name(), "avx512");
-  // The VNNI backend overrides only gemm_int8: every f64 kernel is the AVX2
-  // backend's, so results are BITWISE the AVX2 results (same code runs),
-  // not merely close.
+  // The avx512 backend overrides only gemm_int8 and the skinny NT GEMM,
+  // which keeps the AVX2 kernel's per-output sequence: every other f64
+  // kernel is the AVX2 backend's, so results are BITWISE the AVX2 results
+  // (same code runs), not merely close.
   const size_t n = 517;
   const auto x = random_vec(n, 151, -2, 2);
   std::vector<double> a(n), b(n);
@@ -456,6 +458,107 @@ TEST(BackendParity, DenseBatchOneForwardBitwiseEqualsBatchedRow) {
         ASSERT_TRUE(bitwise_equal(packed.data(), ym.data(), m * out))
             << be->name() << " " << rc.label << " m=" << m;
       }
+    }
+  }
+}
+
+// gemm_nt_block called directly, over every row count it takes (1..16),
+// column counts around the 4-, 8- and 16-column groups and depths around
+// the 4- and 8-deep k groups: on each backend it is bitwise that backend's
+// gemm_block over the explicitly transposed panel, and avx512 is bitwise
+// avx2. B and C are read and written at strides wider than the panel. The
+// A rows hold all-zero 4- and 8-groups (skippable), a lone -0 in an
+// otherwise zero block, a NaN in an otherwise zero group, and sparse
+// histogram-like rows whose nonzero runs sit at a different offset in each
+// row.
+TEST(BackendParity, SkinnyNtBlockBitwiseAcrossBackendsRowsAndDepths) {
+  const std::vector<size_t> nbs = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 64};
+  const std::vector<size_t> kbs = {1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 256};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const nn::KernelBackend* avx2 = nn::avx2_backend();
+  const nn::KernelBackend* avx512 = nn::avx512_backend();
+  for (const size_t kb : kbs) {
+    const size_t ldb = kb + 3;
+    for (const size_t mr : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}) {
+      const auto dense = random_vec(mr * kb, 600 + kb * 17 + mr);
+      std::vector<std::pair<std::string, std::vector<double>>> cases;
+      cases.emplace_back("dense", dense);
+      auto zero_groups = dense;  // 4-group 1 of every 3 and 8-group 2 of every 3
+      for (size_t i = 0; i < mr; ++i)
+        for (size_t p = 0; p < kb; ++p)
+          if ((p / 4) % 3 == 1 || (p / 8) % 3 == 2) zero_groups[i * kb + p] = 0.0;
+      cases.emplace_back("zero 4- and 8-groups", zero_groups);
+      std::vector<double> lone(mr * kb, 0.0);
+      lone[(mr / 2) * kb + kb / 2] = -0.0;
+      cases.emplace_back("lone -0", lone);
+      auto nan_group = zero_groups;  // a NaN in an all-zero group of the last row
+      if (kb >= 8) nan_group[(mr - 1) * kb + 5] = nan;
+      cases.emplace_back("NaN in a zero group", nan_group);
+      std::vector<double> histogram(mr * kb, 0.0);
+      for (size_t i = 0; i < mr; ++i)
+        for (size_t p = 0; p < kb; ++p)
+          if ((p + 11 * i) % 64 < 10) histogram[i * kb + p] = dense[i * kb + p];
+      cases.emplace_back("histogram rows", histogram);
+      for (const size_t nb : nbs) {
+        const size_t ldc = nb + 2;
+        const auto B = random_vec(nb * ldb, 700 + nb * 13 + kb);
+        std::vector<double> Bt(kb * nb);  // the kb x nb panel gemm_block reads
+        for (size_t j = 0; j < nb; ++j)
+          for (size_t p = 0; p < kb; ++p) Bt[p * nb + j] = B[j * ldb + p];
+        const auto C0 = random_vec(mr * ldc, 800 + nb + mr);
+        for (const auto& [label, A] : cases) {
+          std::vector<std::vector<double>> nt;
+          for (const nn::KernelBackend* be : available_backends()) {
+            auto packed = C0;
+            auto skinny = C0;
+            be->gemm_block(mr, nb, kb, A.data(), Bt.data(), packed.data(), ldc);
+            be->gemm_nt_block(mr, nb, kb, A.data(), B.data(), ldb, skinny.data(), ldc);
+            ASSERT_TRUE(bitwise_equal(skinny.data(), packed.data(), skinny.size()))
+                << be->name() << " " << label << " mr=" << mr << " nb=" << nb
+                << " kb=" << kb;
+            if (be == avx2 || be == avx512) nt.push_back(std::move(skinny));
+          }
+          if (nt.size() == 2) {
+            ASSERT_TRUE(bitwise_equal(nt[0].data(), nt[1].data(), nt[0].size()))
+                << "avx512 vs avx2 " << label << " mr=" << mr << " nb=" << nb
+                << " kb=" << kb;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A Sequential forward over m rows is bitwise the same m rows forwarded one
+// at a time, for every batch size the skinny path and the packed path take
+// (1..33) and on every backend: the CI MLP (1024 -> 3 x 128 -> 64) on
+// histogram-like sparse rows and on dense rows.
+TEST(BackendParity, SequentialBatchedForwardEqualsRowByRow) {
+  nn::MlpSpec spec;
+  spec.input_dim = 32 * 32;
+  spec.output_dim = 64;
+  spec.hidden = 128;
+  nn::Sequential model = nn::build_mlp(spec);
+  const size_t in = spec.input_dim, out = spec.output_dim, rows = 33;
+  auto x = random_tensor({rows, in}, 61);
+  for (size_t r = 0; r < rows; r += 2)  // even rows sparse, odd rows dense
+    for (size_t p = 0; p < in; ++p)
+      if ((p + 37 * r) % 128 >= 24) x[r * in + p] = 0.0;
+  for (const nn::KernelBackend* be : available_backends()) {
+    nn::ExecutionContext ctx(0, be);
+    std::vector<double> serial(rows * out);
+    for (size_t r = 0; r < rows; ++r) {
+      nn::Tensor row({1, in});
+      std::copy(x.data() + r * in, x.data() + (r + 1) * in, row.data());
+      const nn::Tensor& y = model.forward(ctx, row, false);
+      std::copy(y.data(), y.data() + out, serial.begin() + static_cast<long>(r * out));
+    }
+    for (size_t m = 1; m <= rows; ++m) {
+      nn::Tensor head({m, in});
+      std::copy(x.data(), x.data() + m * in, head.data());
+      const nn::Tensor& y = model.forward(ctx, head, false);
+      ASSERT_TRUE(bitwise_equal(y.data(), serial.data(), m * out))
+          << be->name() << " m=" << m;
     }
   }
 }

@@ -10,11 +10,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <thread>
 
 #include "math/fft.hpp"
 #include "math/linalg.hpp"
 #include "math/rng.hpp"
+#include "nn/backend.hpp"
 #include "nn/conv2d.hpp"
 #include "pic/efield.hpp"
 #include "pic/simulation.hpp"
@@ -224,6 +226,64 @@ TEST(ZeroAllocation, FullTrainingStepSteadyState) {
   EXPECT_EQ(after - before, 0u) << "steady-state training steps allocated";
 }
 
+// Serving's steady state: a batch-12 inference forward of the CI MLP
+// (1024 -> 3 x 128 -> 64, the serve_ci shape) allocates nothing once the
+// context is warm, on every backend. Inference forwards read their input in
+// place, so no layer touches the backward cache either.
+TEST(ZeroAllocation, InferenceForwardBatch12SteadyState) {
+  util::ScopedMaxWorkers cap(1);
+  MlpSpec spec;
+  spec.input_dim = 32 * 32;
+  spec.output_dim = 64;
+  spec.hidden = 128;
+  Sequential model = build_mlp(spec);
+  const auto x = random_tensor({12, spec.input_dim}, 33);
+  for (const char* name : {"scalar", "avx2", "avx512"}) {
+    const KernelBackend* be = backend_by_name(name);
+    if (be == nullptr) continue;
+    ExecutionContext ctx(0, be);
+    for (int i = 0; i < 3; ++i) (void)model.forward(ctx, x, false);
+
+    const size_t before = g_alloc_count.load();
+    for (int i = 0; i < 10; ++i) (void)model.forward(ctx, x, false);
+    const size_t after = g_alloc_count.load();
+    EXPECT_EQ(after - before, 0u) << name << ": steady-state inference forwards allocated";
+  }
+}
+
+// An inference forward leaves no cached input behind: a backward after it
+// throws instead of reading the slot of an older training forward, and the
+// forward's output is bitwise the training forward's.
+TEST(ExecutionContext, BackwardAfterInferenceForwardThrows) {
+  math::Rng rng(44);
+  Dense dense(12, 5, rng);
+  Conv2DConfig ccfg;
+  ccfg.in_channels = 2;
+  ccfg.out_channels = 3;
+  Conv2D conv(ccfg, rng);
+  ExecutionContext ctx;
+  const auto xd = random_tensor({4, 12}, 45);
+  const auto gd = random_tensor({4, 5}, 46);
+  const auto xc = random_tensor({2, 2, 6, 6}, 47);
+  const auto gc = random_tensor({2, 3, 6, 6}, 48);
+
+  const Tensor yd_train = dense.forward(ctx, xd, true);
+  EXPECT_NO_THROW(dense.backward(ctx, gd));
+  const Tensor yd_infer = dense.forward(ctx, xd, false);
+  EXPECT_EQ(yd_train.vec(), yd_infer.vec());
+  EXPECT_THROW(dense.backward(ctx, gd), std::runtime_error);
+  (void)dense.forward(ctx, xd, true);
+  EXPECT_NO_THROW(dense.backward(ctx, gd));
+
+  const Tensor yc_train = conv.forward(ctx, xc, true);
+  EXPECT_NO_THROW(conv.backward(ctx, gc));
+  const Tensor yc_infer = conv.forward(ctx, xc, false);
+  EXPECT_EQ(yc_train.vec(), yc_infer.vec());
+  EXPECT_THROW(conv.backward(ctx, gc), std::runtime_error);
+  (void)conv.forward(ctx, xc, true);
+  EXPECT_NO_THROW(conv.backward(ctx, gc));
+}
+
 // Touches every per-thread lazily-constructed buffer on every pool worker:
 // each task blocks until all N are claimed (so N distinct threads hold one),
 // then runs a tiny GEMM that constructs the thread's pack buffers.
@@ -284,9 +344,11 @@ TEST(ZeroAllocation, ParallelTrainingStepSteadyState) {
 
 // A steady-state traditional PIC step — fused leapfrog push, parallel
 // deposit (per-worker scratch reused across calls), Poisson solve (solver-
-// owned work buffers), E-field derivation and diagnostics/history — must
-// perform ZERO heap allocations. Parallel width so the deposit really uses
-// the multi-buffer scratch path (the PR-4 follow-up this test closes).
+// owned work buffers), E-field derivation, diagnostics/history and the
+// periodic counting sort (loop-owned scratch swapped with the particle
+// arrays) — must perform ZERO heap allocations. Parallel width so
+// the deposit really uses the multi-buffer scratch path; the measured steps
+// cross two sort boundaries.
 TEST(ZeroAllocation, SteadyStatePicStepParallel) {
   util::ThreadPool::global().resize(4);
   pic::SimulationConfig cfg;
@@ -294,7 +356,7 @@ TEST(ZeroAllocation, SteadyStatePicStepParallel) {
   cfg.particles_per_cell = 256;  // 16384 particles: several deposit buffers
   cfg.nsteps = 16;               // bounds the history reserve
   cfg.nthreads = 4;
-  cfg.sort_interval = 0;  // the periodic counting sort is not on the contract
+  cfg.sort_interval = 2;  // sorts before steps 3, 5 and 7
   pic::TraditionalPic sim(cfg);
   warm_pool_thread_locals();
   for (int i = 0; i < 3; ++i) sim.step();  // warm scratch/solver/history
