@@ -18,142 +18,73 @@ Router::~Router() { shutdown(); }
 
 void Router::add_model(std::string name, nn::Sequential& model, size_t input_dim,
                        const serve::ModelConfig& config,
-                       const data::MinMaxNormalizer* normalizer, size_t group_size) {
-  if (group_size == 0 || group_size > replicas_.size()) group_size = replicas_.size();
-  auto group = std::make_unique<Group>();
-  // Spread successive groups over the replica ring so partial groups don't
-  // all pile onto replica 0.
-  const size_t start = next_group_start_.fetch_add(1, std::memory_order_relaxed);
-  for (size_t k = 0; k < group_size; ++k) {
-    const size_t replica_id = (start + k) % replicas_.size();
-    group->replica_ids.push_back(replica_id);
-    group->model_ids.push_back(
-        replicas_[replica_id]->add_model(name, model, input_dim, config, normalizer));
-  }
+                       const data::MinMaxNormalizer* normalizer) {
+  // Every replica hosts the same names, so a duplicate (or any other
+  // validation failure) throws at replica 0, before anything is registered.
+  auto placement = std::make_unique<Placement>();
+  for (auto& replica : replicas_)
+    placement->model_ids.push_back(
+        replica->add_model(name, model, input_dim, config, normalizer));
   std::lock_guard<std::mutex> lock(models_mutex_);
-  if (!models_.emplace(std::move(name), std::move(group)).second)
-    throw std::invalid_argument("Router: duplicate model name");
+  models_.emplace(std::move(name), std::move(placement));
 }
 
 void Router::add_model(std::string name, nn::Sequential& model, size_t input_dim,
                        const data::MinMaxNormalizer* normalizer) {
-  add_model(std::move(name), model, input_dim, config_.server.model_defaults(),
-            normalizer, 0);
+  add_model(std::move(name), model, input_dim, config_.server.model_defaults(), normalizer);
 }
 
 std::future<std::vector<double>> Router::submit(
     const std::string& model, std::vector<double> input, serve::Priority priority,
     std::chrono::steady_clock::time_point deadline) {
-  const Group* group;
+  const Placement* placement;
   {
     std::lock_guard<std::mutex> lock(models_mutex_);
     auto it = models_.find(model);
     if (it == models_.end())
       throw std::invalid_argument("Router: unknown model '" + model + "'");
-    group = it->second.get();  // groups are pinned; safe to use unlocked
+    placement = it->second.get();  // placements are pinned; safe to use unlocked
   }
   // Least-loaded pick: smallest replica queue depth wins; ties rotate via
-  // the group's round-robin cursor so an idle fleet still spreads load.
-  const size_t n = group->replica_ids.size();
-  const size_t rotate = group->next.fetch_add(1, std::memory_order_relaxed);
-  size_t best_slot = rotate % n;
+  // the round-robin cursor so an idle fleet still spreads load.
+  const size_t n = replicas_.size();
+  const size_t rotate = placement->next.fetch_add(1, std::memory_order_relaxed);
+  size_t best = rotate % n;
   size_t best_depth = std::numeric_limits<size_t>::max();
   for (size_t k = 0; k < n; ++k) {
-    const size_t slot = (rotate + k) % n;
-    const size_t depth = replicas_[group->replica_ids[slot]]->queue_depth();
+    const size_t r = (rotate + k) % n;
+    const size_t depth = replicas_[r]->queue_depth();
     if (depth < best_depth) {
       best_depth = depth;
-      best_slot = slot;
+      best = r;
     }
   }
   serve::SubmitOptions options;
-  options.model_id = group->model_ids[best_slot];
+  options.model_id = placement->model_ids[best];
   options.priority = priority;
   options.deadline = deadline;
-  return replicas_[group->replica_ids[best_slot]]->submit(std::move(input), options);
+  return replicas_[best]->submit(std::move(input), options);
 }
 
 void Router::shutdown() {
   for (auto& replica : replicas_) replica->shutdown();
 }
 
-bool Router::has_model(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(models_mutex_);
-  return models_.count(name) != 0;
-}
-
-std::vector<std::string> Router::model_names() const {
-  std::lock_guard<std::mutex> lock(models_mutex_);
-  std::vector<std::string> names;
-  names.reserve(models_.size());
-  for (const auto& [name, group] : models_) names.push_back(name);
-  return names;
-}
-
-std::vector<size_t> Router::replica_group(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(models_mutex_);
-  auto it = models_.find(name);
-  if (it == models_.end())
-    throw std::invalid_argument("Router: unknown model '" + name + "'");
-  return it->second->replica_ids;
-}
-
 RouterStats Router::stats() const {
   RouterStats stats;
-  stats.per_replica.reserve(replicas_.size());
+  serve::ServerStats& total = stats.total;
   for (const auto& replica : replicas_) {
     const serve::ServerStats s = replica->stats();
-    stats.per_replica.push_back(s);
-    stats.total.requests += s.requests;
-    stats.total.served += s.served;
-    stats.total.batches += s.batches;
-    stats.total.max_batch_observed = std::max(stats.total.max_batch_observed,
-                                              s.max_batch_observed);
-    stats.total.expired += s.expired;
-    stats.total.rejected += s.rejected;
-    stats.total.forward_errors += s.forward_errors;
-    stats.total.drained += s.drained;
-  }
-  return stats;
-}
-
-serve::ModelStats Router::model_stats(const std::string& name) const {
-  const Group* group;
-  {
-    std::lock_guard<std::mutex> lock(models_mutex_);
-    auto it = models_.find(name);
-    if (it == models_.end())
-      throw std::invalid_argument("Router: unknown model '" + name + "'");
-    group = it->second.get();
-  }
-  serve::ModelStats total{};
-  total.name = name;
-  for (size_t k = 0; k < group->replica_ids.size(); ++k) {
-    const serve::ModelStats s =
-        replicas_[group->replica_ids[k]]->model_stats(group->model_ids[k]);
+    total.requests += s.requests;
     total.served += s.served;
+    total.batches += s.batches;
+    total.max_batch_observed = std::max(total.max_batch_observed, s.max_batch_observed);
     total.expired += s.expired;
     total.rejected += s.rejected;
-    total.batches += s.batches;
     total.forward_errors += s.forward_errors;
-    total.max_batch_observed = std::max(total.max_batch_observed, s.max_batch_observed);
-    for (size_t lane = 0; lane < serve::kNumLanes; ++lane) {
-      total.lanes[lane].served += s.lanes[lane].served;
-      total.lanes[lane].expired += s.lanes[lane].expired;
-      total.lanes[lane].batches += s.lanes[lane].batches;
-    }
+    total.drained += s.drained;
   }
-  return total;
-}
-
-std::string Router::metrics_json() const {
-  std::string out = "{\"replicas\":[";
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (i > 0) out += ',';
-    out += replicas_[i]->metrics_json();
-  }
-  out += "]}";
-  return out;
+  return stats;
 }
 
 }  // namespace dlpic::net

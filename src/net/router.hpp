@@ -2,19 +2,15 @@
 /// \file router.hpp
 /// Shards decoded inference requests across N in-process InferenceServer
 /// replicas — the scale-out seam between the socket front end and the
-/// serving stack. One detection-API / N-engine shape: every replica is a
-/// complete deadline-aware multi-model server (own worker pool, own queue,
-/// own MetricsRegistry); the router owns the replicas, places each model on
-/// a per-model replica group, and picks the least-loaded group member
-/// (queue depth, round-robin tiebreak) per request.
-///
-/// Metrics roll-up: each replica keeps its full PR-8 metrics surface; the
-/// router aggregates ServerStats and per-model ModelStats across replicas
-/// for one-stop scraping, and metrics_json() emits every replica's own
-/// registry snapshot under a "replicas" array so per-replica skew stays
-/// visible.
+/// serving stack. Every replica is a complete deadline-aware multi-model
+/// server (own worker pool, own queue, own MetricsRegistry) and hosts every
+/// model; the router places each model on all replicas and sends each
+/// request to the least-loaded one (queue depth, round-robin tiebreak).
+/// Apart from one sum of the replicas' counters (stats()), counters,
+/// metrics and traces are read per replica through replica(i).
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <future>
 #include <map>
@@ -38,10 +34,9 @@ struct RouterConfig {
   serve::ServerConfig server;
 };
 
-/// Aggregate + per-replica serving counters.
+/// Serving counters summed over every replica.
 struct RouterStats {
-  serve::ServerStats total;                       ///< summed over replicas
-  std::vector<serve::ServerStats> per_replica;    ///< index = replica id
+  serve::ServerStats total;
 };
 
 /// Owns N InferenceServer replicas and routes by model name. Thread-safe:
@@ -55,25 +50,23 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Registers `model` on a replica group of `group_size` replicas (0 =
-  /// every replica), chosen round-robin so groups spread across replicas.
-  /// The model (and optional normalizer) are caller-owned and must outlive
-  /// the router. Throws std::invalid_argument on duplicate names or config
-  /// problems (the underlying add_model validation).
+  /// Registers `model` on every replica. The model (and optional
+  /// normalizer) are caller-owned and must outlive the router. Throws
+  /// std::invalid_argument on duplicate names or config problems (the
+  /// underlying add_model validation); replica 0 rejects those before any
+  /// replica registers the model.
   void add_model(std::string name, nn::Sequential& model, size_t input_dim,
                  const serve::ModelConfig& config,
-                 const data::MinMaxNormalizer* normalizer = nullptr,
-                 size_t group_size = 0);
+                 const data::MinMaxNormalizer* normalizer = nullptr);
 
-  /// add_model with every replica in the group and the replicas' default
-  /// batching policy.
+  /// add_model with the replicas' default batching policy.
   void add_model(std::string name, nn::Sequential& model, size_t input_dim,
                  const data::MinMaxNormalizer* normalizer = nullptr);
 
-  /// Routes one request to the least-loaded replica of `model`'s group and
-  /// returns the future of its output row. Throws std::invalid_argument on
-  /// an unknown model name; everything else follows InferenceServer::submit
-  /// semantics (backpressure, DeadlineExpired, shutdown errors).
+  /// Routes one request to the least-loaded replica and returns the future
+  /// of its output row. Throws std::invalid_argument on an unknown model
+  /// name; everything else follows InferenceServer::submit semantics
+  /// (backpressure, DeadlineExpired, shutdown errors).
   std::future<std::vector<double>> submit(
       const std::string& model, std::vector<double> input,
       serve::Priority priority = serve::Priority::kBulk,
@@ -82,48 +75,28 @@ class Router {
   /// Drains and stops every replica (idempotent; the destructor calls it).
   void shutdown();
 
-  /// Replicas hosted (== config().replicas).
+  /// Replicas hosted (== the configured count).
   [[nodiscard]] size_t replica_count() const { return replicas_.size(); }
 
-  /// Direct access to one replica (tests, per-replica scraping).
+  /// One replica: its stats, metrics and traces.
   [[nodiscard]] serve::InferenceServer& replica(size_t i) { return *replicas_[i]; }
 
-  /// True when `name` is registered.
-  [[nodiscard]] bool has_model(const std::string& name) const;
-
-  /// Registered model names (insertion order not guaranteed).
-  [[nodiscard]] std::vector<std::string> model_names() const;
-
-  /// Replica ids serving `name`; throws std::invalid_argument when unknown.
-  [[nodiscard]] std::vector<size_t> replica_group(const std::string& name) const;
-
-  /// Aggregate + per-replica serving counters (safe while serving; each
-  /// replica contributes one coherent seqlock snapshot).
+  /// Counters summed over every replica (safe while serving; each replica
+  /// contributes one coherent snapshot).
   [[nodiscard]] RouterStats stats() const;
 
-  /// Per-model counters summed across the model's replica group.
-  [[nodiscard]] serve::ModelStats model_stats(const std::string& name) const;
-
-  /// JSON roll-up: {"replicas": [<replica 0 metrics_json>, ...]}.
-  [[nodiscard]] std::string metrics_json() const;
-
-  /// The configuration the router was built with.
-  [[nodiscard]] const RouterConfig& config() const { return config_; }
-
  private:
-  /// One model's placement: which replicas serve it and the per-replica
-  /// model id handed to submit.
-  struct Group {
-    std::vector<size_t> replica_ids;
-    std::vector<size_t> model_ids;  // parallel to replica_ids
-    mutable std::atomic<size_t> next{0};  // round-robin tiebreak cursor
+  /// One model's per-replica ids (index = replica) and its round-robin
+  /// tiebreak cursor.
+  struct Placement {
+    std::vector<size_t> model_ids;
+    mutable std::atomic<size_t> next{0};
   };
 
   RouterConfig config_;
   std::vector<std::unique_ptr<serve::InferenceServer>> replicas_;
   mutable std::mutex models_mutex_;  // guards models_ growth
-  std::map<std::string, std::unique_ptr<Group>> models_;
-  std::atomic<size_t> next_group_start_{0};  // spreads groups over replicas
+  std::map<std::string, std::unique_ptr<Placement>> models_;
 };
 
 }  // namespace dlpic::net

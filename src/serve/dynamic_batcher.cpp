@@ -20,16 +20,12 @@ constexpr int kSlotBatchInput = 0;
 
 DynamicBatcher::DynamicBatcher(const ModelRegistry& registry,
                                nn::ExecutionContext& context)
-    : registry_(registry), ctx_(context) {}
+    : registry_(registry),
+      ctx_(context),
+      policy_of_([&registry](size_t id) { return registry.policy(id); }) {}
 
 size_t DynamicBatcher::serve_once(RequestQueue& queue) {
-  registry_.snapshot_policies(policies_);
-  if (policies_.empty()) {
-    // No model registered yet: pop with a minimal policy so mis-addressed
-    // requests are rejected promptly instead of rotting in the queue.
-    policies_.push_back(PopPolicy{1, std::chrono::microseconds(0)});
-  }
-  const size_t n = queue.pop_batch(batch_, policies_.data(), policies_.size());
+  const size_t n = queue.pop_batch(batch_, policy_of_);
   if (n == 0) return 0;
 
   // pop_batch never mixes models: every request carries the same model_id.

@@ -15,6 +15,7 @@
 /// tests/serve/test_serving_stress.cpp enforce this).
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "nn/execution_context.hpp"
@@ -50,9 +51,10 @@ class DynamicBatcher {
 
   const ModelRegistry& registry_;
   nn::ExecutionContext& ctx_;
-  std::vector<Request> batch_;      // reused across serve_once calls
-  std::vector<Request> failed_;     // reused: requests failed pre-assembly
-  std::vector<PopPolicy> policies_; // reused policy snapshot
+  std::vector<Request> batch_;   // reused across serve_once calls
+  std::vector<Request> failed_;  // reused: requests failed pre-assembly
+  // The registry's policy lookup, read by the queue as each batch opens.
+  const std::function<PopPolicy(size_t)> policy_of_;
 };
 
 }  // namespace dlpic::serve

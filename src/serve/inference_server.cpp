@@ -199,34 +199,6 @@ bool InferenceServer::running() const {
   return !stopped_;
 }
 
-void InferenceServer::restart() {
-  std::lock_guard<std::mutex> lock(shutdown_mutex_);
-  if (!stopped_) return;
-  // The old workers are joined (shutdown() did that); rebuilding the
-  // batcher/context pool rather than reusing it re-pins the contexts to the
-  // backend active on the calling thread, mirroring construction.
-  workers_.clear();
-  batchers_.clear();
-  contexts_.clear();
-  queue_.reopen();
-  reset_stats_locked();  // close()/restart cycles must not leak stale stats
-  trace_ring_.clear();
-  start_workers();
-  stopped_ = false;
-}
-
-void InferenceServer::reset_stats() {
-  std::lock_guard<std::mutex> lock(shutdown_mutex_);
-  reset_stats_locked();
-}
-
-void InferenceServer::reset_stats_locked() {
-  const size_t models = registry_.size();
-  for (size_t id = 0; id < models; ++id)
-    if (ModelBundle* bundle = registry_.get(id)) bundle->reset_stats();
-  drained_.store(0, std::memory_order_relaxed);
-}
-
 ServerStats InferenceServer::stats() const {
   ServerStats s = registry_.metrics().totals();
   s.drained = drained_.load(std::memory_order_relaxed);
@@ -243,11 +215,6 @@ ModelStats InferenceServer::model_stats(size_t model_id) const {
 
 size_t InferenceServer::model_id(const std::string& name) const {
   return registry_.id_of(name);
-}
-
-size_t InferenceServer::input_dim() const {
-  const ModelBundle* bundle = registry_.get(0);
-  return bundle != nullptr ? bundle->input_dim : 0;
 }
 
 }  // namespace dlpic::serve

@@ -77,12 +77,16 @@ struct ServerConfig {
 using SubmitOptions = RequestOptions;
 
 /// Owns the serving stack: priority-laned request queue + batcher threads +
-/// per-thread contexts over N shared models. Construction starts the
-/// workers; destruction (or shutdown()) closes the queue, drains every
-/// in-flight request and joins the workers — submitted futures are always
-/// fulfilled. Models may be registered before traffic or while the server is
-/// running (add_model), and each keeps its own batching policy and per-lane
-/// stats; a batch never mixes models.
+/// per-thread contexts over N shared models. One lifecycle: construction
+/// starts the workers; destruction (or shutdown()) closes the queue, drains
+/// every in-flight request and joins the workers — submitted futures are
+/// always fulfilled. There is no restart: a new run is a new server, with
+/// fresh counters and trace ring. Models may be registered before traffic
+/// or while the server is running (add_model), and each keeps its own
+/// batching policy and per-lane stats; a batch never mixes models. A
+/// batcher reads a model's policy when it opens a batch for it, so a model
+/// registered while the batchers wait (including the constructor's own
+/// model) batches under its own policy from its first request.
 ///
 /// The kernel backend active on the constructing thread (the DLPIC_BACKEND
 /// default unless a nn::ScopedBackend override is in scope) is captured
@@ -145,22 +149,9 @@ class InferenceServer {
   /// the workers. Idempotent and thread-safe; the destructor calls it.
   void shutdown();
 
-  /// True until shutdown() first runs (and again after restart()).
+  /// True until shutdown() first runs. A shut-down server stays down; a
+  /// new run is a new server.
   [[nodiscard]] bool running() const;
-
-  /// Restarts a shut-down server: reopens the queue, resets every serving
-  /// counter (per-model blocks and the drained count — close()/restart
-  /// cycles must not leak stale mean_batch/lane stats into the new run)
-  /// and spawns a fresh worker pool. The new workers' contexts pin to the
-  /// kernel backend active on the *calling* thread, mirroring the
-  /// constructor. No-op while the server is still running. Thread-safe
-  /// against shutdown()/running(); stats() never blocks on it.
-  void restart();
-
-  /// Zeroes every serving counter (per-model blocks and the drained count)
-  /// without touching the workers. Counters updated by in-flight batches
-  /// may survive the reset; quiesce traffic first for an exact zero.
-  void reset_stats();
 
   /// Counters summed over every model's block (MetricsRegistry::totals)
   /// plus the drained count. Safe while serving; takes no server lock.
@@ -218,14 +209,8 @@ class InferenceServer {
   /// The configuration the server was started with.
   [[nodiscard]] const ServerConfig& config() const { return config_; }
 
-  /// Flattened sample width accepted by submit() for model id 0; 0 when no
-  /// model is registered yet. (Multi-model callers should consult their
-  /// bundle's width instead.)
-  [[nodiscard]] size_t input_dim() const;
-
  private:
   void start_workers();
-  void reset_stats_locked();   // pre: shutdown_mutex_ held
   void drain_leftovers_locked();  // pre: shutdown_mutex_ held, workers joined
   void register_gauges();
 

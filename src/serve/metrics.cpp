@@ -44,12 +44,6 @@ LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
   return s;
 }
 
-void LatencyHistogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_us_.store(0, std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // ModelMetrics
 
@@ -114,21 +108,6 @@ ModelStats ModelMetrics::snapshot() const {
   return s;
 }
 
-void ModelMetrics::reset() {
-  const uint64_t v = acquire_write();
-  for (size_t lane = 0; lane < kNumLanes; ++lane) {
-    served_[lane].store(0, std::memory_order_relaxed);
-    expired_[lane].store(0, std::memory_order_relaxed);
-    lane_batches_[lane].store(0, std::memory_order_relaxed);
-  }
-  rejected_.store(0, std::memory_order_relaxed);
-  batches_.store(0, std::memory_order_relaxed);
-  forward_errors_.store(0, std::memory_order_relaxed);
-  max_batch_.store(0, std::memory_order_relaxed);
-  version_.store(v + 2, std::memory_order_release);
-  for (auto& h : latency_) h.reset();
-}
-
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 
@@ -144,15 +123,6 @@ ModelMetrics* MetricsRegistry::add_model(std::string name) {
 size_t MetricsRegistry::model_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return models_.size();
-}
-
-ModelStats MetricsRegistry::model_snapshot(size_t id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (id >= models_.size())
-    throw std::out_of_range("MetricsRegistry: unknown model id " + std::to_string(id));
-  ModelStats s = models_[id]->metrics.snapshot();
-  s.name = models_[id]->name;
-  return s;
 }
 
 std::vector<ModelStats> MetricsRegistry::snapshot_models_locked() const {
@@ -171,11 +141,6 @@ void MetricsRegistry::register_gauge(std::string name, std::string label_key,
   std::lock_guard<std::mutex> lock(mutex_);
   gauges_.push_back(Gauge{std::move(name), std::move(label_key), std::move(label_value),
                           std::move(fn)});
-}
-
-void MetricsRegistry::clear_gauges() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  gauges_.clear();
 }
 
 namespace {

@@ -77,9 +77,6 @@ class LatencyHistogram {
   };
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Zeroes every bucket. Quiesce writers first for an exact reset.
-  void reset();
-
  private:
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
   std::atomic<uint64_t> count_{0};
@@ -162,8 +159,6 @@ class ModelMetrics {
   /// Coherent group read of the counters + relaxed histogram copies.
   /// `name` is left empty (the registry/bundle knows it).
   [[nodiscard]] ModelStats snapshot() const;
-  /// Zeroes counters and histograms. Quiesce serving traffic first.
-  void reset();
 
  private:
   uint64_t acquire_write();
@@ -196,10 +191,6 @@ class MetricsRegistry {
   /// Number of registered models.
   [[nodiscard]] size_t model_count() const;
 
-  /// Snapshot of one model (with its name); throws std::out_of_range on an
-  /// unknown id.
-  [[nodiscard]] ModelStats model_snapshot(size_t id) const;
-
   /// Sum of one coherent snapshot per model (`drained` stays 0: the
   /// server owns that count). The accounting invariant holds for the sum
   /// because it holds per snapshot.
@@ -207,13 +198,13 @@ class MetricsRegistry {
 
   /// Registers a callback gauge, rendered as
   /// `name{label_key="label_value"} value` (labels omitted when empty).
-  /// The callback must stay valid until clear_gauges() and be safe to call
-  /// from any scraping thread.
+  /// The callback must stay valid for the registry's lifetime, be safe to
+  /// call from any scraping thread, and take neither the request queue's
+  /// nor the model registry's lock: it runs under this registry's lock,
+  /// which is taken after those two (InferenceServer's gauges read
+  /// lock-free counters).
   void register_gauge(std::string name, std::string label_key, std::string label_value,
                       std::function<size_t()> fn);
-
-  /// Drops every gauge.
-  void clear_gauges();
 
   /// Prometheus text exposition of server totals, gauges, per-model
   /// counters and latency histograms. Every family is rendered from one

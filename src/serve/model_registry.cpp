@@ -10,10 +10,6 @@ ModelStats ModelBundle::stats() const {
   return s;
 }
 
-void ModelBundle::reset_stats() {
-  if (metrics != nullptr) metrics->reset();
-}
-
 size_t ModelRegistry::add(std::string name, nn::Sequential* model, size_t input_dim,
                           const ModelConfig& config,
                           const data::MinMaxNormalizer* normalizer) {
@@ -85,13 +81,11 @@ size_t ModelRegistry::size() const {
   return bundles_.size();
 }
 
-void ModelRegistry::snapshot_policies(std::vector<PopPolicy>& out) const {
+PopPolicy ModelRegistry::policy(size_t id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  out.resize(bundles_.size());
-  for (size_t i = 0; i < bundles_.size(); ++i) {
-    out[i].max_batch = bundles_[i]->config.max_batch;
-    out[i].max_wait = std::chrono::microseconds(bundles_[i]->config.max_wait_us);
-  }
+  if (id >= bundles_.size()) return PopPolicy{};
+  const ModelConfig& config = bundles_[id]->config;
+  return PopPolicy{config.max_batch, std::chrono::microseconds(config.max_wait_us)};
 }
 
 }  // namespace dlpic::serve

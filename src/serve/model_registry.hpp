@@ -5,8 +5,15 @@
 /// batch-formation policy, and per-lane serving counters. The registry hands
 /// out stable bundle pointers so batcher threads can serve any registered
 /// model without holding a lock across the forward pass, and supports
-/// registration while the server is running (new models become servable as
-/// soon as add() returns).
+/// registration while the server is running: a new model is servable as
+/// soon as add() returns, and its first batch already runs on its own
+/// policy, because a batcher reads the policy (policy()) when it opens a
+/// batch, not before it waits.
+///
+/// Lock order: queue → registry → metrics. The batcher's policy lookup
+/// takes the registry lock inside RequestQueue::pop_batch, and add() takes
+/// the metrics registry's lock inside its own. Nothing takes the queue lock
+/// under either (the queue-depth gauges read lock-free counters).
 
 #include <array>
 #include <cstddef>
@@ -84,10 +91,6 @@ struct ModelBundle {
   /// Coherent snapshot of the counters: the accounting invariant closes in
   /// every snapshot, and histograms are exact once traffic quiesces.
   [[nodiscard]] ModelStats stats() const;
-
-  /// Zeroes every serving counter and histogram. Meant for restart cycles;
-  /// quiesce serving traffic first for an exact reset.
-  void reset_stats();
 };
 
 /// Growable table of model bundles shared by every batcher thread of one
@@ -111,9 +114,11 @@ class ModelRegistry {
   /// Number of registered models.
   [[nodiscard]] size_t size() const;
 
-  /// Fills `out[id]` with each model's batch-formation policy (the shape
-  /// RequestQueue::pop_batch consumes). Reuses `out`'s storage.
-  void snapshot_policies(std::vector<PopPolicy>& out) const;
+  /// The batch-formation policy of model `id`, read when a batch opens for
+  /// it (RequestQueue::pop_batch's lookup, called under the queue lock). An
+  /// unregistered id gets the default one-request, no-wait policy, so a
+  /// mis-addressed batch is rejected at once instead of waiting a window.
+  [[nodiscard]] PopPolicy policy(size_t id) const;
 
   /// The metrics hub holding every bundle's counter block (and, on a
   /// server, the queue-depth gauges). Scrape through

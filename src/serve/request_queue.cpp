@@ -77,20 +77,20 @@ void RequestQueue::collect_locked(std::vector<Request>& out, size_t model, size_
   for (Lane& lane : lanes_) {
     if (model >= lane.per_model.size()) continue;
     auto& fifo = lane.per_model[model];
+    const size_t before = out.size();
     while (!fifo.empty() && out.size() < budget) {
       earliest_deadline = std::min(earliest_deadline, fifo.front().deadline);
       out.push_back(std::move(fifo.front()));
       fifo.pop_front();
-      --lane.count;
-      --total_;
     }
+    lane.count -= out.size() - before;
+    total_ -= out.size() - before;
   }
 }
 
-size_t RequestQueue::pop_batch(std::vector<Request>& out, const PopPolicy* policies,
-                               size_t num_policies) {
+size_t RequestQueue::pop_batch(std::vector<Request>& out,
+                               const std::function<PopPolicy(size_t)>& policy_of) {
   out.clear();
-  if (policies == nullptr || num_policies == 0) return 0;
   // Chaos seam: a pop fault fires before any request is in hand, so a dying
   // consumer never strands a popped-but-unanswered promise.
   util::fault_point(util::FaultSite::kQueuePop);
@@ -100,9 +100,11 @@ size_t RequestQueue::pop_batch(std::vector<Request>& out, const PopPolicy* polic
 
   // The batch is pinned to one model: the head of the highest-priority
   // non-empty lane. Requests for other models stay queued for concurrent
-  // (or subsequent) pop_batch calls — a batch never mixes models.
+  // (or subsequent) pop_batch calls — a batch never mixes models. Its
+  // policy is read now, so a model registered while this consumer waited
+  // batches under its own policy from its first request on.
   const size_t model = select_model_locked();
-  const PopPolicy& policy = policies[std::min(model, num_policies - 1)];
+  const PopPolicy policy = policy_of(model);
   const size_t max_batch = std::max<size_t>(1, policy.max_batch);
 
   // The batching window opens when the first request is in hand: keep
@@ -126,16 +128,6 @@ size_t RequestQueue::pop_batch(std::vector<Request>& out, const PopPolicy* polic
   return out.size();
 }
 
-size_t RequestQueue::pop_batch(std::vector<Request>& out, size_t max_batch,
-                               std::chrono::microseconds max_wait) {
-  if (max_batch == 0) {
-    out.clear();
-    return 0;
-  }
-  const PopPolicy policy{max_batch, max_wait};
-  return pop_batch(out, &policy, 1);
-}
-
 void RequestQueue::close() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -148,11 +140,6 @@ void RequestQueue::close() {
 bool RequestQueue::closed() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return closed_;
-}
-
-void RequestQueue::reopen() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  closed_ = false;
 }
 
 size_t RequestQueue::drain(std::vector<Request>& out) {
@@ -171,16 +158,6 @@ size_t RequestQueue::drain(std::vector<Request>& out) {
   total_ = 0;
   cv_push_.notify_all();  // free any producer blocked on backpressure
   return out.size();
-}
-
-size_t RequestQueue::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_;
-}
-
-size_t RequestQueue::size(Priority lane) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return lanes_[static_cast<size_t>(lane)].count;
 }
 
 }  // namespace dlpic::serve

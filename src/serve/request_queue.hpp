@@ -24,14 +24,21 @@
 /// DeadlineExpired without running inference when the deadline has passed).
 /// close() stops new work while letting consumers drain what is already
 /// queued, which is how InferenceServer shuts down without dropping
-/// in-flight requests.
+/// in-flight requests. A closed queue stays closed.
+///
+/// Locking: pop_batch calls its policy lookup with the queue lock held
+/// (InferenceServer's lookup takes the model registry's lock), so the order
+/// is queue → registry. size() reads atomic counters without the lock, so
+/// a metrics scrape that reads the queue depths never waits on the queue.
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <stdexcept>
@@ -137,21 +144,17 @@ class RequestQueue {
 
   /// Pops one single-model batch into `out` (cleared first). Blocks until at
   /// least one request is available or the queue is closed; then selects the
-  /// model at the head of the highest-priority non-empty lane, applies
-  /// `policies[min(model_id, num_policies - 1)]`, and keeps collecting that
-  /// model's requests (interactive lane first) until the batch is full, the
-  /// batching window — clamped to the earliest deadline in hand — elapses,
-  /// or the queue is closed. Returns the number popped; 0 means
-  /// closed-and-drained, the consumer's signal to exit. Expired requests are
-  /// returned like any other; rejecting them is the consumer's job (so the
-  /// queue never touches promises).
-  size_t pop_batch(std::vector<Request>& out, const PopPolicy* policies,
-                   size_t num_policies);
-
-  /// Single-policy convenience (and the pre-lane API): applies `max_batch` /
-  /// `max_wait` to whichever model the batch is opened for.
-  size_t pop_batch(std::vector<Request>& out, size_t max_batch,
-                   std::chrono::microseconds max_wait);
+  /// model at the head of the highest-priority non-empty lane, reads that
+  /// model's policy as `policy_of(model_id)` — once, under the queue lock, as
+  /// the batch opens — and keeps collecting that model's requests
+  /// (interactive lane first) until the batch is full, the batching window —
+  /// clamped to the earliest deadline in hand — elapses, or the queue is
+  /// closed. Returns the number popped; 0 only when the queue is closed and
+  /// drained, the consumer's signal to exit. Expired requests are returned
+  /// like any other; rejecting them is the consumer's job (so the queue never
+  /// touches promises). `policy_of` must not call back into this queue.
+  size_t pop_batch(std::vector<Request>& out,
+                   const std::function<PopPolicy(size_t)>& policy_of);
 
   /// Rejects subsequent push() calls and wakes every waiter — including
   /// producers blocked on backpressure, whose push() then throws. Requests
@@ -159,13 +162,8 @@ class RequestQueue {
   /// shutdown). Idempotent.
   void close();
 
-  /// True once close() has been called (until reopen()).
+  /// True once close() has been called.
   [[nodiscard]] bool closed() const;
-
-  /// Re-admits push() after close(). Call only once every consumer of the
-  /// closed queue has observed the drain (pop_batch returned 0) and exited
-  /// — InferenceServer::restart() sequences exactly that. Idempotent.
-  void reopen();
 
   /// Moves every queued request (all lanes, all models) into `out` (cleared
   /// first) and returns the count. Never blocks, never touches promises and
@@ -173,18 +171,21 @@ class RequestQueue {
   /// leftover requests after workers died, so it must always make progress.
   size_t drain(std::vector<Request>& out);
 
-  /// Requests currently queued across all lanes (racy snapshot).
-  [[nodiscard]] size_t size() const;
+  /// Requests currently queued across all lanes (racy snapshot; lock-free).
+  [[nodiscard]] size_t size() const { return total_.load(std::memory_order_relaxed); }
 
-  /// Requests currently queued in one lane (racy snapshot).
-  [[nodiscard]] size_t size(Priority lane) const;
+  /// Requests currently queued in one lane (racy snapshot; lock-free).
+  [[nodiscard]] size_t size(Priority lane) const {
+    return lanes_[static_cast<size_t>(lane)].count.load(std::memory_order_relaxed);
+  }
 
  private:
   /// One strict-priority lane: a FIFO per model (so batch collection for a
-  /// model is O(1) per request) plus the lane's total occupancy.
+  /// model is O(1) per request) plus the lane's total occupancy. The counts
+  /// change only under the lock; they are atomic for the lock-free size().
   struct Lane {
     std::vector<std::deque<Request>> per_model;  // grown on first push per model
-    size_t count = 0;
+    std::atomic<size_t> count{0};
   };
 
   /// Model at the head of the highest-priority non-empty lane — the oldest
@@ -204,7 +205,7 @@ class RequestQueue {
   std::condition_variable cv_pop_;   // signaled on push / close
   std::condition_variable cv_push_;  // signaled on pop / close (bounded mode)
   std::array<Lane, kNumLanes> lanes_;
-  size_t total_ = 0;
+  std::atomic<size_t> total_{0};
   uint64_t next_seq_ = 0;
   bool closed_ = false;
 };

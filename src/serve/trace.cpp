@@ -75,31 +75,9 @@ std::vector<TraceRecord> TraceRing::snapshot() const {
       record.ts_ns[s] = slot.ts_ns[s].load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.version.load(std::memory_order_relaxed) != v0) continue;  // torn: skip
-    if (record.outcome == TraceOutcome::kInFlight) continue;  // wiped, never finished
     out.push_back(record);
   }
   return out;
-}
-
-void TraceRing::clear() {
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    TraceSlot& slot = slots_[i];
-    uint64_t v = slot.version.load(std::memory_order_relaxed);
-    // Reclaim completed slots by claiming (even -> odd) and releasing them
-    // empty; slots owned by in-flight requests are left to finish.
-    if (v == 0 || v % 2 != 0) continue;
-    if (!slot.version.compare_exchange_strong(v, v + 1, std::memory_order_acquire,
-                                              std::memory_order_relaxed))
-      continue;
-    slot.seq.store(0, std::memory_order_relaxed);
-    slot.model_id.store(0, std::memory_order_relaxed);
-    slot.lane.store(0, std::memory_order_relaxed);
-    slot.outcome.store(static_cast<uint32_t>(TraceOutcome::kInFlight),
-                       std::memory_order_relaxed);
-    for (auto& ts : slot.ts_ns) ts.store(0, std::memory_order_relaxed);
-    slot.version.fetch_add(1, std::memory_order_release);
-  }
-  dropped_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace dlpic::serve

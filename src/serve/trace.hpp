@@ -134,10 +134,6 @@ class TraceRing {
   /// In-flight slots and slots being concurrently reclaimed are skipped.
   [[nodiscard]] std::vector<TraceRecord> snapshot() const;
 
-  /// Resets every completed slot to empty (in-flight slots are left to
-  /// finish) and zeroes the drop counter.
-  void clear();
-
   /// Slot count (0 = disabled).
   [[nodiscard]] size_t capacity() const { return slots_.size(); }
   /// True when the ring can hold records.

@@ -1,10 +1,10 @@
 /// \file test_router.cpp
 /// Sharded router correctness: results through any replica stay bitwise
 /// identical to the serial single-sample reference (every replica hosts the
-/// same registered model and the batcher is deterministic), placement
-/// spreads model groups over the replica ring, the least-loaded pick
-/// actually uses every group member under concurrent load, and the stats /
-/// metrics roll-up sums to exactly what was served.
+/// same registered model and the batcher is deterministic), a rejected
+/// registration leaves no replica holding the model, the least-loaded pick
+/// actually uses every replica under concurrent load, and the replicas'
+/// counters sum to exactly what was served.
 
 #include <gtest/gtest.h>
 
@@ -80,29 +80,19 @@ TEST(Router, RejectsZeroReplicasAndDuplicateModels) {
                std::invalid_argument);
 }
 
-TEST(Router, PlacementSpreadsGroupsOverReplicas) {
+// Every replica hosts every model, so a duplicate name is rejected before
+// any replica registers it: no replica is left holding an orphan model.
+TEST(Router, RejectedDuplicateRegistersOnNoReplica) {
   auto a = make_model(1);
   auto b = make_model(2);
-  auto c = make_model(3);
-  Router router(small_config(4));
-  router.add_model("a", a, kInputDim, router.config().server.model_defaults(),
-                   nullptr, /*group_size=*/2);
-  router.add_model("b", b, kInputDim, router.config().server.model_defaults(),
-                   nullptr, /*group_size=*/2);
-  router.add_model("c", c, kInputDim);  // full fleet
-
-  EXPECT_EQ(router.replica_count(), 4u);
-  EXPECT_TRUE(router.has_model("a"));
-  EXPECT_FALSE(router.has_model("ghost"));
-  EXPECT_EQ(router.model_names().size(), 3u);
-
-  const auto ga = router.replica_group("a");
-  const auto gb = router.replica_group("b");
-  EXPECT_EQ(ga.size(), 2u);
-  EXPECT_EQ(gb.size(), 2u);
-  EXPECT_NE(ga, gb) << "successive partial groups piled onto the same replicas";
-  EXPECT_EQ(router.replica_group("c").size(), 4u);
-  EXPECT_THROW(router.replica_group("ghost"), std::invalid_argument);
+  Router router(small_config(3));
+  router.add_model("a", a, kInputDim);
+  router.add_model("b", b, kInputDim);
+  EXPECT_THROW(router.add_model("b", a, kInputDim), std::invalid_argument);
+  for (size_t r = 0; r < router.replica_count(); ++r) {
+    EXPECT_EQ(router.replica(r).model_count(), 2u) << "replica " << r;
+    EXPECT_EQ(router.replica(r).model_id("b"), 1u) << "replica " << r;
+  }
 }
 
 TEST(Router, ResultsBitwiseMatchSerialReferenceAcrossReplicas) {
@@ -138,14 +128,20 @@ TEST(Router, ResultsBitwiseMatchSerialReferenceAcrossReplicas) {
     }
   }
 
-  // Roll-up closes: total served across replicas == all requests.
+  // The replicas' counters close: served summed over replicas == all
+  // requests, overall and for the model.
   router.shutdown();
   const net::RouterStats stats = router.stats();
   EXPECT_EQ(stats.total.served, kClients * kRounds);
-  EXPECT_EQ(stats.per_replica.size(), 3u);
-  const auto model_stats = router.model_stats("m");
-  EXPECT_EQ(model_stats.served, kClients * kRounds);
-  EXPECT_EQ(model_stats.name, "m");
+  EXPECT_EQ(router.replica_count(), 3u);
+  size_t model_served = 0;
+  for (size_t r = 0; r < router.replica_count(); ++r) {
+    serve::InferenceServer& replica = router.replica(r);
+    const auto model_stats = replica.model_stats(replica.model_id("m"));
+    EXPECT_EQ(model_stats.name, "m");
+    model_served += model_stats.served;
+  }
+  EXPECT_EQ(model_served, kClients * kRounds);
 }
 
 TEST(Router, LoadSpreadsOverTheGroupUnderBacklog) {
@@ -165,27 +161,13 @@ TEST(Router, LoadSpreadsOverTheGroupUnderBacklog) {
   for (auto& f : futures) f.get();
 
   router.shutdown();
-  const net::RouterStats stats = router.stats();
-  EXPECT_EQ(stats.total.served, kRequests);
-  for (size_t r = 0; r < stats.per_replica.size(); ++r)
-    EXPECT_GT(stats.per_replica[r].served, 0u) << "replica " << r << " starved";
-}
-
-TEST(Router, MetricsJsonNestsEveryReplica) {
-  auto model = make_model(31);
-  Router router(small_config(2));
-  router.add_model("m", model, kInputDim);
-  router.submit("m", make_samples(1, 3)[0]).get();
-  router.shutdown();
-
-  const std::string json = router.metrics_json();
-  EXPECT_EQ(json.find("{\"replicas\":["), 0u) << json;
-  // Two replica snapshots inside the array.
-  size_t count = 0;
-  for (size_t pos = json.find('{', 1); pos != std::string::npos;
-       pos = json.find('{', pos + 1))
-    ++count;
-  EXPECT_GE(count, 2u) << json;
+  size_t served = 0;
+  for (size_t r = 0; r < router.replica_count(); ++r) {
+    const size_t replica_served = router.replica(r).stats().served;
+    EXPECT_GT(replica_served, 0u) << "replica " << r << " starved";
+    served += replica_served;
+  }
+  EXPECT_EQ(served, kRequests);
 }
 
 }  // namespace

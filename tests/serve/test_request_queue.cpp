@@ -1,17 +1,18 @@
 /// \file test_request_queue.cpp
-/// RequestQueue semantics: batch popping respects the per-model max_batch,
-/// the batching window flushes partial batches on timeout (clamped to the
-/// earliest collected deadline), interactive lanes drain before bulk, a
-/// batch never mixes models, close() wakes blocked consumers AND producers
-/// blocked on backpressure while letting queued requests drain, and bounded
-/// capacity applies backpressure to producers.
+/// RequestQueue semantics: batch popping respects the per-model max_batch
+/// (read from the policy lookup when the batch opens), the batching window
+/// flushes partial batches on timeout (clamped to the earliest collected
+/// deadline), interactive lanes drain before bulk, a batch never mixes
+/// models, close() wakes blocked consumers AND producers blocked on
+/// backpressure while letting queued requests drain, and bounded capacity
+/// applies backpressure to producers.
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <thread>
 #include <vector>
@@ -25,6 +26,11 @@ using namespace std::chrono_literals;
 
 std::vector<double> sample(double v) { return std::vector<double>(4, v); }
 
+/// A policy lookup that gives every model the same policy.
+std::function<PopPolicy(size_t)> fixed(size_t max_batch, std::chrono::microseconds max_wait) {
+  return [=](size_t) { return PopPolicy{max_batch, max_wait}; };
+}
+
 TEST(RequestQueue, PopsWhatWasPushed) {
   RequestQueue q;
   auto f0 = q.push(sample(1.0));
@@ -32,7 +38,7 @@ TEST(RequestQueue, PopsWhatWasPushed) {
   EXPECT_EQ(q.size(), 2u);
 
   std::vector<Request> batch;
-  const size_t n = q.pop_batch(batch, 8, 0us);
+  const size_t n = q.pop_batch(batch, fixed(8, 0us));
   ASSERT_EQ(n, 2u);
   EXPECT_DOUBLE_EQ(batch[0].input[0], 1.0);
   EXPECT_DOUBLE_EQ(batch[1].input[0], 2.0);
@@ -49,9 +55,9 @@ TEST(RequestQueue, RespectsMaxBatch) {
   RequestQueue q;
   for (int i = 0; i < 5; ++i) (void)q.push(sample(i));
   std::vector<Request> batch;
-  EXPECT_EQ(q.pop_batch(batch, 2, 0us), 2u);
-  EXPECT_EQ(q.pop_batch(batch, 2, 0us), 2u);
-  EXPECT_EQ(q.pop_batch(batch, 2, 0us), 1u);
+  EXPECT_EQ(q.pop_batch(batch, fixed(2, 0us)), 2u);
+  EXPECT_EQ(q.pop_batch(batch, fixed(2, 0us)), 2u);
+  EXPECT_EQ(q.pop_batch(batch, fixed(2, 0us)), 1u);
 }
 
 TEST(RequestQueue, TimeoutFlushesPartialBatch) {
@@ -62,7 +68,7 @@ TEST(RequestQueue, TimeoutFlushesPartialBatch) {
   // Asks for 8 but only 2 are coming: the batching window must close after
   // max_wait and flush the partial batch instead of blocking forever.
   const auto t0 = std::chrono::steady_clock::now();
-  const size_t n = q.pop_batch(batch, 8, 20ms);
+  const size_t n = q.pop_batch(batch, fixed(8, 20ms));
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_EQ(n, 2u);
   EXPECT_LT(elapsed, 5s);  // sanity: it returned by timeout, not by hanging
@@ -77,7 +83,7 @@ TEST(RequestQueue, BatchKeepsCollectingUntilFull) {
   });
   std::vector<Request> batch;
   // The window is generous; the batch must fill to 4 as requests trickle in.
-  const size_t n = q.pop_batch(batch, 4, 2'000'000us);
+  const size_t n = q.pop_batch(batch, fixed(4, 2'000'000us));
   late_producer.join();
   EXPECT_EQ(n, 4u);
 }
@@ -90,8 +96,8 @@ TEST(RequestQueue, CloseDrainsThenSignalsExit) {
   EXPECT_THROW((void)q.push(sample(9.0)), std::runtime_error);
 
   std::vector<Request> batch;
-  EXPECT_EQ(q.pop_batch(batch, 8, 0us), 3u);  // queued work still poppable
-  EXPECT_EQ(q.pop_batch(batch, 8, 0us), 0u);  // drained: consumer exit signal
+  EXPECT_EQ(q.pop_batch(batch, fixed(8, 0us)), 3u);  // queued work still poppable
+  EXPECT_EQ(q.pop_batch(batch, fixed(8, 0us)), 0u);  // drained: consumer exit signal
 }
 
 TEST(RequestQueue, CloseWakesBlockedConsumer) {
@@ -101,7 +107,7 @@ TEST(RequestQueue, CloseWakesBlockedConsumer) {
     std::vector<Request> batch;
     // Blocks on the empty queue (the wait is not bounded by max_wait until
     // the first request arrives) — close() must wake it.
-    EXPECT_EQ(q.pop_batch(batch, 4, 10'000'000us), 0u);
+    EXPECT_EQ(q.pop_batch(batch, fixed(4, 10'000'000us)), 0u);
     returned = true;
   });
   std::this_thread::sleep_for(10ms);
@@ -126,7 +132,7 @@ TEST(RequestQueue, InteractiveLaneDrainsBeforeOlderBulk) {
   EXPECT_EQ(q.size(Priority::kBulk), 2u);
 
   std::vector<Request> batch;
-  ASSERT_EQ(q.pop_batch(batch, 2, 0us), 2u);
+  ASSERT_EQ(q.pop_batch(batch, fixed(2, 0us)), 2u);
   EXPECT_EQ(batch[0].priority, Priority::kInteractive);
   EXPECT_DOUBLE_EQ(batch[0].input[0], 3.0);
   EXPECT_EQ(batch[1].priority, Priority::kBulk);
@@ -146,9 +152,9 @@ TEST(RequestQueue, BatchNeverMixesModels) {
   // The head request is model 0, so the batch carries model 0 only; the
   // model-1 request stays queued for the next pop.
   std::vector<Request> batch;
-  ASSERT_EQ(q.pop_batch(batch, 8, 0us), 2u);
+  ASSERT_EQ(q.pop_batch(batch, fixed(8, 0us)), 2u);
   for (const auto& r : batch) EXPECT_EQ(r.model_id, 0u);
-  ASSERT_EQ(q.pop_batch(batch, 8, 0us), 1u);
+  ASSERT_EQ(q.pop_batch(batch, fixed(8, 0us)), 1u);
   EXPECT_EQ(batch[0].model_id, 1u);
 }
 
@@ -164,7 +170,7 @@ TEST(RequestQueue, InteractiveHeadSelectsTheBatchModel) {
   // The interactive lane outranks the older bulk request: the batch is
   // opened for ITS model.
   std::vector<Request> batch;
-  ASSERT_EQ(q.pop_batch(batch, 8, 0us), 1u);
+  ASSERT_EQ(q.pop_batch(batch, fixed(8, 0us)), 1u);
   EXPECT_EQ(batch[0].model_id, 1u);
   EXPECT_EQ(batch[0].priority, Priority::kInteractive);
 }
@@ -175,11 +181,39 @@ TEST(RequestQueue, PerModelPoliciesApply) {
   model1.model_id = 1;
   for (int i = 0; i < 4; ++i) (void)q.push(sample(i), model1);
 
-  // policies[1] caps model 1 batches at 3.
-  const std::array<PopPolicy, 2> policies{PopPolicy{8, 0us}, PopPolicy{3, 0us}};
+  // Model 1's policy caps its batches at 3.
+  const auto policy_of = [](size_t id) {
+    return id == 1 ? PopPolicy{3, 0us} : PopPolicy{8, 0us};
+  };
   std::vector<Request> batch;
-  EXPECT_EQ(q.pop_batch(batch, policies.data(), policies.size()), 3u);
-  EXPECT_EQ(q.pop_batch(batch, policies.data(), policies.size()), 1u);
+  EXPECT_EQ(q.pop_batch(batch, policy_of), 3u);
+  EXPECT_EQ(q.pop_batch(batch, policy_of), 1u);
+}
+
+// The policy is looked up once per batch, for the model the batch opens for,
+// after the consumer wakes: a policy that changed while the consumer waited
+// on an empty queue is the one that shapes the batch.
+TEST(RequestQueue, PolicyIsReadWhenTheBatchOpens) {
+  RequestQueue q;
+  std::atomic<size_t> max_batch{1};
+  std::vector<size_t> asked;  // written by the one consumer, read after join
+  size_t popped = 0;
+  std::thread consumer([&] {
+    std::vector<Request> batch;
+    popped = q.pop_batch(batch, [&](size_t id) {
+      asked.push_back(id);
+      return PopPolicy{max_batch.load(), 5'000'000us};
+    });
+  });
+  std::this_thread::sleep_for(20ms);  // the consumer blocks on the empty queue
+  max_batch = 3;
+  RequestOptions model2;
+  model2.model_id = 2;
+  std::vector<std::future<std::vector<double>>> futures;
+  for (int i = 0; i < 3; ++i) futures.push_back(q.push(sample(i), model2));
+  consumer.join();
+  EXPECT_EQ(popped, 3u) << "the batch did not fill under the policy read as it opened";
+  EXPECT_EQ(asked, std::vector<size_t>{2});
 }
 
 TEST(RequestQueue, CollectedDeadlineClampsTheBatchingWindow) {
@@ -192,7 +226,7 @@ TEST(RequestQueue, CollectedDeadlineClampsTheBatchingWindow) {
   // the partial batch must flush around the deadline, not the window.
   std::vector<Request> batch;
   const auto t0 = std::chrono::steady_clock::now();
-  const size_t n = q.pop_batch(batch, 8, 10'000'000us);
+  const size_t n = q.pop_batch(batch, fixed(8, 10'000'000us));
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_EQ(n, 1u);
   EXPECT_LT(elapsed, 5s);
@@ -206,7 +240,7 @@ TEST(RequestQueue, ExpiredRequestsAreStillHandedToTheConsumer) {
   expired.deadline = std::chrono::steady_clock::now() - 1s;
   auto future = q.push(sample(1.0), expired);
   std::vector<Request> batch;
-  ASSERT_EQ(q.pop_batch(batch, 8, 0us), 1u);
+  ASSERT_EQ(q.pop_batch(batch, fixed(8, 0us)), 1u);
   EXPECT_LT(batch[0].deadline, std::chrono::steady_clock::now());
   batch[0].result.set_exception(std::make_exception_ptr(DeadlineExpired()));
   EXPECT_THROW(future.get(), DeadlineExpired);
@@ -264,7 +298,7 @@ TEST(RequestQueue, BoundedCapacityAppliesBackpressure) {
   EXPECT_FALSE(third_pushed);
 
   std::vector<Request> batch;
-  EXPECT_EQ(q.pop_batch(batch, 2, 0us), 2u);
+  EXPECT_EQ(q.pop_batch(batch, fixed(2, 0us)), 2u);
   producer.join();
   EXPECT_TRUE(third_pushed);
   EXPECT_EQ(q.size(), 1u);

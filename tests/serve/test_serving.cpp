@@ -161,16 +161,6 @@ TEST(InferenceServer, MaxWaitFlushesPartialBatch) {
   EXPECT_GE(stats.batches, 1u);
 }
 
-/// The constructor starts the batcher before it registers the model, and a
-/// batcher takes its batching policy before it waits for a request. So the
-/// first batch after construction may be popped with the no-model policy
-/// (one request, no window). A restart starts the batcher with the model in
-/// place, for tests that need the first batch to fill.
-void restart_with_model_registered(InferenceServer& server) {
-  server.shutdown();
-  server.restart();
-}
-
 // The batcher fulfils each lane youngest-first, so a waiter that takes its
 // futures in FIFO order wakes once per batch: when the oldest row of a lane
 // is ready, every younger row of that lane is too.
@@ -185,7 +175,6 @@ TEST(DynamicBatcher, OldestRowOfALaneIsFulfilledLast) {
   cfg.max_wait_us = 5'000'000;  // the batch closes when full, not on time
   cfg.worker_threads = 1;       // a second batcher would split the batch
   InferenceServer server(model, kInputDim, cfg);
-  restart_with_model_registered(server);
 
   std::vector<std::future<std::vector<double>>> futures;
   for (const auto& s : samples) futures.push_back(server.submit(s));
@@ -211,7 +200,6 @@ TEST(DynamicBatcher, InteractiveRowsAreFulfilledBeforeBulkRows) {
   cfg.max_wait_us = 5'000'000;
   cfg.worker_threads = 1;
   InferenceServer server(model, kInputDim, cfg);
-  restart_with_model_registered(server);
 
   serve::SubmitOptions bulk, interactive;
   bulk.priority = serve::Priority::kBulk;
@@ -494,6 +482,58 @@ TEST(InferenceServer, AddModelWhileServingBecomesServable) {
     EXPECT_EQ(server.submit(samples[i], options).get(), expected_b[i]);
 }
 
+/// Registers `model` as "late" with a batch of `samples.size()` rows and a
+/// 5 s window (the batch closes when full, not on time), submits every
+/// sample, and checks that the first requests formed one batch, bitwise
+/// equal to the serial reference.
+void expect_first_requests_form_one_batch(InferenceServer& server, nn::Sequential& model,
+                                          const std::vector<std::vector<double>>& samples) {
+  const auto expected = serial_reference(model, samples);
+  serve::ModelConfig config;
+  config.max_batch = samples.size();
+  config.max_wait_us = 5'000'000;
+  serve::SubmitOptions options;
+  options.model_id = server.add_model("late", model, kInputDim, config);
+  std::vector<std::future<std::vector<double>>> futures;
+  for (const auto& s : samples) futures.push_back(server.submit(s, options));
+  for (size_t i = 0; i < samples.size(); ++i)
+    EXPECT_EQ(futures[i].get(), expected[i]) << "row " << i;
+  const auto stats = server.model_stats(options.model_id);
+  EXPECT_EQ(stats.batches, 1u) << "the model's first requests were split over batches";
+  EXPECT_EQ(stats.max_batch_observed, samples.size());
+}
+
+// A model registered while the only batcher is blocked waiting for work
+// batches under its own policy from its first request: the batcher reads
+// the policy when it opens the batch, not before it waits.
+TEST(InferenceServer, ModelAddedWhileBatcherWaitsBatchesUnderItsOwnPolicy) {
+  auto model_a = make_model(43);
+  auto model_b = make_model(44);
+  const auto samples = make_samples(6, 558);
+
+  ServerConfig cfg;
+  cfg.worker_threads = 1;
+  cfg.max_batch = 1;  // model a: one request per batch, no window
+  cfg.max_wait_us = 0;
+  InferenceServer server(model_a, kInputDim, cfg);
+  (void)server.submit(samples[0]).get();
+  // Let the batcher go back to waiting on the empty queue.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  expect_first_requests_form_one_batch(server, model_b, samples);
+}
+
+// The same on a server that had no model at all while its batcher began
+// waiting.
+TEST(InferenceServer, FirstModelOfAnEmptyServerBatchesUnderItsOwnPolicy) {
+  auto model = make_model(45);
+  const auto samples = make_samples(5, 559);
+  ServerConfig cfg;
+  cfg.worker_threads = 1;
+  InferenceServer server(cfg);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  expect_first_requests_form_one_batch(server, model, samples);
+}
+
 TEST(DlFieldSolverServing, SharedServerHostsSeveralSolvers) {
   // Two field-solver bundles behind ONE server/worker pool: each bundle's
   // served results must match its own solver's synchronous path bitwise.
@@ -731,49 +771,6 @@ TEST(InferenceServer, AddModelRejectsUnquantizableModelAtRegistration) {
   int16_cfg.precision = nn::Precision::kInt16;
   EXPECT_NO_THROW(server.add_model("deep-int16", model, deep, int16_cfg));
   EXPECT_NO_THROW(server.add_model("deep-f64", model, deep));
-}
-
-// ---------------------------------------------------------------------------
-// Restart + stats reset: a close()/restart cycle serves correctly and does
-// not leak the previous run's counters.
-
-TEST(InferenceServer, RestartResetsStatsAndServesAgain) {
-  auto model = make_model();
-  auto samples = make_samples(8, 401);
-  const auto expected = serial_reference(model, samples);
-
-  ServerConfig cfg;
-  cfg.max_batch = 4;
-  cfg.worker_threads = 2;
-  InferenceServer server(model, kInputDim, cfg);
-  for (size_t i = 0; i < samples.size(); ++i)
-    EXPECT_EQ(server.submit(samples[i]).get(), expected[i]);
-  EXPECT_EQ(server.stats().served, samples.size());
-  EXPECT_EQ(server.model_stats(0).served, samples.size());
-
-  server.shutdown();
-  EXPECT_FALSE(server.running());
-  EXPECT_THROW(server.submit(samples[0]), std::runtime_error);
-
-  server.restart();
-  EXPECT_TRUE(server.running());
-  // The previous run's counters are gone...
-  EXPECT_EQ(server.stats().served, 0u);
-  EXPECT_EQ(server.stats().requests, 0u);
-  EXPECT_EQ(server.stats().batches, 0u);
-  EXPECT_EQ(server.model_stats(0).served, 0u);
-  // ...and the restarted pool serves bitwise-identically again.
-  for (size_t i = 0; i < samples.size(); ++i)
-    EXPECT_EQ(server.submit(samples[i]).get(), expected[i]);
-  EXPECT_EQ(server.stats().served, samples.size());
-
-  // restart() while running is a no-op; reset_stats() zeroes in place.
-  server.restart();
-  EXPECT_EQ(server.stats().served, samples.size());
-  server.reset_stats();
-  EXPECT_EQ(server.stats().served, 0u);
-  EXPECT_EQ(server.model_stats(0).served, 0u);
-  EXPECT_EQ(server.submit(samples[0]).get(), expected[0]);
 }
 
 // ---------------------------------------------------------------------------
