@@ -15,8 +15,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "bench_json.hpp"
 #include "math/linalg.hpp"
@@ -28,6 +32,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/quantize.hpp"
 #include "nn/sequential.hpp"
+#include "util/binary_io.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -129,15 +134,33 @@ void bench_dense_forward(benchmark::State& state) {
 // runs (16 groups), the way a histogram's occupied velocity rows sit in the
 // input. GBps is the weight bytes of the layer per second, whatever the
 // kernel read: at batch 1 and 100% the forward is one pass over the
-// weights, below 100% it is an effective rate.
-void dense_forward_skinny(benchmark::State& state, size_t run_groups) {
+// weights, below 100% it is an effective rate. The `loaded` rows save the
+// layer and load it back in their setup, so their forward reads the
+// input-major W^T a loaded model holds (gemm_nn_block) where the plain rows
+// read the constructed layer's output-major W (gemm_nt_block).
+void dense_forward_skinny(benchmark::State& state, size_t run_groups, bool loaded = false) {
   nn::ExecutionContext ctx;
   const size_t in = static_cast<size_t>(state.range(0));
   const size_t out = static_cast<size_t>(state.range(1));
   const size_t batch = static_cast<size_t>(state.range(2));
   const size_t percent = static_cast<size_t>(state.range(3));
   math::Rng rng(892);
-  nn::Dense layer(in, out, rng);
+  std::unique_ptr<nn::Dense> built = std::make_unique<nn::Dense>(in, out, rng);
+  if (loaded) {
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("dlpic_bench_dense_" + std::to_string(::getpid()) + ".bin"))
+            .string();
+    {
+      util::BinaryWriter w(path);
+      built->save(w);
+      w.flush();
+    }
+    util::BinaryReader r(path);
+    built = nn::Dense::load(r);
+    std::filesystem::remove(path);
+  }
+  nn::Dense& layer = *built;
   auto x = random_tensor({batch, in}, 7);
   for (size_t i = 0; i < x.size(); ++i) {
     const size_t run = (i % in) / (4 * run_groups);  // one in 100 / percent stays
@@ -378,6 +401,31 @@ BENCHMARK(bench_dense_forward_skinny)  // {in, out, batch, occupancy %}
                                  [](benchmark::State& s) { dense_forward_skinny(s, 16); })
         ->Args({4096, 1024, 1, 3})
         ->Args({4096, 1024, 1, 16})
+        ->UseRealTime();
+// Loaded (input-major) twins of the batch-1 run rows, the served first
+// layer's batches and the dense hidden layer: CI gates the output-major
+// time over the loaded time of /runs/4096/1024/1/16.
+[[maybe_unused]] benchmark::internal::Benchmark* const kDenseForwardSkinnyLoadedRuns =
+    benchmark::RegisterBenchmark("bench_dense_forward_skinny/loaded/runs",
+                                 [](benchmark::State& s) { dense_forward_skinny(s, 16, true); })
+        ->Args({4096, 1024, 1, 3})
+        ->Args({4096, 1024, 1, 16})
+        ->UseRealTime();
+[[maybe_unused]] benchmark::internal::Benchmark* const kDenseForwardSkinnyLoaded =
+    benchmark::RegisterBenchmark("bench_dense_forward_skinny/loaded",
+                                 [](benchmark::State& s) { dense_forward_skinny(s, 1, true); })
+        ->Args({1024, 128, 1, 16})
+        ->Args({1024, 128, 4, 16})
+        ->Args({1024, 128, 16, 16})
+        ->UseRealTime();
+[[maybe_unused]] benchmark::internal::Benchmark* const kDenseForwardSkinnyLoadedBackends =
+    benchmark::RegisterBenchmark("bench_dense_forward_skinny/loaded/backend",
+                                 [](benchmark::State& s) {
+                                   benchjson::BackendGuard backend(s, 4);
+                                   if (backend.run(s)) dense_forward_skinny(s, 1, true);
+                                 })
+        ->Args({128, 128, 12, 100, 1})
+        ->Args({128, 128, 12, 100, 2})
         ->UseRealTime();
 // {in, out, batch, occupancy %, backend (1 = avx2, 2 = avx512)}: serve_ci's
 // batch-12 layer shapes, the sparse first layer and a dense hidden layer,

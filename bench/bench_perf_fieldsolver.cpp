@@ -86,8 +86,10 @@ void bench_dl_stage(benchmark::State& state) {
   state.counters["ns_per_particle_step"] = benchjson::ns_per_item(species.size());
 }
 
-/// Paper-scale DL stage: 64x64 histogram, 1024-wide MLP.
-void bench_dl_stage_paper_scale(benchmark::State& state) {
+/// Paper-scale DL stage: 64x64 histogram, 1024-wide MLP. The `loaded` row
+/// saves the solver and loads it back in its setup, as a DL-PIC run does,
+/// so its layers hold their weights input-major.
+void dl_stage_paper_scale(benchmark::State& state, bool loaded) {
   const size_t ncells = 64;
   pic::Grid1D grid(ncells, 2.0 * 3.14159265358979323846 / 3.06);
   auto species = make_particles(grid, 1000);
@@ -95,12 +97,23 @@ void bench_dl_stage_paper_scale(benchmark::State& state) {
   phase_space::BinnerConfig bc;  // 64x64 default
   nn::MlpSpec spec;              // paper defaults: 4096 -> 3x1024 -> 64
   core::DlFieldSolver solver(nn::build_mlp(spec), data::MinMaxNormalizer(0.0, 5000.0), bc);
+  if (loaded) {
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              ("dlpic_bench_stage_" + std::to_string(::getpid()) + ".bin"))
+                                 .string();
+    solver.save(path);
+    solver = core::DlFieldSolver::load(path);
+    std::filesystem::remove(path);
+    std::filesystem::remove(path + ".model");
+  }
 
   for (auto _ : state) {
     auto E = solver.solve(species);
     benchmark::DoNotOptimize(E.data());
   }
 }
+
+void bench_dl_stage_paper_scale(benchmark::State& state) { dl_stage_paper_scale(state, false); }
 
 /// AnonHugePages of this process in MB (/proc/self/smaps_rollup), 0 where
 /// the file or the field is missing.
@@ -239,6 +252,9 @@ BENCHMARK(bench_spectral)->Arg(64)->Arg(256)->Arg(1000)->Arg(1024);
 BENCHMARK(bench_tridiag)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(bench_dl_stage)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(bench_dl_stage_paper_scale);
+[[maybe_unused]] benchmark::internal::Benchmark* const kDlStagePaperScaleLoaded =
+    benchmark::RegisterBenchmark("bench_dl_stage_paper_scale/loaded",
+                                 [](benchmark::State& s) { dl_stage_paper_scale(s, true); });
 BENCHMARK(bench_bundle_load_paper_scale)->Unit(benchmark::kMillisecond);
 BENCHMARK(bench_fft_legacy_radix2)
     ->ArgsProduct({{64, 256, 1024, 4096}, {0, 1}});

@@ -31,6 +31,11 @@ constexpr size_t kNtRows = 16;
 // grid.
 constexpr size_t kInPlaceMaxRows = 32;
 
+// Column tiles one multi-row skinny NN call takes: a 256-deep k-block of
+// B over 4 tiles is 512 KB, which stays in L2 while every row group passes
+// over it.
+constexpr size_t kNnRunTiles = 4;
+
 // Packs a (rows x cols) block of op(A) into contiguous row-major storage so
 // the inner kernel streams unit-stride regardless of transposition.
 void pack_block(bool trans, const double* src, size_t ld, size_t row0, size_t col0,
@@ -103,6 +108,39 @@ void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha
             if (alpha != 1.0)
               for (size_t q = 0; q < mr * kb; ++q) Arows[q] *= alpha;
             backend->gemm_nt_block(mr, nb, kb, Arows, B + j0 * ldb + p0, ldb,
+                                   C + i0 * ldc + j0, ldc);
+          }
+        }
+      }
+    }, chunk_grain(m * std::min(kBlockN, n) * k));
+    return;
+  }
+
+  if (!trans_b && m <= kInPlaceMaxRows) {
+    // Skinny NN (a small-batch forward of a loaded, input-major dense
+    // layer): B's rows run along n, so gemm_nn_block reads one contiguous
+    // stretch of a weight row per live k index. One row (a batch-1 forward)
+    // takes the chunk's whole run of column tiles per call, so each live
+    // weight row streams end to end; more rows take up to kNnRunTiles tiles
+    // at a time, so that k-block of B stays in cache while every row group
+    // passes over it (whole runs of 16 tiles measured 1.5x slower on a
+    // dense 32-row conv forward). Same k-blocks, alpha-scaled A rows and
+    // per-column sequence as the packed path, so the result is bitwise the
+    // packed one.
+    util::parallel_for_chunks(0, n_blocks, [&](size_t tile_lo, size_t tile_hi) {
+      double Arows[kNtRows * kBlockK];
+      const size_t step = m == 1 ? tile_hi - tile_lo : kNnRunTiles;
+      for (size_t t = tile_lo; t < tile_hi; t += step) {
+        const size_t j0 = t * kBlockN;
+        const size_t nb = std::min(n, std::min(tile_hi, t + step) * kBlockN) - j0;
+        for (size_t p0 = 0; p0 < k; p0 += kBlockK) {
+          const size_t kb = std::min(kBlockK, k - p0);
+          for (size_t i0 = 0; i0 < m; i0 += kNtRows) {
+            const size_t mr = std::min(kNtRows, m - i0);
+            pack_block(trans_a, A, lda, i0, p0, mr, kb, Arows);
+            if (alpha != 1.0)
+              for (size_t q = 0; q < mr * kb; ++q) Arows[q] *= alpha;
+            backend->gemm_nn_block(mr, nb, kb, Arows, B + p0 * ldb + j0, ldb,
                                    C + i0 * ldc + j0, ldc);
           }
         }

@@ -17,14 +17,15 @@ namespace dlpic::math {
 /// op is identity or transpose per the trans_a / trans_b flags.
 /// A is (m x k) when !trans_a, (k x m) when trans_a (likewise for B).
 ///
-/// Two kernel paths, chosen from the shape alone. When trans_b is set and
-/// m <= 32 (a small-batch dense forward, such as the DL-PIC field solve or
-/// a served batch), B's rows are read in place through
-/// KernelBackend::gemm_nt_block, in groups of up to 16 A rows; otherwise B
-/// is packed into panels for gemm_block. Both walk the same column tiles
-/// and k-blocks with the same per-element operation order, so the result is
-/// bitwise identical either way, on every backend, worker count and batch
-/// size.
+/// Three kernel paths, chosen from the shape alone. At m <= 32 (a
+/// small-batch dense forward, such as the DL-PIC field solve or a served
+/// batch) B is read in place, in groups of up to 16 A rows: through
+/// KernelBackend::gemm_nt_block when trans_b is set (an output-major
+/// weight, W [out, in]) and through KernelBackend::gemm_nn_block when it
+/// is not (a loaded, input-major W^T [in, out]). Otherwise B is packed into
+/// panels for gemm_block. All three walk the same k-blocks with the same
+/// per-element operation order, so the result is bitwise identical on
+/// every path, backend, worker count and batch size.
 void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha,
           const double* A, size_t lda, const double* B, size_t ldb, double beta,
           double* C, size_t ldc);

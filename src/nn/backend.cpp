@@ -65,6 +65,32 @@ void KernelBackend::gemm_nt_block(size_t mr, size_t nb, size_t kb, const double*
   }
 }
 
+// Reference skinny NN kernel: one row at a time, each row's live inputs
+// (a[p] not ±0; NaN compares unequal, so it is never skipped) walked in
+// ascending p across a strip of up to 1024 columns held in an accumulator
+// array, mul-then-add (this TU never contracts), then C += acc.
+void KernelBackend::gemm_nn_block(size_t mr, size_t nb, size_t kb, const double* a,
+                                  const double* B, size_t ldb, double* C,
+                                  size_t ldc) const {
+  constexpr size_t kStrip = 1024;
+  double acc[kStrip];
+  for (size_t i = 0; i < mr; ++i) {
+    const double* ai = a + i * kb;
+    for (size_t j0 = 0; j0 < nb; j0 += kStrip) {
+      const size_t w = nb - j0 < kStrip ? nb - j0 : kStrip;
+      for (size_t j = 0; j < w; ++j) acc[j] = 0.0;
+      for (size_t p = 0; p < kb; ++p) {
+        const double av = ai[p];
+        if (av == 0.0) continue;
+        const double* b = B + p * ldb + j0;
+        for (size_t j = 0; j < w; ++j) acc[j] += av * b[j];
+      }
+      double* c = C + i * ldc + j0;
+      for (size_t j = 0; j < w; ++j) c[j] += acc[j];
+    }
+  }
+}
+
 // Reference int16 kernel: a plain widened dot per output element. The
 // accumulation is exact integer arithmetic (and the int64 sum fits a double
 // exactly under the kQuantizedGemmInt16MaxDepth bound), so the compiler is

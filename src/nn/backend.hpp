@@ -12,8 +12,8 @@
 ///    passes, PIC ranges and binning, and the shared elementwise bodies
 ///    (backend_elementwise.hpp) compiled with its flags.
 ///  - Avx512VnniBackend (backend_avx512.cpp): an Avx2Backend that
-///    overrides the skinny f64 GEMM (zmm, 4 to 16 rows) and the int8 GEMM
-///    (vpdpbusd).
+///    overrides the skinny f64 GEMMs (gemm_nt_block on zmm for 4 to 16
+///    rows, gemm_nn_block on zmm) and the int8 GEMM (vpdpbusd).
 /// The SIMD files are compiled with per-file target flags on x86-64 and
 /// selected at runtime via cpuid.
 ///
@@ -97,20 +97,21 @@ class KernelBackend {
   /// groups of 4; the avx512 kernel holds 4 to 16 rows in registers and
   /// reads each B panel once per call. The base implementation is the
   /// scalar reference (mul-then-add for every column).
-  /// An implementation may skip a k group of 4 or 8 whose entries are ±0
-  /// in every one of the rows it serves at once (never one holding a NaN)
-  /// and leave its B entries unread; a row that is zero in a group another
-  /// row needs runs its fmadd(±0) terms like the packed path. For finite B, a ±0 term
-  /// leaves the accumulator equal as a real number, so the result is still
-  /// bitwise the unskipped one, except that a zero output may differ in
-  /// sign when its C entry is −0 on entry (math::gemm with beta = 0, hence
-  /// every dense forward, never passes a −0 C). With a NaN or Inf in the
-  /// B entries of a skipped group the packed path gives NaN and this one
-  /// may not, so the bitwise claim covers finite B only. Loaded dense
-  /// weights are checked finite; the B of a Conv2D weight gradient (the
-  /// im2col of the activations) and weights that change in training are
-  /// not.
-  /// The AVX2 kernel tests each group once per 4-row group: when fewer
+  /// Skipping (this kernel and gemm_nn_block): an implementation may skip
+  /// any set of k indices (single inputs, or groups of 4 or 8) whose
+  /// entries are ±0 in every one of the rows it serves at once (never one
+  /// holding a NaN) and leave their B entries unread; a row that is zero at
+  /// an index another row needs runs its fmadd(±0) terms like the packed
+  /// path. For finite B, a ±0 term leaves the accumulator equal as a real
+  /// number, so the result is still bitwise the unskipped one, except that
+  /// a zero output may differ in sign when its C entry is −0 on entry
+  /// (math::gemm with beta = 0, hence every dense forward, never passes a
+  /// −0 C). With a NaN or Inf in the B entries of a skipped index the
+  /// packed path gives NaN and this one may not, so the bitwise claim
+  /// covers finite B only. Loaded dense weights are checked finite; the B
+  /// of a Conv2D weight gradient (the im2col of the activations) and
+  /// weights that change in training are not.
+  /// The AVX2 kernel tests each 4-group once per 4-row group: when fewer
   /// than half of the kb / 4 groups are nonzero in some row (a sparse
   /// histogram input), every stream of B rows walks that list of groups and
   /// prefetches the next stream's lines at the listed offsets; denser
@@ -118,8 +119,30 @@ class KernelBackend {
   /// 4-groups nonzero in any of its rows once per call, packs those rows'
   /// values per group, and every stream walks the list (prefetching the
   /// next stream's lines when fewer than half are listed). Skipping changes
-  /// no bit, so which groups a kernel skips is its own choice.
+  /// no bit, so which indices a kernel skips is its own choice.
   virtual void gemm_nt_block(size_t mr, size_t nb, size_t kb, const double* a,
+                             const double* B, size_t ldb, double* C, size_t ldc) const;
+
+  /// Skinny non-transposed panel over mr <= 16 rows, B read in place:
+  ///   C[i*ldc + j] += sum_p a[i*kb + p] * B[p*ldb + j]
+  /// for i < mr, j < nb, p < kb. `a` holds mr packed A rows (alpha
+  /// pre-applied, as for gemm_block); B is row-major with n contiguous, the
+  /// input-major W^T of a loaded dense layer, so each k index the rows need
+  /// is one contiguous run of nb weights. Bitwise contract: every output is
+  /// exactly what gemm_nt_block computes over the transposed panel — a
+  /// fresh accumulator, ascending p, fmadd on the first nb & ~3 columns
+  /// and mul-then-add on the rest in the AVX2 and avx512 kernels
+  /// (mul-then-add everywhere in the reference), then C += acc — so
+  /// math::gemm gives the same bits whichever order it is handed the
+  /// weights in. Any nb is accepted: the column split depends only on nb,
+  /// and math::gemm passes runs of whole 64-column tiles. The same skip
+  /// rule as gemm_nt_block holds, per single k index: the kernels skip
+  /// every p that is ±0 in all the rows they serve at once. One row (a
+  /// batch-1 forward) walks each live weight row across the whole width
+  /// into an accumulator array; 2 to 16 rows are register-blocked, each
+  /// live weight row feeding every row of a group. The base
+  /// implementation is the scalar reference, one row at a time.
+  virtual void gemm_nn_block(size_t mr, size_t nb, size_t kb, const double* a,
                              const double* B, size_t ldb, double* C, size_t ldc) const;
 
   /// Quantized inner-product panel, OVERWRITING C (mb x nb, row stride ldc):

@@ -32,6 +32,8 @@ class Avx2Backend : public KernelBackend {
                   const double* Bpanel, double* C, size_t ldc) const override;
   void gemm_nt_block(size_t mr, size_t nb, size_t kb, const double* a, const double* B,
                      size_t ldb, double* C, size_t ldc) const override;
+  void gemm_nn_block(size_t mr, size_t nb, size_t kb, const double* a, const double* B,
+                     size_t ldb, double* C, size_t ldc) const override;
   void gemm_int8(size_t mb, size_t nb, size_t kb, const int8_t* Aq,
                  const double* a_scales, const int8_t* Bq, const double* b_scales,
                  double* C, size_t ldc) const override;

@@ -74,11 +74,12 @@ inline int32_t dot_i8_vnni(const int8_t* a, const int8_t* b, size_t k) {
 /// col[q] holds the 8 streams' values at k offset p + q, stream r in lane r.
 DLPIC_ALWAYS_INLINE void transpose_4x8(const double* const b[8], size_t p, __m512d col[4]) {
   // The all-lane maskz forms compile to the plain instructions; GCC 12's
-  // unmasked wrappers pass an undefined vector that -Wmaybe-uninitialized
-  // flags.
+  // unmasked wrappers (and _mm512_zextpd256_pd512, built on one) pass an
+  // undefined vector that -Wmaybe-uninitialized flags. The cast leaves the
+  // upper half undefined, and the insert overwrites it.
   __m512d z[4];  // z[r] = [stream r | stream r + 4]
   for (int r = 0; r < 4; ++r)
-    z[r] = _mm512_maskz_insertf64x4(0xFF, _mm512_zextpd256_pd512(_mm256_loadu_pd(b[r] + p)),
+    z[r] = _mm512_maskz_insertf64x4(0xFF, _mm512_castpd256_pd512(_mm256_loadu_pd(b[r] + p)),
                                     _mm256_loadu_pd(b[r + 4] + p), 1);
   // Per 128-bit lane: t0 = {r0[0] r1[0] | r0[2] r1[2] | r4[0] r5[0] | r4[2] r5[2]}.
   const __m512d t0 = _mm512_maskz_unpacklo_pd(0xFF, z[0], z[1]);
@@ -213,6 +214,155 @@ void zmm_nt_rows(size_t nb8, size_t kb, const double* a, const double* B, size_t
 }
 
 // ---------------------------------------------------------------------------
+// Skinny NN GEMM on zmm: B is W^T, so each live k index is one contiguous
+// run of weights across the output columns.
+
+/// Deepest run of k one live list covers (math::gemm's k-blocks are 256
+/// deep, so its calls list each block once).
+constexpr size_t kNnListDepth = 256;
+
+/// Widest column strip of the one-row kernel's accumulator array.
+constexpr size_t kNnStrip = 1024;
+
+/// Most rows one register-blocked group holds.
+constexpr size_t kNnRows = 8;
+
+constexpr size_t nn_min(size_t a, size_t b) { return b < a ? b : a; }
+
+/// The k indices of [p0, p1) that are nonzero (or NaN) in any of the MR
+/// rows of `a` (row stride kb), ascending, with the rows' values packed per
+/// index: entry t, at k index p0 + p[t], holds row i's value at
+/// a[t * MR + i]. Indices that are ±0 in every row are left out.
+template <int MR>
+struct NnLive {
+  double a[kNnListDepth * MR];
+  uint16_t p[kNnListDepth];
+  size_t count = 0;
+
+  DLPIC_ALWAYS_INLINE NnLive(size_t kb, const double* rows, size_t p0, size_t p1) {
+    size_t q = p0;
+    for (; q + 8 <= p1; q += 8) {
+      __mmask8 nonzero = 0;
+      for (int i = 0; i < MR; ++i)
+        nonzero |= _mm512_cmp_pd_mask(_mm512_loadu_pd(rows + i * kb + q), _mm512_setzero_pd(),
+                                      _CMP_NEQ_UQ);
+      for (unsigned m = nonzero; m != 0; m &= m - 1) add(kb, rows, p0, q + __builtin_ctz(m));
+    }
+    for (; q < p1; ++q) {
+      bool nonzero = false;
+      for (int i = 0; i < MR; ++i) nonzero |= rows[i * kb + q] != 0.0;
+      if (nonzero) add(kb, rows, p0, q);
+    }
+  }
+
+  DLPIC_ALWAYS_INLINE void add(size_t kb, const double* rows, size_t p0, size_t q) {
+    for (int i = 0; i < MR; ++i) a[count * MR + i] = rows[i * kb + q];
+    p[count++] = static_cast<uint16_t>(q - p0);
+  }
+};
+
+/// One row (a batch-1 forward) against nb8 columns (a multiple of 8): per
+/// strip of up to kNnStrip columns, a fresh accumulator array takes the
+/// live weight rows, four per pass, in ascending p with fmadd, and is then
+/// added to C.
+void zmm_nn_row(size_t nb8, size_t kb, const double* a, const double* B, size_t ldb,
+                double* C) {
+  alignas(64) double acc[kNnStrip];
+  for (size_t j0 = 0; j0 < nb8; j0 += kNnStrip) {
+    const size_t w = nn_min(kNnStrip, nb8 - j0);
+    for (size_t j = 0; j < w; j += 8) _mm512_store_pd(acc + j, _mm512_setzero_pd());
+    for (size_t p0 = 0; p0 < kb; p0 += kNnListDepth) {
+      const NnLive<1> live(kb, a, p0, nn_min(kb, p0 + kNnListDepth));
+      const double* Bs = B + p0 * ldb + j0;
+      size_t t = 0;
+      for (; t + 4 <= live.count; t += 4) {
+        const double* b0 = Bs + live.p[t] * ldb;
+        const double* b1 = Bs + live.p[t + 1] * ldb;
+        const double* b2 = Bs + live.p[t + 2] * ldb;
+        const double* b3 = Bs + live.p[t + 3] * ldb;
+        const __m512d a0 = _mm512_set1_pd(live.a[t]);
+        const __m512d a1 = _mm512_set1_pd(live.a[t + 1]);
+        const __m512d a2 = _mm512_set1_pd(live.a[t + 2]);
+        const __m512d a3 = _mm512_set1_pd(live.a[t + 3]);
+        for (size_t j = 0; j < w; j += 8) {
+          __m512d c = _mm512_load_pd(acc + j);
+          c = _mm512_fmadd_pd(a0, _mm512_loadu_pd(b0 + j), c);
+          c = _mm512_fmadd_pd(a1, _mm512_loadu_pd(b1 + j), c);
+          c = _mm512_fmadd_pd(a2, _mm512_loadu_pd(b2 + j), c);
+          c = _mm512_fmadd_pd(a3, _mm512_loadu_pd(b3 + j), c);
+          _mm512_store_pd(acc + j, c);
+        }
+      }
+      for (; t < live.count; ++t) {
+        const double* b = Bs + live.p[t] * ldb;
+        const __m512d av = _mm512_set1_pd(live.a[t]);
+        for (size_t j = 0; j < w; j += 8)
+          _mm512_store_pd(acc + j,
+                          _mm512_fmadd_pd(av, _mm512_loadu_pd(b + j), _mm512_load_pd(acc + j)));
+      }
+    }
+    double* c = C + j0;
+    for (size_t j = 0; j < w; j += 8)
+      _mm512_storeu_pd(c + j, _mm512_add_pd(_mm512_loadu_pd(c + j), _mm512_load_pd(acc + j)));
+  }
+}
+
+/// MR rows' accumulators over 8*G columns: c = fmadd(a_i[p], b, c) per
+/// lane, one term per live k index in ascending order, then C += c.
+template <int MR, int G>
+struct ZmmNnTile {
+  __m512d c[MR][G];
+
+  DLPIC_ALWAYS_INLINE ZmmNnTile() {
+    for (int i = 0; i < MR; ++i)
+      for (int g = 0; g < G; ++g) c[i][g] = _mm512_setzero_pd();
+  }
+
+  /// The terms of one weight row `b`, row i's value at av[i].
+  DLPIC_ALWAYS_INLINE void term(const double* b, const double* av) {
+    __m512d bv[G];
+    for (int g = 0; g < G; ++g) bv[g] = _mm512_loadu_pd(b + 8 * g);
+    for (int i = 0; i < MR; ++i) {
+      const __m512d x = _mm512_set1_pd(av[i]);
+      for (int g = 0; g < G; ++g) c[i][g] = _mm512_fmadd_pd(x, bv[g], c[i][g]);
+    }
+  }
+
+  DLPIC_ALWAYS_INLINE void store(double* C, size_t ldc) {
+    for (int i = 0; i < MR; ++i)
+      for (int g = 0; g < G; ++g) {
+        double* ci = C + i * ldc + 8 * g;
+        _mm512_storeu_pd(ci, _mm512_add_pd(_mm512_loadu_pd(ci), c[i][g]));
+      }
+  }
+};
+
+/// The columns of strips [j, j_end) (8*G wide) for MR rows over the list.
+template <int MR, int G>
+void zmm_nn_strips(size_t j, size_t j_end, const NnLive<MR>& live, const double* B,
+                   size_t ldb, double* C, size_t ldc) {
+  for (; j + 8 * G <= j_end; j += 8 * G) {
+    ZmmNnTile<MR, G> tile;
+    for (size_t t = 0; t < live.count; ++t)
+      tile.term(B + live.p[t] * ldb + j, live.a + t * MR);
+    tile.store(C + j, ldc);
+  }
+}
+
+/// The first nb8 columns (a multiple of 8) for 2 to 8 rows over one
+/// k-block of at most kNnListDepth: 32, 24 or 16 columns per strip as the
+/// row count leaves registers, then 8.
+template <int MR>
+void zmm_nn_rows(size_t nb8, size_t kb, const double* a, const double* B, size_t ldb,
+                 double* C, size_t ldc) {
+  constexpr int kG = MR <= 4 ? 4 : MR <= 6 ? 3 : 2;
+  const size_t wide = nb8 / (8 * kG) * (8 * kG);
+  const NnLive<MR> live(kb, a, 0, kb);
+  zmm_nn_strips<MR, kG>(0, wide, live, B, ldb, C, ldc);
+  zmm_nn_strips<MR, 1>(wide, nb8, live, B, ldb, C, ldc);
+}
+
+// ---------------------------------------------------------------------------
 // The backend: the AVX2 backend with the skinny f64 GEMM on zmm for 4 to 16
 // rows and gemm_int8 on vpdpbusd. Every other kernel is inherited, so it
 // runs the AVX2 code.
@@ -247,6 +397,32 @@ class Avx512VnniBackend final : public Avx2Backend {
     }
     if (nb8 < nb)
       Avx2Backend::gemm_nt_block(mr, nb - nb8, kb, a, B + nb8 * ldb, ldb, C + nb8, ldc);
+  }
+
+  // One row walks the whole width; 2 to 16 rows are register-blocked in
+  // groups of up to 8. Columns past the last 8-group (the 4-column fmadd
+  // group and the mul-then-add tail), and several rows over a panel deeper
+  // than one list, run on the AVX2 kernel, so every output keeps its
+  // sequence.
+  void gemm_nn_block(size_t mr, size_t nb, size_t kb, const double* a, const double* B,
+                     size_t ldb, double* C, size_t ldc) const override {
+    const size_t nb8 = mr > 1 && kb > kNnListDepth ? 0 : nb & ~size_t{7};
+    for (size_t i = 0; nb8 > 0 && i < mr; i += kNnRows) {
+      const double* ai = a + i * kb;
+      double* Ci = C + i * ldc;
+      switch (nn_min(kNnRows, mr - i)) {
+        case 1: zmm_nn_row(nb8, kb, ai, B, ldb, Ci); break;
+        case 2: zmm_nn_rows<2>(nb8, kb, ai, B, ldb, Ci, ldc); break;
+        case 3: zmm_nn_rows<3>(nb8, kb, ai, B, ldb, Ci, ldc); break;
+        case 4: zmm_nn_rows<4>(nb8, kb, ai, B, ldb, Ci, ldc); break;
+        case 5: zmm_nn_rows<5>(nb8, kb, ai, B, ldb, Ci, ldc); break;
+        case 6: zmm_nn_rows<6>(nb8, kb, ai, B, ldb, Ci, ldc); break;
+        case 7: zmm_nn_rows<7>(nb8, kb, ai, B, ldb, Ci, ldc); break;
+        default: zmm_nn_rows<8>(nb8, kb, ai, B, ldb, Ci, ldc); break;
+      }
+    }
+    if (nb8 < nb)
+      Avx2Backend::gemm_nn_block(mr, nb - nb8, kb, a, B + nb8, ldb, C + nb8, ldc);
   }
 
   // 4-row x 2-column register tile over 32-wide VNNI k steps (8 int32 ymm

@@ -7,7 +7,7 @@
 /// falls through to the AVX2 / scalar backends.
 ///
 /// Scope: the backend is an Avx2Backend (backend_avx2.hpp) that overrides
-/// name() and two kernels. Every other kernel is inherited, so the
+/// name() and three kernels. Every other kernel is inherited, so the
 /// elementwise, optimizer, FFT, PIC and binning paths and the packed f64
 /// GEMM are not merely equivalent but the same code, and a kernel added to
 /// the AVX2 backend reaches this one without a line here.
@@ -27,6 +27,9 @@
 ///    1024 -> 128 first layer) and 1.9x (a dense 128 -> 128 layer) faster
 ///    than on the AVX2 kernel, and perfbench's serve_ci throughput rose
 ///    1.33x with p50 latency unchanged.
+///  - gemm_nn_block, the same product for a loaded (input-major) weight, on
+///    zmm: one row walks each live weight row across the whole width, 2 to
+///    16 rows are register-blocked in groups of up to 8.
 ///  - gemm_int8 on vpdpbusd: one instruction replaces the AVX2 kernel's
 ///    maddubs + madd + add sequence at the same 256-bit width (AVX512VL
 ///    exposes vpdpbusd on ymm), and AVX512BW masked loads fold the k
@@ -36,7 +39,8 @@
 /// accumulator, fmadd over ascending p, C += acc, the same 4-column fmadd
 /// groups and mul-then-add tail) and skips only k groups that are ±0 in
 /// every row, so f64 results are bitwise the AVX2 ones at every batch size
-/// (see KernelBackend::gemm_nt_block for the finite-weight condition). The
+/// (see KernelBackend::gemm_nt_block for the finite-weight condition); the
+/// same holds for gemm_nn_block. The
 /// ±127 code contract (codes never reach -128) rules out the
 /// unsigned-operand saturation edge of vpdpbusd's u8 x s8 products, and the
 /// int32 accumulation is exact under the kQuantizedGemmMaxDepth bound, so

@@ -32,12 +32,34 @@ Dense::Dense(size_t in_features, size_t out_features, math::Rng& rng, bool linea
 }
 
 Dense::Dense(size_t in_features, size_t out_features)
-    : Dense(Tensor({out_features, in_features}), Tensor({out_features})) {}
+    : Dense(Tensor({out_features, in_features}), Tensor({out_features}), false) {}
 
-Dense::Dense(Tensor weight, Tensor bias)
-    : in_(weight.dim(1)), out_(weight.dim(0)), weight_(std::move(weight)),
-      bias_(std::move(bias)) {
+Dense::Dense(Tensor weight, Tensor bias, bool input_major)
+    : in_(weight.dim(input_major ? 0 : 1)), out_(weight.dim(input_major ? 1 : 0)),
+      weight_(std::move(weight)), bias_(std::move(bias)), input_major_(input_major) {
   if (in_ == 0 || out_ == 0) throw std::invalid_argument("Dense: zero-sized layer");
+}
+
+void Dense::to_output_major() {
+  if (!input_major_) return;
+  // Cycle-following transpose of [in, out] into [out, in]: the element at
+  // i = r * out + c belongs at c * in + r = i * in mod (n - 1). A bitmap
+  // (1/64 of the weight) marks the entries already placed.
+  const size_t n = weight_.size();
+  double* w = weight_.data();
+  std::vector<bool> placed(n, false);
+  for (size_t start = 1; start + 1 < n; ++start) {
+    if (placed[start]) continue;
+    double carried = w[start];
+    size_t at = start;
+    do {
+      at = at * in_ % (n - 1);
+      std::swap(carried, w[at]);
+      placed[at] = true;
+    } while (at != start);
+  }
+  weight_.reshape({out_, in_});
+  input_major_ = false;
 }
 
 void Dense::ensure_grads() {
@@ -55,6 +77,7 @@ Tensor& Dense::forward(ExecutionContext& ctx, const Tensor& input, bool training
   const KernelBackend* be = &ctx.resolved_backend();
   const size_t batch = input.dim(0);
   Tensor& out = ctx.workspace().tensor(this, kSlotOut, {batch, out_});
+  if (training) to_output_major();
 
   if (const QuantizedWeightCache* cache = ctx.quantized_weights()) {
     if (training)
@@ -73,9 +96,14 @@ Tensor& Dense::forward(ExecutionContext& ctx, const Tensor& input, bool training
       detail::parallel_copy(input.data(), xc.data(), input.size());
       x = xc.data();
     }
-    // out[b,o] = sum_i x[b,i] W[o,i]  ->  X (batch x in) * W^T (in x out).
-    math::gemm(false, true, batch, out_, in_, 1.0, x, in_, weight_.data(), in_, 0.0,
-               out.data(), out_);
+    // out[b,o] = sum_i x[b,i] W[o,i]  ->  X (batch x in) * W^T (in x out),
+    // with W^T held as is (input-major) or read through W's rows.
+    if (input_major_)
+      math::gemm(false, false, batch, out_, in_, 1.0, x, in_, weight_.data(), out_, 0.0,
+                 out.data(), out_);
+    else
+      math::gemm(false, true, batch, out_, in_, 1.0, x, in_, weight_.data(), in_, 0.0,
+                 out.data(), out_);
   }
   // An inference forward leaves no input behind, so a backward after it
   // throws instead of reading an older batch (the rank-0 shape keeps the
@@ -120,6 +148,7 @@ Tensor& Dense::backward(ExecutionContext& ctx, const Tensor& grad_output) {
                                 grad_output.shape_string());
   util::ScopedWorkerCap cap(ctx.worker_cap());
   ScopedBackend backend_scope(ctx.backend());
+  to_output_major();
   ensure_grads();
 
   // dW[o,i] += sum_b dY[b,o] X[b,i]  ->  dY^T (out x batch) * X (batch x in).
@@ -147,6 +176,7 @@ Tensor& Dense::backward(ExecutionContext& ctx, const Tensor& grad_output) {
 }
 
 std::vector<Param> Dense::params() {
+  to_output_major();
   ensure_grads();
   return {{&weight_, &weight_grad_, "weight"}, {&bias_, &bias_grad_, "bias"}};
 }
@@ -160,16 +190,34 @@ std::vector<size_t> Dense::output_shape(const std::vector<size_t>& input_shape) 
 void Dense::save(util::BinaryWriter& w) const {
   w.write_u64(in_);
   w.write_u64(out_);
-  w.write_f64_vector(weight_.vec());
+  if (input_major_) {
+    w.write_f64_vector(weight_.vec());
+  } else {
+    // W^T, a few input rows at a time through a buffer of at most 256 KB
+    // (or one row): no second copy of the weight.
+    w.write_u64(weight_.size());
+    const size_t rows = std::min(in_, std::max<size_t>(1, (size_t{1} << 15) / out_));
+    std::vector<double> buf(rows * out_);
+    const double* W = weight_.data();
+    for (size_t p0 = 0; p0 < in_; p0 += rows) {
+      const size_t nr = std::min(rows, in_ - p0);
+      for (size_t o = 0; o < out_; ++o)
+        for (size_t p = 0; p < nr; ++p) buf[p * out_ + o] = W[o * in_ + p0 + p];
+      w.write_f64_array(buf.data(), nr * out_);
+    }
+  }
   w.write_f64_vector(bias_.vec());
 }
 
-std::unique_ptr<Dense> Dense::load(util::BinaryReader& r) {
+std::unique_ptr<Dense> Dense::load(util::BinaryReader& r, uint32_t format) {
   const size_t in = r.read_u64();
   const size_t out = r.read_u64();
-  Tensor weight({out, in}, detail::read_param(r, {out, in}, "Dense::load"));
+  const bool input_major = format != kModelFormatOutputMajor;
+  Tensor weight = input_major
+                      ? Tensor({in, out}, detail::read_param(r, {in, out}, "Dense::load"))
+                      : Tensor({out, in}, detail::read_param(r, {out, in}, "Dense::load"));
   Tensor bias({out}, detail::read_param(r, {out}, "Dense::load"));
-  return std::unique_ptr<Dense>(new Dense(std::move(weight), std::move(bias)));
+  return std::unique_ptr<Dense>(new Dense(std::move(weight), std::move(bias), input_major));
 }
 
 }  // namespace dlpic::nn

@@ -73,6 +73,13 @@ class Layer {
   [[nodiscard]] virtual size_t parameter_count() const { return 0; }
 };
 
+/// Model file format Sequential::save writes and Dense::load reads by
+/// default: v2 stores each Dense weight input-major (W^T [in, out]); v1
+/// stored it output-major (W [out, in]) and still loads. The record layout
+/// and byte count are the same in both.
+inline constexpr uint32_t kModelFormat = 2;
+inline constexpr uint32_t kModelFormatOutputMajor = 1;
+
 namespace detail {
 
 /// Elementwise copy src -> dst (same size) parallelized under the current

@@ -98,13 +98,18 @@ void quantize_rows_fast(const double* src, size_t rows, size_t cols, Code* q,
   }
 }
 
+namespace {
+
 /// Candidate scales absmax/kLimit .. absmax/(kLimit - 31) — a finer grid
 /// (larger t) trades clipping of the largest entries against resolution for
 /// the rest; keep whichever minimizes this row's round-trip error. t =
 /// kLimit runs first so the fast path's result is the tie-breaking baseline.
+/// Element (r, c) of the matrix is src[r * row_stride + c * col_stride]; a
+/// strided row is gathered before it is quantized.
 template <typename Code>
-void quantize_rows_precise(const double* src, size_t rows, size_t cols,
-                           QuantizedMatrix<Code>& out) {
+void quantize_strided_precise(const double* src, size_t rows, size_t cols,
+                              size_t row_stride, size_t col_stride,
+                              QuantizedMatrix<Code>& out) {
   constexpr long long kLimit = kCodeLimit<Code>;
   constexpr long long kTMin = kLimit - 31;
   out.rows = rows;
@@ -112,8 +117,13 @@ void quantize_rows_precise(const double* src, size_t rows, size_t cols,
   out.q.resize(rows * cols);
   out.scales.resize(rows);
   std::vector<Code> trial(cols);
+  std::vector<double> gathered(col_stride == 1 ? 0 : cols);
   for (size_t r = 0; r < rows; ++r) {
-    const double* x = src + r * cols;
+    const double* x = src + r * row_stride;
+    if (col_stride != 1) {
+      for (size_t c = 0; c < cols; ++c) gathered[c] = x[c * col_stride];
+      x = gathered.data();
+    }
     Code* qr = out.q.data() + r * cols;
     const double absmax = row_absmax(x, cols);
     if (absmax == 0.0) {
@@ -134,6 +144,14 @@ void quantize_rows_precise(const double* src, size_t rows, size_t cols,
     }
     out.scales[r] = best_s;
   }
+}
+
+}  // namespace
+
+template <typename Code>
+void quantize_rows_precise(const double* src, size_t rows, size_t cols,
+                           QuantizedMatrix<Code>& out) {
+  quantize_strided_precise(src, rows, cols, cols, 1, out);
 }
 
 template <typename Code>
@@ -232,26 +250,35 @@ QuantizedWeightCache::QuantizedWeightCache(const Sequential& model, Precision pr
   if (!is_quantized(precision))
     throw std::invalid_argument(
         "QuantizedWeightCache: f64 needs no weight cache (use a null cache)");
-  const auto add = [&](const Layer& layer, const double* rows, size_t nrows, size_t ncols) {
+  // Row r of a weight (one output's weights) is src[r * row_stride + c *
+  // col_stride]: contiguous when output-major, a column of an input-major
+  // dense layer's W^T.
+  const auto add = [&](const Layer& layer, const double* src, size_t nrows, size_t ncols,
+                       bool input_major) {
     Entry& entry = entries_[&layer];
+    const size_t rs = input_major ? 1 : ncols;
+    const size_t cs = input_major ? nrows : 1;
     if (precision == Precision::kInt16)
-      quantize_rows_precise(rows, nrows, ncols, entry.emplace<QuantizedMatrix<int16_t>>());
+      quantize_strided_precise(src, nrows, ncols, rs, cs,
+                               entry.emplace<QuantizedMatrix<int16_t>>());
     else
-      quantize_rows_precise(rows, nrows, ncols, entry.emplace<QuantizedMatrix<int8_t>>());
+      quantize_strided_precise(src, nrows, ncols, rs, cs,
+                               entry.emplace<QuantizedMatrix<int8_t>>());
+  };
+  const auto add_dense = [&](const Dense& d) {
+    add(d, d.stored_weight().data(), d.out_features(), d.in_features(), d.input_major());
   };
   for (size_t i = 0; i < model.layer_count(); ++i) {
     const Layer& layer = model.layer(i);
     if (const auto* dense = dynamic_cast<const Dense*>(&layer)) {
-      add(layer, dense->weight().data(), dense->out_features(), dense->in_features());
+      add_dense(*dense);
     } else if (const auto* conv = dynamic_cast<const Conv2D*>(&layer)) {
       const Conv2DConfig& c = conv->config();
       add(layer, conv->weight().data(), c.out_channels,
-          c.in_channels * c.kernel_h * c.kernel_w);
+          c.in_channels * c.kernel_h * c.kernel_w, false);
     } else if (const auto* res = dynamic_cast<const ResidualDense*>(&layer)) {
-      const Dense& inner = res->inner();
-      const Dense& outer = res->outer();
-      add(inner, inner.weight().data(), inner.out_features(), inner.in_features());
-      add(outer, outer.weight().data(), outer.out_features(), outer.in_features());
+      add_dense(res->inner());
+      add_dense(res->outer());
     }
   }
 }

@@ -125,11 +125,11 @@ void ResidualDense::save(util::BinaryWriter& w) const {
   outer_.save(w);
 }
 
-std::unique_ptr<ResidualDense> ResidualDense::load(util::BinaryReader& r) {
+std::unique_ptr<ResidualDense> ResidualDense::load(util::BinaryReader& r, uint32_t format) {
   const size_t width = r.read_u64();
   const size_t hidden = r.read_u64();
-  auto inner = Dense::load(r);
-  auto outer = Dense::load(r);
+  auto inner = Dense::load(r, format);
+  auto outer = Dense::load(r, format);
   if (inner->in_features() != width || inner->out_features() != hidden ||
       outer->in_features() != hidden || outer->out_features() != width)
     throw std::runtime_error("ResidualDense::load: sub-layer shape mismatch");

@@ -37,7 +37,8 @@ class ResidualDense final : public Layer {
   [[nodiscard]] std::vector<size_t> output_shape(
       const std::vector<size_t>& input_shape) const override;
   void save(util::BinaryWriter& w) const override;
-  static std::unique_ptr<ResidualDense> load(util::BinaryReader& r);
+  static std::unique_ptr<ResidualDense> load(util::BinaryReader& r,
+                                             uint32_t format = kModelFormat);
 
   [[nodiscard]] size_t width() const { return width_; }
   [[nodiscard]] size_t hidden() const { return hidden_; }

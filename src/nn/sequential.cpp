@@ -13,7 +13,6 @@ namespace dlpic::nn {
 
 namespace {
 constexpr uint32_t kModelMagic = 0x444c5043;  // "DLPC"
-constexpr uint32_t kModelVersion = 1;
 }  // namespace
 
 Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
@@ -73,7 +72,7 @@ std::vector<size_t> Sequential::output_shape(std::vector<size_t> input_shape) co
 void Sequential::save(const std::string& path) const {
   util::BinaryWriter w(path);
   w.write_u32(kModelMagic);
-  w.write_u32(kModelVersion);
+  w.write_u32(kModelFormat);
   w.write_u64(layers_.size());
   for (const auto& l : layers_) {
     w.write_string(l->type());
@@ -86,14 +85,15 @@ Sequential Sequential::load_file(const std::string& path) {
   util::BinaryReader r(path);
   if (r.read_u32() != kModelMagic)
     throw std::runtime_error("Sequential::load_file: bad magic in " + path);
-  if (r.read_u32() != kModelVersion)
+  const uint32_t format = r.read_u32();
+  if (format != kModelFormat && format != kModelFormatOutputMajor)
     throw std::runtime_error("Sequential::load_file: unsupported version in " + path);
   const uint64_t count = r.read_u64();
   Sequential model;
   for (uint64_t i = 0; i < count; ++i) {
     const std::string type = r.read_string();
     if (type == "dense")
-      model.add(Dense::load(r));
+      model.add(Dense::load(r, format));
     else if (type == "relu")
       model.add(ReLU::load(r));
     else if (type == "leaky_relu")
@@ -109,7 +109,7 @@ Sequential Sequential::load_file(const std::string& path) {
     else if (type == "reshape4")
       model.add(Reshape4::load(r));
     else if (type == "residual_dense")
-      model.add(ResidualDense::load(r));
+      model.add(ResidualDense::load(r, format));
     else
       throw std::runtime_error("Sequential::load_file: unknown layer type '" + type + "'");
   }

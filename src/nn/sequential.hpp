@@ -53,10 +53,13 @@ class Sequential {
   /// Output shape for a given input shape (validates the whole stack).
   [[nodiscard]] std::vector<size_t> output_shape(std::vector<size_t> input_shape) const;
 
-  /// Serializes the architecture and all weights to `path`.
+  /// Serializes the architecture and all weights to `path`, in model
+  /// format kModelFormat (v2: dense weights stored as W^T).
   void save(const std::string& path) const;
 
-  /// Reconstructs a model saved with save(). Throws on format errors.
+  /// Reconstructs a model saved with save(): its dense layers hold W^T
+  /// (input-major). A v1 file still loads, with output-major dense layers.
+  /// Throws on format errors.
   static Sequential load_file(const std::string& path);
 
  private:

@@ -37,7 +37,7 @@ TEST(Dataset, AddAndGather) {
   EXPECT_DOUBLE_EQ(x.at2(0, 0), 4);
   EXPECT_DOUBLE_EQ(y.at2(1, 0), 3);
   EXPECT_THROW(ds.add({1}, {2}), std::invalid_argument);
-  EXPECT_THROW(ds.input_row(5), std::out_of_range);
+  EXPECT_THROW((void)ds.input_row(5), std::out_of_range);
 }
 
 TEST(Dataset, SplitSizesAndDisjointness) {

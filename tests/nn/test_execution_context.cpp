@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <stdexcept>
@@ -27,6 +28,7 @@
 #include "nn/maxpool2d.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/sequential.hpp"
 #include "util/parallel.hpp"
 #include "util/thread_pool.hpp"
 
@@ -248,6 +250,40 @@ TEST(ZeroAllocation, InferenceForwardBatch12SteadyState) {
     for (int i = 0; i < 10; ++i) (void)model.forward(ctx, x, false);
     const size_t after = g_alloc_count.load();
     EXPECT_EQ(after - before, 0u) << name << ": steady-state inference forwards allocated";
+  }
+}
+
+// A loaded model holds its dense weights input-major, so its small-batch
+// forwards run the in-place NN kernel: after the first inference forward
+// nothing allocates, at batch 1 (the DL-PIC field solve) and at batch 16 (a
+// served batch), on every backend.
+TEST(ZeroAllocation, LoadedModelInferenceForwardSteadyState) {
+  util::ScopedMaxWorkers cap(1);
+  MlpSpec spec;
+  spec.input_dim = 32 * 32;
+  spec.output_dim = 64;
+  spec.hidden = 128;
+  const std::string path = testing::TempDir() + "/dlpic_zero_alloc_loaded.bin";
+  build_mlp(spec).save(path);
+  Sequential model = Sequential::load_file(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(dynamic_cast<Dense&>(model.layer(0)).input_major());
+  for (const size_t batch : {1, 16}) {
+    auto x = random_tensor({batch, spec.input_dim}, 35 + batch);
+    for (size_t i = 0; i < x.size(); ++i)  // a sparse histogram-like input
+      if (i % 7 != 0) x[i] = 0.0;
+    for (const char* name : {"scalar", "avx2", "avx512"}) {
+      const KernelBackend* be = backend_by_name(name);
+      if (be == nullptr) continue;
+      ExecutionContext ctx(0, be);
+      (void)model.forward(ctx, x, false);
+
+      const size_t before = g_alloc_count.load();
+      for (int i = 0; i < 10; ++i) (void)model.forward(ctx, x, false);
+      const size_t after = g_alloc_count.load();
+      EXPECT_EQ(after - before, 0u)
+          << name << " batch " << batch << ": loaded-model inference forwards allocated";
+    }
   }
 }
 

@@ -29,7 +29,7 @@ TEST(MseLoss, ValueAndGradient) {
 
 TEST(MseLoss, BackwardBeforeForwardThrows) {
   MSELoss loss;
-  EXPECT_THROW(loss.backward(), std::runtime_error);
+  EXPECT_THROW((void)loss.backward(), std::runtime_error);
 }
 
 TEST(Metrics, MaeMaxErrorMse) {

@@ -55,7 +55,7 @@ TEST(Tensor, FillAndZero) {
 TEST(Tensor, ShapeStringAndDimBounds) {
   Tensor t({2, 64});
   EXPECT_EQ(t.shape_string(), "[2, 64]");
-  EXPECT_THROW(t.dim(2), std::out_of_range);
+  EXPECT_THROW((void)t.dim(2), std::out_of_range);
 }
 
 TEST(Tensor, AddAndScaleInplace) {

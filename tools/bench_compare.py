@@ -41,6 +41,14 @@ planned FFT must beat the legacy radix-2 it replaced:
 A violated --assert-ratio exits 1 even under --warn-only; --warn-ratio prints
 a ::warning:: annotation instead. A gate whose rows are missing or skipped
 (e.g. the avx2 rows on a scalar-only host) reports a note and does not fail.
+
+--normalize-by ROW makes the advisory comparison host-relative: every row's
+metrics are divided by the same metrics of ROW from the same file (baseline
+rows by the baseline's ROW, current rows by the current file's ROW) before
+they are compared, so a host that runs everything slower or faster than the
+baseline host flags nothing, while a row that moved against ROW still
+does. Metrics ROW lacks are left out of the comparison. Its regressions only
+ever warn; --fail-on and the ratio gates keep reading the absolute values.
 """
 
 import argparse
@@ -89,6 +97,22 @@ def compare(base, cur, threshold):
                 direction == "up" and rel < -threshold
             ):
                 yield name, key, bval, cval, rel
+
+
+def normalize(rows, ref_name):
+    """Rows divided, metric by metric, by row ref_name of the same file;
+    metrics the reference lacks (or holds as <= 0) are dropped."""
+    ref = rows[ref_name]
+    out = {}
+    for name, row in rows.items():
+        out[name] = {
+            key: val / ref[key]
+            for key, val in row.items()
+            if isinstance(val, (int, float))
+            and isinstance(ref.get(key), (int, float))
+            and ref[key] > 0
+        }
+    return out
 
 
 def parse_fail_on(spec):
@@ -186,6 +210,12 @@ def main():
         help="like --assert-ratio but a violation only prints a ::warning:: "
         "annotation (repeatable)",
     )
+    ap.add_argument(
+        "--normalize-by",
+        metavar="ROW",
+        help="compare every row divided by ROW from the same file (host-relative); "
+        "its regressions only warn",
+    )
     args = ap.parse_args()
     gates = [parse_fail_on(spec) for spec in args.fail_on]
     assert_ratios = [parse_ratio_gate(spec) for spec in args.assert_ratio]
@@ -205,10 +235,27 @@ def main():
     for name in sorted(set(base_skipped) | set(cur_skipped)):
         print(f"note: skipped/errored row not compared: {name}")
 
-    regressions = list(compare(base, cur, args.threshold))
-    prefix = "::warning::" if args.warn_only else "REGRESSION: "
+    warn_only = args.warn_only
+    if args.normalize_by:
+        warn_only = True
+        if args.normalize_by in base and args.normalize_by in cur:
+            print(f"note: advisory comparison normalized by {args.normalize_by}")
+            regressions = list(
+                compare(
+                    normalize(base, args.normalize_by),
+                    normalize(cur, args.normalize_by),
+                    args.threshold,
+                )
+            )
+        else:
+            print(f"note: normalizing row {args.normalize_by} unavailable; advisory comparison skipped")
+            regressions = []
+    else:
+        regressions = list(compare(base, cur, args.threshold))
+    prefix = "::warning::" if warn_only else "REGRESSION: "
+    unit = " (relative to the normalizing row)" if args.normalize_by else ""
     for name, key, bval, cval, rel in regressions:
-        print(f"{prefix}{name} {key}: {bval:g} -> {cval:g} ({rel:+.1%})")
+        print(f"{prefix}{name} {key}{unit}: {bval:g} -> {cval:g} ({rel:+.1%})")
     failures = list(hard_failures(base, cur, gates))
     for name, key, bval, cval, rel, rel_threshold in failures:
         print(
@@ -242,7 +289,7 @@ def main():
     )
     if failures or ratio_failures:
         return 1
-    return 0 if (args.warn_only or not regressions) else 1
+    return 0 if (warn_only or not regressions) else 1
 
 
 if __name__ == "__main__":
