@@ -7,9 +7,11 @@
 /// The particle kernels take a second argument — the worker cap for
 /// dlpic::util parallel loops (1 = the serial reference path, 0 = all
 /// hardware workers) — and a third selecting the kernel backend (0 =
-/// scalar, 1 = avx2; avx2 rows are skipped on hosts without it).
-/// ns/particle-step is exported as a counter and the whole table is
-/// mirrored into BENCH_micro_pic.json.
+/// scalar, 1 = avx2, 2 = avx512; a row is skipped on hosts without its
+/// backend). Those rows are timed on the wall clock (UseRealTime, so their
+/// names end in /real_time): with more than one worker, the calling
+/// thread's CPU time leaves out the pool's. ns/particle-step is exported
+/// as a counter and the whole table is mirrored into BENCH_micro_pic.json.
 
 #include <benchmark/benchmark.h>
 
@@ -168,6 +170,20 @@ void bench_particle_phase(benchmark::State& state) {
   state.counters["ns_per_particle_step"] = benchjson::ns_per_item(nparticles);
 }
 
+/// The diagnostics' velocity moments of a 64-cell two-stream load: one
+/// pass over v for the kinetic energy and the momentum.
+void bench_velocity_moments(benchmark::State& state) {
+  pic::Grid1D grid(64, kBoxLength);
+  const size_t nparticles = static_cast<size_t>(state.range(0));
+  const auto species = make_species(grid, nparticles);
+  for (auto _ : state) {
+    auto moments = species.velocity_moments();
+    benchmark::DoNotOptimize(moments);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+  state.counters["ns_per_particle_step"] = benchjson::ns_per_item(nparticles);
+}
+
 void bench_sort_by_cell(benchmark::State& state) {
   pic::Grid1D grid(64, kBoxLength);
   const size_t nparticles = static_cast<size_t>(state.range(0));
@@ -240,9 +256,12 @@ void bench_binner_cic(benchmark::State& s) {
 }  // namespace
 
 // {particles, worker cap, backend}: worker sweep on the scalar backend plus
-// serial/parallel avx2 points (1 = serial reference, 0 = all hardware).
+// serial/parallel avx2 points (1 = serial reference, 0 = all hardware). The
+// push rows add a serial avx512 point: of these kernels only the push has
+// an avx512 override.
 #define DLPIC_THREAD_SWEEP(fn)   \
   BENCHMARK(fn)                  \
+      ->UseRealTime()            \
       ->Args({64000, 1, 0})      \
       ->Args({64000, 1, 1})      \
       ->Args({64000, 2, 0})      \
@@ -257,10 +276,11 @@ DLPIC_THREAD_SWEEP(bench_deposit_tsc);
 DLPIC_THREAD_SWEEP(bench_gather_ngp);
 DLPIC_THREAD_SWEEP(bench_gather_cic);
 DLPIC_THREAD_SWEEP(bench_gather_tsc);
-DLPIC_THREAD_SWEEP(bench_leapfrog_cic);
-DLPIC_THREAD_SWEEP(bench_leapfrog_tsc);
-DLPIC_THREAD_SWEEP(bench_leapfrog_bounded_cic);
+DLPIC_THREAD_SWEEP(bench_leapfrog_cic)->Args({64000, 1, 2});
+DLPIC_THREAD_SWEEP(bench_leapfrog_tsc)->Args({64000, 1, 2});
+DLPIC_THREAD_SWEEP(bench_leapfrog_bounded_cic)->Args({64000, 1, 2});
 DLPIC_THREAD_SWEEP(bench_particle_phase);
+BENCHMARK(bench_velocity_moments)->Arg(64000);
 BENCHMARK(bench_sort_by_cell)->Arg(64000);
 BENCHMARK(bench_poisson_spectral)->Arg(64)->Arg(1024);
 BENCHMARK(bench_poisson_tridiag)->Arg(64)->Arg(1024);

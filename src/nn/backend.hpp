@@ -13,7 +13,8 @@
 ///    (backend_elementwise.hpp) compiled with its flags.
 ///  - Avx512VnniBackend (backend_avx512.cpp): an Avx2Backend that
 ///    overrides the skinny f64 GEMMs (gemm_nt_block on zmm for 4 to 16
-///    rows, gemm_nn_block on zmm) and the int8 GEMM (vpdpbusd).
+///    rows, gemm_nn_block on zmm), the PIC push and stagger (8 particles
+///    per zmm step) and the int8 GEMM (vpdpbusd).
 /// The SIMD files are compiled with per-file target flags on x86-64 and
 /// selected at runtime via cpuid.
 ///
@@ -252,7 +253,9 @@ class KernelBackend {
   using PicGatherFn = void (*)(const double* E, const double* x, double* out, size_t lo,
                                size_t hi, double inv_dx, long ncells);
   /// v[p] += qm_half_dt * gather(x[p]) for p in [lo, hi) — the half-step
-  /// velocity stagger.
+  /// velocity stagger. A non-finite x[p] throws std::invalid_argument
+  /// naming p (the particles before it are already done), on every backend
+  /// and for the push below as well.
   using PicStaggerFn = void (*)(const double* E, const double* x, double* v, size_t lo,
                                 size_t hi, double inv_dx, long ncells, double qm_half_dt);
   /// Fused kick+drift: v[p] += qm_dt*gather(x[p]); x[p] = wrap(x[p]+v[p]*dt)
@@ -310,11 +313,11 @@ const KernelBackend& scalar_backend();
 const KernelBackend* avx2_backend();
 
 /// The AVX-512 VNNI backend, or nullptr when the build or the CPU lacks
-/// AVX512VNNI+BW+VL. It is the AVX2 backend with a zmm skinny f64 GEMM and
-/// a vpdpbusd int8 GEMM, so every other kernel runs the AVX2 code; the
-/// skinny kernel keeps the AVX2 kernel's per-output sequence and the int8
-/// kernel is exact integer arithmetic, so its results are bitwise the AVX2
-/// ones.
+/// AVX512VNNI+BW+VL. It is the AVX2 backend with a zmm skinny f64 GEMM, a
+/// zmm PIC push and stagger and a vpdpbusd int8 GEMM, so every other kernel
+/// runs the AVX2 code; the skinny kernel and the push keep the AVX2
+/// kernels' per-output sequence and the int8 kernel is exact integer
+/// arithmetic, so its results are bitwise the AVX2 ones.
 const KernelBackend* avx512_backend();
 
 /// Process default resolved once from DLPIC_BACKEND (see file header).

@@ -22,6 +22,15 @@ namespace {
 // shape templates, so every PIC kernel here is bitwise identical to the
 // scalar backend.
 
+/// True when all four x are finite (x - x == 0, ordered: NaN and ±inf give
+/// NaN). The push and stagger run a group that fails it on the scalar
+/// range, which throws at the first non-finite x, so a NaN or ±inf never
+/// reaches a float-to-int conversion or a gather.
+inline bool all_finite4(__m256d x) {
+  const __m256d zero_diff = _mm256_cmp_pd(_mm256_sub_pd(x, x), _mm256_setzero_pd(), _CMP_EQ_OQ);
+  return _mm256_movemask_pd(zero_diff) == 0xF;
+}
+
 /// wrap_near for a vector of indices at most one box outside [0, n).
 inline __m128i wrap_near32(__m128i i, __m128i n) {
   const __m128i neg = _mm_cmplt_epi32(i, _mm_setzero_si128());
@@ -117,8 +126,12 @@ void stagger_range_avx2(const double* E, const double* x, double* v, size_t lo,
   const __m256d vqm = _mm256_set1_pd(qm_half_dt);
   size_t p = lo;
   for (; p + 4 <= hi; p += 4) {
-    const __m256d xi = _mm256_mul_pd(_mm256_loadu_pd(x + p), vinv);
-    const __m256d Ep = gather_stencil(E, St(xi, n));
+    const __m256d xv = _mm256_loadu_pd(x + p);
+    if (!all_finite4(xv)) {
+      backend_detail::stagger_range<S>(E, x, v, p, p + 4, inv_dx, ncells, qm_half_dt);
+      continue;
+    }
+    const __m256d Ep = gather_stencil(E, St(_mm256_mul_pd(xv, vinv), n));
     _mm256_storeu_pd(v + p, _mm256_add_pd(_mm256_loadu_pd(v + p), _mm256_mul_pd(vqm, Ep)));
   }
   backend_detail::stagger_range<S>(E, x, v, p, hi, inv_dx, ncells, qm_half_dt);
@@ -137,8 +150,11 @@ void leapfrog_range_avx2(const double* E, double* x, double* v, size_t lo, size_
   size_t p = lo;
   for (; p + 4 <= hi; p += 4) {
     const __m256d xv = _mm256_loadu_pd(x + p);
-    const __m256d xi = _mm256_mul_pd(xv, vinv);
-    const __m256d Ep = gather_stencil(E, St(xi, n));
+    if (!all_finite4(xv)) {
+      backend_detail::leapfrog_range<S>(E, x, v, p, p + 4, inv_dx, ncells, qm_dt, dt, length);
+      continue;
+    }
+    const __m256d Ep = gather_stencil(E, St(_mm256_mul_pd(xv, vinv), n));
     const __m256d vn = _mm256_add_pd(_mm256_loadu_pd(v + p), _mm256_mul_pd(vqm, Ep));
     _mm256_storeu_pd(v + p, vn);
     // Drift. When all four lanes land in [0, L) (ordered compares: NaN is

@@ -8,6 +8,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "nn/backend_scalar.hpp"
+#include "pic/grid.hpp"
 #include "util/inline.hpp"
 
 namespace dlpic::nn {
@@ -363,13 +365,171 @@ void zmm_nn_rows(size_t nb8, size_t kb, const double* a, const double* B, size_t
 }
 
 // ---------------------------------------------------------------------------
+// PIC push and stagger on zmm: eight particles per step. The stencils are
+// the AVX2 unit's at twice the width: int32 node indices, the exact scalar
+// weight formulas and operation order with no FMA, and a +0.0 gather
+// accumulator. A group holding a non-finite x (which the scalar range
+// rejects with the particle's index) and the tail run backend_detail's
+// scalar ranges, so positions and velocities are bitwise the AVX2 and
+// scalar ones.
+
+/// wrap_near for 8 node indices at most one box outside [0, n).
+inline __m256i wrap_near8(__m256i i, __m256i n) {
+  i = _mm256_mask_add_epi32(i, _mm256_cmplt_epi32_mask(i, _mm256_setzero_si256()), i, n);
+  return _mm256_mask_sub_epi32(i, _mm256_cmpge_epi32_mask(i, n), i, n);
+}
+
+// The stencils truncate with the all-lane maskz vcvttpd2dq, the plain
+// instruction: GCC 12's unmasked wrapper passes an undefined vector that
+// -Wmaybe-uninitialized flags.
+
+struct ZmmNgpStencil {
+  static constexpr int support = 1;
+  __m256i node[1];
+  __m512d w[1];
+  ZmmNgpStencil(__m512d xi, __m256i n) {
+    const __m512d fl = _mm512_floor_pd(_mm512_add_pd(xi, _mm512_set1_pd(0.5)));
+    node[0] = wrap_near8(_mm512_maskz_cvttpd_epi32(0xFF, fl), n);
+    w[0] = _mm512_set1_pd(1.0);
+  }
+};
+
+struct ZmmCicStencil {
+  static constexpr int support = 2;
+  __m256i node[2];
+  __m512d w[2];
+  ZmmCicStencil(__m512d xi, __m256i n) {
+    const __m512d fl = _mm512_floor_pd(xi);
+    const __m256i i = _mm512_maskz_cvttpd_epi32(0xFF, fl);
+    node[0] = wrap_near8(i, n);
+    node[1] = wrap_near8(_mm256_add_epi32(i, _mm256_set1_epi32(1)), n);
+    const __m512d frac = _mm512_sub_pd(xi, fl);
+    w[0] = _mm512_sub_pd(_mm512_set1_pd(1.0), frac);
+    w[1] = frac;
+  }
+};
+
+struct ZmmTscStencil {
+  static constexpr int support = 3;
+  __m256i node[3];
+  __m512d w[3];
+  ZmmTscStencil(__m512d xi, __m256i n) {
+    const __m512d fl = _mm512_floor_pd(_mm512_add_pd(xi, _mm512_set1_pd(0.5)));
+    const __m256i i = _mm512_maskz_cvttpd_epi32(0xFF, fl);
+    const __m256i one = _mm256_set1_epi32(1);
+    node[0] = wrap_near8(_mm256_sub_epi32(i, one), n);
+    node[1] = wrap_near8(i, n);
+    node[2] = wrap_near8(_mm256_add_epi32(i, one), n);
+    const __m512d d = _mm512_sub_pd(xi, fl);
+    const __m512d half = _mm512_set1_pd(0.5);
+    const __m512d dm = _mm512_sub_pd(half, d);  // 0.5 - d
+    const __m512d dp = _mm512_add_pd(half, d);  // 0.5 + d
+    // Scalar order: 0.5*(0.5-d)*(0.5-d) evaluates left to right.
+    w[0] = _mm512_mul_pd(_mm512_mul_pd(half, dm), dm);
+    w[1] = _mm512_sub_pd(_mm512_set1_pd(0.75), _mm512_mul_pd(d, d));
+    w[2] = _mm512_mul_pd(_mm512_mul_pd(half, dp), dp);
+  }
+};
+
+/// The scalar gather_at sum: acc = +0.0, then acc += E[node] * w in
+/// ascending node order (starting from the first product instead would
+/// keep a -0.0 product, where 0.0 + -0.0 gives +0.0). The all-lane masked
+/// gather with a zero source is the plain vgatherdpd without GCC 12's
+/// undefined source.
+template <class St>
+inline __m512d gather_stencil8(const double* E, const St& st) {
+  __m512d acc = _mm512_setzero_pd();
+  for (int s = 0; s < St::support; ++s)
+    acc = _mm512_add_pd(
+        acc, _mm512_mul_pd(_mm512_mask_i32gather_pd(_mm512_setzero_pd(), 0xFF, st.node[s], E, 8),
+                           st.w[s]));
+  return acc;
+}
+
+/// True when all eight x are finite (x - x == 0, ordered).
+inline bool all_finite8(__m512d x) {
+  return _mm512_cmp_pd_mask(_mm512_sub_pd(x, x), _mm512_setzero_pd(), _CMP_EQ_OQ) == 0xFF;
+}
+
+template <class St, pic::Shape S>
+void stagger_range_zmm(const double* E, const double* x, double* v, size_t lo, size_t hi,
+                       double inv_dx, long ncells, double qm_half_dt) {
+  const __m256i n = _mm256_set1_epi32(static_cast<int>(ncells));
+  const __m512d vinv = _mm512_set1_pd(inv_dx);
+  const __m512d vqm = _mm512_set1_pd(qm_half_dt);
+  size_t p = lo;
+  for (; p + 8 <= hi; p += 8) {
+    const __m512d xv = _mm512_loadu_pd(x + p);
+    if (!all_finite8(xv)) {
+      backend_detail::stagger_range<S>(E, x, v, p, p + 8, inv_dx, ncells, qm_half_dt);
+      continue;
+    }
+    const __m512d Ep = gather_stencil8(E, St(_mm512_mul_pd(xv, vinv), n));
+    _mm512_storeu_pd(v + p, _mm512_add_pd(_mm512_loadu_pd(v + p), _mm512_mul_pd(vqm, Ep)));
+  }
+  backend_detail::stagger_range<S>(E, x, v, p, hi, inv_dx, ncells, qm_half_dt);
+}
+
+template <class St, pic::Shape S>
+void leapfrog_range_zmm(const double* E, double* x, double* v, size_t lo, size_t hi,
+                        double inv_dx, long ncells, double qm_dt, double dt, double length) {
+  const __m256i n = _mm256_set1_epi32(static_cast<int>(ncells));
+  const __m512d vinv = _mm512_set1_pd(inv_dx);
+  const __m512d vqm = _mm512_set1_pd(qm_dt);
+  const __m512d vdt = _mm512_set1_pd(dt);
+  const __m512d vzero = _mm512_setzero_pd();
+  const __m512d vlen = _mm512_set1_pd(length);
+  size_t p = lo;
+  for (; p + 8 <= hi; p += 8) {
+    const __m512d xv = _mm512_loadu_pd(x + p);
+    if (!all_finite8(xv)) {
+      backend_detail::leapfrog_range<S>(E, x, v, p, p + 8, inv_dx, ncells, qm_dt, dt, length);
+      continue;
+    }
+    const __m512d Ep = gather_stencil8(E, St(_mm512_mul_pd(xv, vinv), n));
+    const __m512d vn = _mm512_add_pd(_mm512_loadu_pd(v + p), _mm512_mul_pd(vqm, Ep));
+    _mm512_storeu_pd(v + p, vn);
+    // Drift. When all eight lanes land in [0, L) (ordered compares: NaN is
+    // out), pic::wrap_periodic would return them unchanged, so store the
+    // vector; otherwise wrap each lane with that scalar helper.
+    const __m512d xn = _mm512_add_pd(xv, _mm512_mul_pd(vn, vdt));
+    const __mmask8 in_box = _mm512_cmp_pd_mask(xn, vzero, _CMP_GE_OQ) &
+                            _mm512_cmp_pd_mask(xn, vlen, _CMP_LT_OQ);
+    if (in_box == 0xFF) {
+      _mm512_storeu_pd(x + p, xn);
+    } else {
+      alignas(64) double xs[8];
+      _mm512_store_pd(xs, xn);
+      for (int lane = 0; lane < 8; ++lane) x[p + lane] = pic::wrap_periodic(xs[lane], length);
+    }
+  }
+  backend_detail::leapfrog_range<S>(E, x, v, p, hi, inv_dx, ncells, qm_dt, dt, length);
+}
+
+// ---------------------------------------------------------------------------
 // The backend: the AVX2 backend with the skinny f64 GEMM on zmm for 4 to 16
-// rows and gemm_int8 on vpdpbusd. Every other kernel is inherited, so it
-// runs the AVX2 code.
+// rows, the PIC push and stagger on zmm and gemm_int8 on vpdpbusd. Every
+// other kernel is inherited, so it runs the AVX2 code.
 
 class Avx512VnniBackend final : public Avx2Backend {
  public:
   [[nodiscard]] const char* name() const override { return "avx512"; }
+
+  [[nodiscard]] PicStaggerFn pic_stagger(int shape) const override {
+    switch (shape) {
+      case 0: return &stagger_range_zmm<ZmmNgpStencil, pic::Shape::NGP>;
+      case 1: return &stagger_range_zmm<ZmmCicStencil, pic::Shape::CIC>;
+      default: return &stagger_range_zmm<ZmmTscStencil, pic::Shape::TSC>;
+    }
+  }
+
+  [[nodiscard]] PicLeapfrogFn pic_leapfrog(int shape) const override {
+    switch (shape) {
+      case 0: return &leapfrog_range_zmm<ZmmNgpStencil, pic::Shape::NGP>;
+      case 1: return &leapfrog_range_zmm<ZmmCicStencil, pic::Shape::CIC>;
+      default: return &leapfrog_range_zmm<ZmmTscStencil, pic::Shape::TSC>;
+    }
+  }
 
   // Rows below 4 (a batch-1 forward) and panels deeper than kZmmMaxDepth
   // stay on the AVX2 kernel, and so do the columns past the last 8-group

@@ -9,6 +9,11 @@ namespace dlpic::nn {
 
 namespace backend_detail {
 
+void throw_non_finite_position(const char* kernel, size_t index) {
+  throw std::invalid_argument(std::string(kernel) + ": particle " + std::to_string(index) +
+                              " has a non-finite position");
+}
+
 size_t bin_ngp_range(const KernelBackend::PhaseSpaceGrid& g, const double* x,
                      const double* v, size_t lo, size_t hi, double* hist) {
   size_t clamped = 0;

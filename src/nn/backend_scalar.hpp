@@ -21,6 +21,15 @@ namespace dlpic::nn {
 
 namespace backend_detail {
 
+/// True for a finite x: x - x is 0 there and NaN for NaN and ±inf. (The
+/// SIMD units call this; std::isfinite would be a weak std:: copy at -O0.)
+DLPIC_ALWAYS_INLINE bool is_finite(double x) { return x - x == 0.0; }
+
+/// Throws std::invalid_argument: particle `index` reached `kernel` with a
+/// non-finite position. Defined out of line in backend_scalar.cpp, so the
+/// SIMD units that reach it through the ranges below build no string.
+[[noreturn]] void throw_non_finite_position(const char* kernel, size_t index);
+
 template <pic::Shape S>
 DLPIC_ALWAYS_INLINE void gather_range(const double* E, const double* x, double* out,
                                       size_t lo, size_t hi, double inv_dx, long ncells) {
@@ -32,8 +41,10 @@ template <pic::Shape S>
 DLPIC_ALWAYS_INLINE void stagger_range(const double* E, const double* x, double* v,
                                        size_t lo, size_t hi, double inv_dx, long ncells,
                                        double qm_half_dt) {
-  for (size_t p = lo; p < hi; ++p)
+  for (size_t p = lo; p < hi; ++p) {
+    if (!is_finite(x[p])) throw_non_finite_position("velocity stagger", p);
     v[p] += qm_half_dt * pic::gather_at<S>(E, x[p] * inv_dx, ncells);
+  }
 }
 
 template <pic::Shape S>
@@ -41,6 +52,7 @@ DLPIC_ALWAYS_INLINE void leapfrog_range(const double* E, double* x, double* v, s
                                         size_t hi, double inv_dx, long ncells, double qm_dt,
                                         double dt, double length) {
   for (size_t p = lo; p < hi; ++p) {
+    if (!is_finite(x[p])) throw_non_finite_position("leapfrog push", p);
     const double Ep = pic::gather_at<S>(E, x[p] * inv_dx, ncells);
     v[p] += qm_dt * Ep;
     x[p] = pic::wrap_periodic(x[p] + v[p] * dt, length);

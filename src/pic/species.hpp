@@ -46,7 +46,9 @@ class Species {
     double momentum;        ///< m * sum(v)
   };
 
-  /// Both moments from one pass over v, each summed in particle order.
+  /// Both moments from one pass over v. Each sum runs in a fixed order that
+  /// depends only on size(): 32 lane sums over the whole 32-blocks, a
+  /// pairwise combine of the lanes, then the remaining particles in order.
   [[nodiscard]] VelocityMoments velocity_moments() const;
 
  private:

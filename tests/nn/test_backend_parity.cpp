@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -34,6 +37,7 @@
 #include "pic/gather.hpp"
 #include "pic/loader.hpp"
 #include "pic/mover.hpp"
+#include "pic/simulation.hpp"
 #include "util/parallel.hpp"
 #include "util/thread_pool.hpp"
 
@@ -98,11 +102,11 @@ TEST(BackendSelection, Avx512NamedAndDelegatesF64Kernels) {
   avx512->sgd_update(n, 1e-2, x.data(), b.data());
   EXPECT_EQ(a, b);
 
-  // The PIC and binning kernels are the AVX2 functions themselves.
+  // The gather, deposit and binning kernels are the AVX2 functions
+  // themselves. The push and stagger are the backend's own zmm kernels;
+  // PicPushStaggerBitwiseAcrossRangesAndGrids checks their bits.
   for (int shape = 0; shape < 3; ++shape) {
     EXPECT_EQ(avx512->pic_gather(shape), avx2->pic_gather(shape)) << "shape " << shape;
-    EXPECT_EQ(avx512->pic_stagger(shape), avx2->pic_stagger(shape)) << "shape " << shape;
-    EXPECT_EQ(avx512->pic_leapfrog(shape), avx2->pic_leapfrog(shape)) << "shape " << shape;
     EXPECT_EQ(avx512->pic_deposit(shape), avx2->pic_deposit(shape)) << "shape " << shape;
   }
   EXPECT_EQ(avx512->bin_ngp(), avx2->bin_ngp());
@@ -950,6 +954,283 @@ TEST(BackendParity, PicGatherLeapfrogDepositBitwisePerShape) {
       EXPECT_TRUE(same_bits(std::get<2>(scalar), std::get<2>(vec))) << "v, " << what;
       EXPECT_TRUE(same_bits(std::get<3>(scalar), std::get<3>(vec))) << "rho, " << what;
     }
+  }
+}
+
+// The push and stagger kernels called directly on [lo, hi) ranges: every
+// body/tail split of the 4- and 8-wide kernels (hi - lo = 8k + r for r =
+// 0..7, even and odd lo), lanes that drift out of the box either side,
+// x = L - ulp, and grids of 2, 64 and 1000 cells. x and v must match the
+// scalar backend bit for bit, and particles outside the range stay as they
+// were.
+TEST(BackendParity, PicPushStaggerBitwiseAcrossRangesAndGrids) {
+  const double L = 2.0534;
+  const double dt = 0.2;
+  const size_t n = 64;
+  for (const long ncells : {2L, 64L, 1000L}) {
+    const double inv_dx = 1.0 / (L / static_cast<double>(ncells));
+    math::Rng rng(40 + static_cast<uint64_t>(ncells));
+    std::vector<double> E(static_cast<size_t>(ncells));
+    for (auto& e : E) e = rng.uniform(-0.05, 0.05);
+    // Signed zeros on every node a stencil at x = 0 touches: the gather
+    // there is +0.0 only with a +0.0 accumulator start, and a v of -0.0
+    // plus that kick shows the sign.
+    E[0] = E[1] = E.back() = -0.0;
+    std::vector<double> x0(n), v0(n);
+    for (size_t p = 0; p < n; ++p) {
+      x0[p] = rng.uniform(0.0, L);
+      v0[p] = rng.uniform(-0.3, 0.3);
+    }
+    // Lanes that leave through 0 and through L, and lanes on the box edges.
+    for (const size_t p : {3, 17, 30, 41}) {
+      x0[p] = 1e-3;
+      v0[p] = -0.5;
+    }
+    for (const size_t p : {6, 22, 35, 50}) {
+      x0[p] = L - 1e-3;
+      v0[p] = 0.5;
+    }
+    for (const size_t p : {9, 26, 44, 61}) x0[p] = std::nextafter(L, 0.0);
+    for (const size_t p : {12, 55}) {
+      x0[p] = 0.0;
+      v0[p] = -0.0;
+    }
+
+    for (const int shape : {0, 1, 2}) {
+      const auto& ref = nn::scalar_backend();
+      for (const size_t lo : {size_t{0}, size_t{3}, size_t{8}}) {
+        for (size_t len = 0; lo + len <= n && len <= 40; ++len) {
+          const size_t hi = lo + len;
+          std::vector<double> xs = x0, vs = v0, vs_stagger = v0;
+          ref.pic_leapfrog(shape)(E.data(), xs.data(), vs.data(), lo, hi, inv_dx, ncells, -dt,
+                                  dt, L);
+          ref.pic_stagger(shape)(E.data(), x0.data(), vs_stagger.data(), lo, hi, inv_dx, ncells,
+                                 0.5 * dt);
+          for (size_t p = 0; p < n; ++p) {
+            if (p >= lo && p < hi) continue;
+            ASSERT_TRUE(bitwise_equal(&xs[p], &x0[p], 1) && bitwise_equal(&vs[p], &v0[p], 1) &&
+                        bitwise_equal(&vs_stagger[p], &v0[p], 1))
+                << "particle " << p << " outside [" << lo << ", " << hi << ") changed";
+          }
+          for (const nn::KernelBackend* be : vector_backends()) {
+            std::vector<double> xb = x0, vb = v0, vb_stagger = v0;
+            be->pic_leapfrog(shape)(E.data(), xb.data(), vb.data(), lo, hi, inv_dx, ncells,
+                                    -dt, dt, L);
+            be->pic_stagger(shape)(E.data(), x0.data(), vb_stagger.data(), lo, hi, inv_dx,
+                                   ncells, 0.5 * dt);
+            const std::string what = std::string(be->name()) + " shape " +
+                                     std::to_string(shape) + " ncells " +
+                                     std::to_string(ncells) + " [" + std::to_string(lo) +
+                                     ", " + std::to_string(hi) + ")";
+            EXPECT_TRUE(bitwise_equal(xs.data(), xb.data(), n)) << "leapfrog x, " << what;
+            EXPECT_TRUE(bitwise_equal(vs.data(), vb.data(), n)) << "leapfrog v, " << what;
+            EXPECT_TRUE(bitwise_equal(vs_stagger.data(), vb_stagger.data(), n))
+                << "stagger v, " << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A drift that lands exactly on L, alone among in-box lanes, at every lane
+// of a 4- and an 8-wide group: only the vector in-box test (x < L) sends it
+// to the wrap, which maps it to 0. qm_dt = 0 leaves v unkicked, so the
+// drift is exactly v * dt.
+TEST(BackendParity, PicPushWrapsDriftToExactlyLInEveryLane) {
+  const double L = 2.0534;
+  const double dt = 0.2;
+  const double v_edge = 0.25;
+  const double vdt = v_edge * dt;
+  double x_to_L = L - vdt;
+  while (x_to_L + vdt < L) x_to_L = std::nextafter(x_to_L, L);
+  while (x_to_L + vdt > L) x_to_L = std::nextafter(x_to_L, 0.0);
+  ASSERT_EQ(x_to_L + vdt, L);
+  const std::vector<double> E(64, 0.01);
+  const double inv_dx = 64.0 / L;
+  const double zero = 0.0;
+  for (size_t lane = 0; lane < 8; ++lane) {
+    std::vector<double> x0(16, 1.0), v0(16, 0.1);
+    x0[8 + lane] = x_to_L;
+    v0[8 + lane] = v_edge;
+    for (const nn::KernelBackend* be : available_backends()) {
+      for (const int shape : {0, 1, 2}) {
+        std::vector<double> x = x0, v = v0;
+        be->pic_leapfrog(shape)(E.data(), x.data(), v.data(), 0, 16, inv_dx, 64, 0.0, dt, L);
+        EXPECT_TRUE(bitwise_equal(&x[8 + lane], &zero, 1))
+            << be->name() << " shape " << shape << " lane " << lane << ": x = " << x[8 + lane];
+      }
+    }
+  }
+}
+
+// The paper's configuration (64 cells, 64k particles, spectral Poisson) at
+// its loaded state and after 100 steps: one stagger and one push from each
+// state give the scalar bits on every backend, for each shape.
+TEST(BackendParity, PicPushStaggerBitwiseOnPaperStates) {
+  pic::SimulationConfig cfg;
+  cfg.nsteps = 100;
+  std::vector<std::pair<std::string, std::pair<pic::Species, std::vector<double>>>> states;
+  {
+    nn::ScopedBackend scope(&nn::scalar_backend());
+    pic::TraditionalPic sim(cfg);
+    states.push_back({"loaded", {sim.electrons(), sim.efield()}});
+    for (size_t step = 0; step < cfg.nsteps; ++step) sim.step();
+    states.push_back({"evolved", {sim.electrons(), sim.efield()}});
+  }
+  const pic::Grid1D grid(cfg.ncells, cfg.length);
+  for (const auto& [label, state] : states) {
+    for (const auto shape : {pic::Shape::NGP, pic::Shape::CIC, pic::Shape::TSC}) {
+      auto run = [&](const nn::KernelBackend* be) {
+        nn::ScopedBackend scope(be);
+        pic::Species staggered = state.first;
+        pic::stagger_velocities_back(grid, shape, state.second, staggered, cfg.dt);
+        pic::Species pushed = state.first;
+        pic::leapfrog_step(grid, shape, state.second, pushed, cfg.dt);
+        return std::make_tuple(staggered.v(), pushed.x(), pushed.v());
+      };
+      const auto ref = run(&nn::scalar_backend());
+      for (const nn::KernelBackend* be : vector_backends()) {
+        const auto got = run(be);
+        const std::string what = label + " " + be->name() + " " + pic::shape_name(shape);
+        EXPECT_TRUE(same_bits(std::get<0>(ref), std::get<0>(got))) << "stagger v, " << what;
+        EXPECT_TRUE(same_bits(std::get<1>(ref), std::get<1>(got))) << "push x, " << what;
+        EXPECT_TRUE(same_bits(std::get<2>(ref), std::get<2>(got))) << "push v, " << what;
+      }
+    }
+  }
+}
+
+// A NaN or ±inf position, in a vector group or in the tail, makes the push
+// and the stagger throw std::invalid_argument naming the particle, on every
+// backend and shape, instead of gathering an undefined node.
+TEST(BackendParity, PushAndStaggerRejectNonFinitePositions) {
+  const pic::Grid1D grid(64, 2.0534);
+  const std::vector<double> E(64, 0.01);
+  const size_t n = 21;  // vector bodies [0, 16) and [0, 20): index 20 is a tail
+  for (const nn::KernelBackend* be : available_backends()) {
+    nn::ScopedBackend scope(be);
+    for (const auto shape : {pic::Shape::NGP, pic::Shape::CIC, pic::Shape::TSC}) {
+      for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()}) {
+        for (const size_t index : {size_t{5}, size_t{20}}) {
+          pic::Species species = pic::Species::electrons(n, grid.length());
+          for (size_t p = 0; p < n; ++p) species.add(0.05 + 0.09 * static_cast<double>(p), 0.1);
+          species.x()[index] = bad;
+          const std::string what = std::string(be->name()) + " " + pic::shape_name(shape) +
+                                   " x=" + std::to_string(bad) + " at " + std::to_string(index);
+          const std::string needle = "particle " + std::to_string(index) + " ";
+          for (const bool push : {true, false}) {
+            try {
+              if (push)
+                pic::leapfrog_step(grid, shape, E, species, 0.2);
+              else
+                pic::stagger_velocities_back(grid, shape, E, species, 0.2);
+              ADD_FAILURE() << (push ? "push" : "stagger") << " did not throw, " << what;
+            } catch (const std::invalid_argument& e) {
+              EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+                  << e.what() << ", " << what;
+            }
+          }
+        }
+      }
+    }
+  }
+  // At 4 workers the chunk that holds the particle runs on a pool thread,
+  // and the pool hands its exception back to the caller.
+  util::ThreadPool::global().resize(4);
+  {
+    util::ScopedMaxWorkers cap(4);
+    for (const nn::KernelBackend* be : available_backends()) {
+      nn::ScopedBackend scope(be);
+      pic::Species species = parity_species(grid, 64000);
+      species.x()[40003] = std::numeric_limits<double>::quiet_NaN();
+      for (const bool push : {true, false}) {
+        try {
+          if (push)
+            pic::leapfrog_step(grid, pic::Shape::CIC, E, species, 0.2);
+          else
+            pic::stagger_velocities_back(grid, pic::Shape::CIC, E, species, 0.2);
+          ADD_FAILURE() << (push ? "push" : "stagger") << " did not throw, " << be->name();
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find("particle 40003 "), std::string::npos)
+              << e.what() << ", " << be->name();
+        }
+      }
+    }
+  }
+  util::ThreadPool::global().resize(0);
+}
+
+// Species::velocity_moments: the same bits on every backend and worker
+// count (it is one portable loop in a fixed order), and within 1e-13 of a
+// long double sum, relative to the sum of the terms' magnitudes (for the
+// kinetic energy that is the sum itself).
+TEST(BackendParity, VelocityMomentsBitwiseAndAccurate) {
+  const pic::Grid1D grid(64, 2.0534);
+  std::vector<std::pair<std::string, pic::Species>> cases;
+  math::Rng rng(71);
+  for (const size_t n : {0, 1, 31, 32, 33, 64000}) {
+    pic::Species s("random", -0.5, 0.5);
+    for (size_t p = 0; p < n; ++p) s.add(0.0, rng.uniform(-0.3, 0.5));
+    cases.push_back({"random n=" + std::to_string(n), std::move(s)});
+  }
+  cases.push_back({"64k two-stream", parity_species(grid, 64000)});
+  util::ThreadPool::global().resize(4);
+  for (const auto& [label, species] : cases) {
+    long double ke = 0.0L, ke_abs = 0.0L, mom = 0.0L, mom_abs = 0.0L;
+    for (const double v : species.v()) {
+      const long double lv = v;
+      ke += lv * lv;
+      ke_abs += lv * lv;
+      mom += lv;
+      mom_abs += lv < 0 ? -lv : lv;
+    }
+    const long double m = species.mass();
+    const pic::Species::VelocityMoments ref = species.velocity_moments();
+    EXPECT_LE(std::abs(static_cast<long double>(ref.kinetic_energy) - 0.5L * m * ke),
+              1e-13L * 0.5L * m * ke_abs)
+        << label;
+    EXPECT_LE(std::abs(static_cast<long double>(ref.momentum) - m * mom), 1e-13L * m * mom_abs)
+        << label;
+    for (const nn::KernelBackend* be : available_backends()) {
+      for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+        util::ScopedMaxWorkers cap(workers);
+        nn::ScopedBackend scope(be);
+        const pic::Species::VelocityMoments got = species.velocity_moments();
+        EXPECT_TRUE(bitwise_equal(&ref.kinetic_energy, &got.kinetic_energy, 1) &&
+                    bitwise_equal(&ref.momentum, &got.momentum, 1))
+            << label << " " << be->name() << " workers " << workers;
+      }
+    }
+  }
+  util::ThreadPool::global().resize(0);
+}
+
+// The moments' summation order is part of their contract: the same bits
+// from every build of species.cpp, whatever its -march. Velocities are
+// k * 2^-53 for 52-bit k, so generating them rounds nothing under any
+// flags, while the sums round; a serial sum gives other bits than these
+// (kinetic ...4f7 and momentum ...1c0 at n = 64000).
+TEST(BackendParity, VelocityMomentsPinnedSumOrder) {
+  const auto bits = [](double d) {
+    uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof(d));
+    return u;
+  };
+  const std::pair<size_t, std::pair<uint64_t, uint64_t>> golden[] = {
+      {33, {0x3fd4b88c27248bebull, 0x3fbbc8dfbff91c78ull}},
+      {64000, {0x4084d5409f87e545ull, 0x3f98480b0c247820ull}}};
+  for (const auto& [n, want] : golden) {
+    pic::Species s("exact", -1.0, 1.0);
+    for (size_t p = 0; p < n; ++p) {
+      const uint64_t k = (static_cast<uint64_t>(p + 1) * 0x9E3779B97F4A7C15ull) >> 12;
+      s.add(0.0, (static_cast<double>(k) - 0x1p51) * 0x1p-53);
+    }
+    const pic::Species::VelocityMoments m = s.velocity_moments();
+    EXPECT_EQ(bits(m.kinetic_energy), want.first) << "n=" << n;
+    EXPECT_EQ(bits(m.momentum), want.second) << "n=" << n;
   }
 }
 

@@ -382,25 +382,29 @@ TEST(ZeroAllocation, ParallelTrainingStepSteadyState) {
 // deposit (per-worker scratch reused across calls), Poisson solve (solver-
 // owned work buffers), E-field derivation, diagnostics/history and the
 // periodic counting sort (loop-owned scratch swapped with the particle
-// arrays) — must perform ZERO heap allocations. Parallel width so
-// the deposit really uses the multi-buffer scratch path; the measured steps
-// cross two sort boundaries.
+// arrays) — must perform ZERO heap allocations, on every backend this host
+// provides. Parallel width so the deposit really uses the multi-buffer
+// scratch path; the measured steps cross two sort boundaries.
 TEST(ZeroAllocation, SteadyStatePicStepParallel) {
   util::ThreadPool::global().resize(4);
-  pic::SimulationConfig cfg;
-  cfg.ncells = 64;
-  cfg.particles_per_cell = 256;  // 16384 particles: several deposit buffers
-  cfg.nsteps = 16;               // bounds the history reserve
-  cfg.nthreads = 4;
-  cfg.sort_interval = 2;  // sorts before steps 3, 5 and 7
-  pic::TraditionalPic sim(cfg);
-  warm_pool_thread_locals();
-  for (int i = 0; i < 3; ++i) sim.step();  // warm scratch/solver/history
+  for (const KernelBackend* be : {&scalar_backend(), avx2_backend(), avx512_backend()}) {
+    if (be == nullptr) continue;  // not on this host
+    ScopedBackend scope(be);
+    pic::SimulationConfig cfg;
+    cfg.ncells = 64;
+    cfg.particles_per_cell = 256;  // 16384 particles: several deposit buffers
+    cfg.nsteps = 16;               // bounds the history reserve
+    cfg.nthreads = 4;
+    cfg.sort_interval = 2;  // sorts before steps 3, 5 and 7
+    pic::TraditionalPic sim(cfg);
+    warm_pool_thread_locals();
+    for (int i = 0; i < 3; ++i) sim.step();  // warm scratch/solver/history
 
-  const size_t before = g_alloc_count.load();
-  for (int i = 0; i < 5; ++i) sim.step();
-  const size_t after = g_alloc_count.load();
-  EXPECT_EQ(after - before, 0u) << "steady-state PIC steps allocated";
+    const size_t before = g_alloc_count.load();
+    for (int i = 0; i < 5; ++i) sim.step();
+    const size_t after = g_alloc_count.load();
+    EXPECT_EQ(after - before, 0u) << "steady-state PIC steps allocated on " << be->name();
+  }
   util::ThreadPool::global().resize(0);
 }
 
